@@ -233,10 +233,24 @@ def scaled_chain_loglik(step_matrices, prior: StatePrior) -> float:
     every application the vector is renormalised to sum 1 and the log of the
     scale is accumulated, which keeps the recursion in range for arbitrarily
     long traces.  Returns -inf when the data has zero probability.
+
+    When no matrix sends a start state to both end states, the hidden path
+    is fixed by its start state, and a path falling more than the float
+    range behind the other would be lost to the renormalisation; the
+    recursion then runs from each start state on its own.
     """
-    v = prior.vector.copy()
+    mats = list(step_matrices)
+    if any((m[0, 0] > 0 and m[1, 0] > 0) or (m[0, 1] > 0 and m[1, 1] > 0) for m in mats):
+        return _chain_loglik(mats, prior.vector)
+    starts = [(p, v) for p, v in zip(prior.vector, np.eye(2)) if p > 0.0]
+    logs = [math.log(p) + _chain_loglik(mats, v) for p, v in starts]
+    return float(np.logaddexp.reduce(logs))
+
+
+def _chain_loglik(mats, v0) -> float:
+    v = v0.copy()
     logscale = 0.0
-    for m in step_matrices:
+    for m in mats:
         w0 = m[0, 0] * v[0] + m[0, 1] * v[1]
         w1 = m[1, 0] * v[0] + m[1, 1] * v[1]
         s = w0 + w1

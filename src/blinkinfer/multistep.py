@@ -6,7 +6,9 @@ weighted Poissonian at rate mu/d or (mu+lam)/d, and the joint law of
 (counts, end state | start state) over a doubled interval is the sum over
 the mid-point state of discrete convolutions of the two halves.  Applying
 the doubling m times yields full-interval distributions that converge to
-the continuous-time kernel as d grows.
+the continuous-time kernel as d grows.  The same distributions are a
+Poisson mixture over the number of sub-steps that start on
+(:func:`on_count_weights`), which is how the grid engine builds them.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ __all__ = [
     "base_distributions",
     "convolve_halving",
     "interval_distributions",
+    "on_count_weights",
     "trace_loglik_multistep",
     "default_c_max",
     "choose_subinterval_count",
@@ -160,6 +163,32 @@ def interval_distributions(
     for _ in range(d.bit_length() - 1):
         dist = convolve_halving(dist)
     return dist
+
+
+def on_count_weights(d: int, r_alpha, r_beta) -> np.ndarray:
+    """Joint law of (end state, number of on sub-steps) over one interval.
+
+    ``out[i, j, ..., n]`` is P(end state j, n of the d sub-steps start on |
+    start state i) for n = 0..d, broadcast over the rate arrays.  A
+    sub-step that starts on emits at rate (mu + lam)/d and one that starts
+    off at mu/d, and Poisson counts add up, so mixing Poisson(mu + lam*n/d)
+    over this law gives :func:`interval_distributions` exactly, with no
+    count truncation.
+    """
+    if d < 1 or d & (d - 1):
+        raise ValueError("d must be a power of two >= 1")
+    ra, rb = np.broadcast_arrays(np.asarray(r_alpha, float), np.asarray(r_beta, float))
+    a = -np.expm1(-ra / d)[..., None]
+    b = -np.expm1(-rb / d)[..., None]
+    off = np.zeros((2,) + ra.shape + (d + 1,))  # [start, ..., n], now off
+    on = np.zeros_like(off)  # now on
+    off[0, ..., 0] = 1.0
+    on[1, ..., 0] = 1.0
+    for _ in range(d):
+        on_counted = np.zeros_like(on)
+        on_counted[..., 1:] = on[..., :-1]
+        off, on = (1.0 - a) * off + b * on_counted, a * off + (1.0 - b) * on_counted
+    return np.stack([off, on], axis=1)
 
 
 def trace_loglik_multistep(

@@ -23,11 +23,6 @@ from multiprocessing import get_context
 
 import numpy as np
 
-try:
-    import numba as _numba
-except ImportError:  # pragma: no cover - exercised only without numba
-    _numba = None
-
 from . import ctmc as _ctmc
 from . import multistep as _multistep
 from .kernels import (
@@ -179,8 +174,6 @@ class _EngineContext:
     def __init__(self, trace, model, grid, prior, quad, d):
         self.model = model
         self.prior = prior
-        self.quad = quad
-        self.d = d
 
         roles = {}
         for ax in grid.axes:
@@ -207,26 +200,30 @@ class _EngineContext:
         self.mu_flat = mu_grid.ravel()
         self.n_em = self.lam_flat.size
 
+        if model == "multistep" and d is None:
+            d = _multistep.choose_subinterval_count(
+                float(self.avals.max()), float(self.bvals.max())
+            )
+        self.d = d
+
         counts = np.asarray(trace.counts)
         self.distinct, self.inv = np.unique(counts, return_inverse=True)
         dcol = self.distinct[:, None].astype(float)
         self.p_off = poisson_pmf(self.mu_flat[None, :], dcol)
         self.p_on = poisson_pmf((self.mu_flat + self.lam_flat)[None, :], dcol)
 
+        # ctmc and multistep tables mix Poisson laws at on-fractions x:
+        # quadrature nodes, or the on-sub-step fractions n/d
         if model == "ctmc":
-            x, w = quad.nodes_weights()
-            self.quad_x = x
-            self.quad_w = w
-            rate = self.mu_flat[:, None] + self.lam_flat[:, None] * x[None, :]
-            emission = np.empty((self.distinct.size, self.n_em, x.size))
+            self.nodes, self.quad_w = quad.nodes_weights()
+        elif model == "multistep":
+            self.nodes = np.arange(d + 1) / d
+        if model != "single":
+            rate = self.mu_flat[:, None] + self.lam_flat[:, None] * self.nodes[None, :]
+            emission = np.empty((self.distinct.size, self.n_em, self.nodes.size))
             for i, c in enumerate(self.distinct):
                 emission[i] = poisson_pmf(rate, float(c))
             self.emission_nodes = emission
-        elif model == "multistep":
-            self.c_max = _multistep.default_c_max(
-                int(self.distinct.max()),
-                EmissionRates(float(mvals.max()), float(lvals.max())),
-            )
 
     def pairs_per_block(self) -> int:
         return max(1, _BLOCK_CELL_TARGET // self.n_em)
@@ -251,59 +248,23 @@ class _EngineContext:
         e10 = np.einsum("p,dm->dpm", a, self.p_off)
         e01 = np.einsum("p,dm->dpm", b, self.p_on)
         e11 = np.einsum("p,dm->dpm", 1.0 - b, self.p_on)
-        flat = (e.reshape(e.shape[0], -1) for e in (e00, e01, e10, e11))
-        return tuple(flat)
+        return _flat(e00, e01, e10, e11)
 
     def _entries_ctmc(self, a, b):
-        x, w = self.quad_x, self.quad_w
-        smooth = _ctmc._smooth_densities(a[:, None], b[:, None], x[None, :])
-        weighted = smooth * w  # (2, 2, bp, q) indexed [start, end]
-        joint = np.tensordot(self.emission_nodes, weighted, axes=([2], [3]))
-        # joint: (D, m, start, end, bp) -> (D, bp, m) per entry
-        joint = joint.transpose(0, 4, 1, 2, 3)
-        d_off = np.exp(-a)
-        d_on = np.exp(-b)
-        e00 = joint[..., 0, 0] + np.einsum("p,dm->dpm", d_off, self.p_off)
-        e01 = joint[..., 1, 0]  # start 1 -> end 0
-        e10 = joint[..., 0, 1]  # start 0 -> end 1
-        e11 = joint[..., 1, 1] + np.einsum("p,dm->dpm", d_on, self.p_on)
-        flat = (e.reshape(e.shape[0], -1) for e in (e00, e01, e10, e11))
-        return tuple(flat)
+        smooth = _ctmc._smooth_densities(a[:, None], b[:, None], self.nodes[None, :])
+        e00, e01, e10, e11 = _mix_nodes(self.emission_nodes, smooth * self.quad_w)
+        # switch-free histories: point masses at on-fraction 0 and 1
+        e00 = e00 + np.einsum("p,dm->dpm", np.exp(-a), self.p_off)
+        e11 = e11 + np.einsum("p,dm->dpm", np.exp(-b), self.p_on)
+        return _flat(e00, e01, e10, e11)
 
     def _entries_multistep(self, a, b):
-        n_d = self.distinct.size
-        bp = a.size
-        shape = (n_d, bp, self.n_em)
-        e00 = np.empty(shape)
-        e01 = np.empty(shape)
-        e10 = np.empty(shape)
-        e11 = np.empty(shape)
-        sel = self.distinct
-        for ip in range(bp):
-            rates = SwitchRates(float(a[ip]), float(b[ip]))
-            for im in range(self.n_em):
-                em = EmissionRates(float(self.mu_flat[im]), float(self.lam_flat[im]))
-                dist = _multistep.interval_distributions(self.d, rates, em, self.c_max)
-                probs = dist.probs[:, :, sel]  # [start, end, count]
-                e00[:, ip, im] = probs[0, 0]
-                e01[:, ip, im] = probs[1, 0]
-                e10[:, ip, im] = probs[0, 1]
-                e11[:, ip, im] = probs[1, 1]
-        return (
-            e00.reshape(n_d, -1),
-            e01.reshape(n_d, -1),
-            e10.reshape(n_d, -1),
-            e11.reshape(n_d, -1),
-        )
+        weights = _multistep.on_count_weights(self.d, a, b)
+        return _flat(*_mix_nodes(self.emission_nodes, weights))
 
     def eval_block(self, p_start, p_end):
         a, b = self.pair_params(p_start, p_end)
-        if self.model == "single":
-            m00, m01, m10, m11 = self._entries_single(a, b)
-        elif self.model == "ctmc":
-            m00, m01, m10, m11 = self._entries_ctmc(a, b)
-        else:
-            m00, m01, m10, m11 = self._entries_multistep(a, b)
+        m00, m01, m10, m11 = getattr(self, f"_entries_{self.model}")(a, b)
 
         bp = a.size
         if self.prior is None:
@@ -315,21 +276,56 @@ class _EngineContext:
         v0_init = np.repeat(p_off_pair, self.n_em)
 
         mats = tuple(np.ascontiguousarray(m) for m in (m00, m01, m10, m11))
-        if _forward_cells_jit is not None:
-            acc = _forward_cells_jit(*mats, self.inv, v0_init)
-        else:
-            acc = _forward_cells_numpy(*mats, self.inv, v0_init)
+        acc = _forward_cells(*mats, self.inv, v0_init)
+        # a cell whose tables send each start state to one end state follows
+        # one hidden path per start state; renormalising the mixed vector
+        # could drop one of the two, so each is run from its own start
+        m00, m01, m10, m11 = mats
+        fixed = ~np.any(((m00 > 0) & (m10 > 0)) | ((m01 > 0) & (m11 > 0)), axis=0)
+        if fixed.any():
+            sub = tuple(m[:, fixed] for m in mats)
+            p_off = v0_init[fixed]
+            start_off, start_on = np.ones_like(p_off), np.zeros_like(p_off)
+            with np.errstate(divide="ignore"):
+                from_off = np.log(p_off) + _forward_cells(*sub, self.inv, start_off)
+                from_on = np.log(1.0 - p_off) + _forward_cells(*sub, self.inv, start_on)
+            acc[fixed] = np.logaddexp(from_off, from_on)
         return acc.reshape(bp, self.n_em)
 
 
-def _forward_cells_numpy(m00, m01, m10, m11, inv, v0_init):
-    cells = v0_init.size
+def _flat(*entries):
+    """Step-matrix entries (D, pairs, emission cells) as (D, cells) arrays."""
+    return tuple(e.reshape(e.shape[0], -1) for e in entries)
+
+
+def _mix_nodes(emission, weights):
+    """Entries of sum_k weights[start, end, p, k] * emission[D, m, k].
+
+    Returns (D, pairs, emission cells) arrays in step-matrix order
+    [end, start]: 00, 01, 10, 11.
+    """
+    joint = np.tensordot(emission, weights, axes=([2], [3]))
+    joint = joint.transpose(0, 4, 1, 2, 3)  # (D, p, m, start, end)
+    return joint[..., 0, 0], joint[..., 1, 0], joint[..., 0, 1], joint[..., 1, 1]
+
+
+_TINY = np.finfo(float).tiny
+
+
+def _forward_cells(m00, m01, m10, m11, inv, v0_init):
+    """Log-likelihood of every cell by the renormalised forward recursion.
+
+    The per-step sums are multiplied over windows of four steps before one
+    log is taken.  Where a window's product drops below the normal float
+    range, the logs of its own sums are added instead, so a cell is -inf
+    only when some per-step sum is exactly zero.
+    """
     v0 = v0_init.copy()
     v1 = 1.0 - v0_init
-    acc = np.zeros(cells)
-    dead = np.zeros(cells, dtype=bool)
-    window = np.ones(cells)
-    for step, t in enumerate(inv, start=1):
+    acc = np.zeros(v0.size)
+    window = np.ones(v0.size)
+    sums, n_dead = [], 0
+    for t in inv:
         w0 = m00[t] * v0 + m01[t] * v1
         w1 = m10[t] * v0 + m11[t] * v1
         s = w0 + w1
@@ -337,62 +333,27 @@ def _forward_cells_numpy(m00, m01, m10, m11, inv, v0_init):
         r = 1.0 / np.where(s > 0.0, s, 1.0)
         v0 = w0 * r
         v1 = w1 * r
-        if step % 4 == 0:
-            acc += np.log(np.where(window > 0.0, window, 1.0))
-            dead |= window == 0.0
-            window[:] = 1.0
-    acc += np.log(np.where(window > 0.0, window, 1.0))
-    dead |= window == 0.0
-    acc[dead] = -np.inf
+        sums.append(s)
+        if len(sums) == 4:
+            n_dead = _fold(acc, window, sums, n_dead)
+    _fold(acc, window, sums, n_dead)
     return acc
 
 
-if _numba is not None:
-
-    @_numba.njit(cache=True)
-    def _forward_cells_jit(m00, m01, m10, m11, inv, v0_init):  # pragma: no cover
-        cells = v0_init.shape[0]
-        n = inv.shape[0]
-        out = np.empty(cells)
-        chunk = 1024
-        for start in range(0, cells, chunk):
-            stop = min(start + chunk, cells)
-            width = stop - start
-            v0 = np.empty(width)
-            v1 = np.empty(width)
-            acc = np.zeros(width)
-            dead = np.zeros(width, np.bool_)
-            for i in range(width):
-                v0[i] = v0_init[start + i]
-                v1[i] = 1.0 - v0_init[start + i]
-            since_fold = 0
-            for t_idx in range(n):
-                t = inv[t_idx]
-                for i in range(width):
-                    c = start + i
-                    w0 = m00[t, c] * v0[i] + m01[t, c] * v1[i]
-                    w1 = m10[t, c] * v0[i] + m11[t, c] * v1[i]
-                    v0[i] = w0
-                    v1[i] = w1
-                since_fold += 1
-                # renormalise before an 8-step product of per-step factors
-                # (each <= 1) can underflow for any live cell
-                if since_fold == 8 or t_idx == n - 1:
-                    for i in range(width):
-                        s = v0[i] + v1[i]
-                        if s > 0.0:
-                            acc[i] += np.log(s)
-                            v0[i] /= s
-                            v1[i] /= s
-                        else:
-                            dead[i] = True
-                    since_fold = 0
-            for i in range(width):
-                out[start + i] = -np.inf if dead[i] else acc[i]
-        return out
-
-else:
-    _forward_cells_jit = None
+def _fold(acc, window, sums, n_dead):
+    """Add the log of the window into ``acc``; returns the count of -inf cells."""
+    low = window < _TINY
+    acc += np.log(np.where(low, 1.0, window))
+    # a dead cell's window stays zero, so only new low cells need the slow path
+    if np.count_nonzero(low) > n_dead:
+        idx = np.flatnonzero(low & (acc > -np.inf))
+        with np.errstate(divide="ignore"):
+            for s in sums:
+                acc[idx] += np.log(s[idx])
+        n_dead = int(np.count_nonzero(acc == -np.inf))
+    window[:] = 1.0
+    sums.clear()
+    return n_dead
 
 
 _WORKER_CTX: _EngineContext | None = None
@@ -435,11 +396,6 @@ def evaluate_grid(
         quad = _ctmc.QuadratureSpec()
 
     probe = _EngineContext(trace, model, grid, prior, quad, d)
-    if model == "multistep" and d is None:
-        d = _multistep.choose_subinterval_count(
-            float(probe.avals.max()), float(probe.bvals.max())
-        )
-        probe.d = d
     if model == "ctmc":
         corner = SwitchRates(float(probe.avals.max()), float(probe.bvals.max()))
         corner_em = EmissionRates(float(probe.mu_flat.max()), float(probe.lam_flat.max()))
@@ -478,7 +434,7 @@ def evaluate_grid(
         if not role_is_free[axis_i]:
             log_post = np.squeeze(log_post, axis=axis_i)
 
-    return _finalize(grid, model, log_post, d)
+    return _finalize(grid, model, log_post, probe.d)
 
 
 def _finalize(grid, model, log_post, d):

@@ -18,10 +18,11 @@ from blinkinfer.multistep import (
     convolve_halving,
     default_c_max,
     interval_distributions,
+    on_count_weights,
     trace_loglik_multistep,
 )
 from blinkinfer.single_step import trace_loglik_single
-from oracles import path_sum_loglik
+from oracles import path_sum_loglik, substep_path_matrix
 
 EM = EmissionRates(mu=2.0, lam=20.0)
 
@@ -143,6 +144,69 @@ class TestIntervalDistributions:
     def test_rejects_non_power_of_two(self):
         with pytest.raises(ValueError):
             interval_distributions(3, SwitchRates(1, 1), EM, 60)
+
+
+MIX_RATES = [(0.0, 0.0), (0.0, 2.5), (3.0, 0.0), (0.7, 5.0), (20.0, 30.0)]
+MIX_EMISSIONS = [
+    EmissionRates(0.0, 20.0),
+    EmissionRates(2.0, 20.0),
+    EmissionRates(5.0, 0.0),
+    EmissionRates(0.0, 0.0),
+]
+
+
+def mixture_probs(d, rates, em, c_max):
+    """probs[start, end, count] as the Poisson mixture over on-sub-step counts."""
+    weights = on_count_weights(d, rates.r_alpha, rates.r_beta)
+    rate = em.mu + em.lam * np.arange(d + 1) / d
+    pmf = poisson_pmf(rate[None, :], np.arange(c_max + 1)[:, None])
+    return np.einsum("ijn,cn->ijc", weights, pmf)
+
+
+class TestOnCountWeights:
+    @pytest.mark.parametrize("d", [1, 2, 4, 8, 16])
+    def test_normalised_law(self, d):
+        w = on_count_weights(d, np.array([0.0, 1.3, 40.0]), np.array([0.0, 0.2, 9.0]))
+        assert w.shape == (2, 2, 3, d + 1)
+        assert np.all(w >= 0.0)
+        np.testing.assert_allclose(w.sum(axis=(1, 3)), 1.0, rtol=0, atol=1e-14)
+        # a frozen chain never leaves its start state
+        assert w[0, 0, 0, 0] == 1.0 and w[1, 1, 0, d] == 1.0
+        assert w[:, :, 0].sum() == 2.0
+
+    @pytest.mark.parametrize("d", [1, 2, 4, 8])
+    def test_mixture_matches_substep_path_enumeration(self, d):
+        counts = np.arange(101)
+        for ra, rb in MIX_RATES:
+            for em in MIX_EMISSIONS:
+                mix = mixture_probs(d, SwitchRates(ra, rb), em, 100)
+                want = substep_path_matrix(counts, d, ra, rb, em.mu, em.lam)
+                got = mix.transpose(1, 0, 2)  # [end, start, count]
+                live = want > 1e-300
+                assert np.all(got[~live] < 1e-290)
+                rel = np.abs(got[live] - want[live]) / want[live]
+                assert rel.max() <= 1e-13
+
+    @pytest.mark.parametrize("d", [1, 2, 4, 8, 16])
+    def test_mixture_reproduces_interval_distributions(self, d):
+        # The halving route evaluates each Poisson pmf as exp of a log of
+        # size |ln p| and convolves d of them, so deep in the tail its own
+        # rounding reaches 2e-13 relative (the mixture agrees with the
+        # enumeration above there); the relative bound is taken where that
+        # rounding is below 1e-13, the absolute bound everywhere.
+        for ra, rb in MIX_RATES:
+            rates = SwitchRates(ra, rb)
+            for em in MIX_EMISSIONS:
+                want = interval_distributions(d, rates, em, 100).probs
+                got = mixture_probs(d, rates, em, 100)
+                assert np.max(np.abs(got - want)) <= 1e-15
+                bulk = want > 1e-10
+                rel = np.abs(got[bulk] - want[bulk]) / want[bulk]
+                assert rel.max() <= 1e-13
+
+    def test_rejects_non_power_of_two(self):
+        with pytest.raises(ValueError):
+            on_count_weights(3, 1.0, 1.0)
 
 
 class TestChooseSubintervalCount:

@@ -1,6 +1,10 @@
+import math
+
 import numpy as np
 import pytest
+from scipy.stats import poisson
 
+import blinkinfer.multistep as multistep
 from blinkinfer.ctmc import trace_loglik_ctmc
 from blinkinfer.kernels import (
     CountTrace,
@@ -17,8 +21,10 @@ from blinkinfer.posterior import (
     marginalize,
     mode,
 )
+from blinkinfer.multistep import trace_loglik_multistep
 from blinkinfer.simulate import sim_ctmc, sim_dtmc_single
 from blinkinfer.single_step import trace_loglik_single
+from oracles import path_sum_loglik, substep_path_matrix
 
 EM = EmissionRates(mu=2.0, lam=20.0)
 
@@ -84,6 +90,118 @@ class TestEvaluateGrid:
             for j, b in enumerate(grid.axis("r_beta").values):
                 ll = trace_loglik_ctmc(res.trace, SwitchRates(a, b), EM)
                 assert pg.log_post[i, j] == pytest.approx(ll, rel=1e-9)
+
+    def test_log_post_equals_scalar_loglik_multistep(self):
+        # rates from 0, counts up to 56, and emission cells down to
+        # mu = lambda = 0.001, where whole windows of steps underflow
+        res = sim_ctmc(SwitchRates(1.5, 1.0), EmissionRates(0.001, 45.0), 60, seed=3)
+        assert res.trace.max_count >= 40
+        grid = GridSpec(
+            axes=(
+                GridAxis("r_alpha", 0.0, 3.0, 4),
+                GridAxis("r_beta", 0.0, 2.0, 3),
+                GridAxis("lambda", 0.001, 50.0, 3),
+            ),
+            fixed={"mu": 0.001},
+        )
+        for d in (1, 4, 16):
+            pg = evaluate_grid(res.trace, "multistep", grid, d=d)
+            for i, a in enumerate(grid.axis("r_alpha").values):
+                for j, b in enumerate(grid.axis("r_beta").values):
+                    for k, lam in enumerate(grid.axis("lambda").values):
+                        ll = trace_loglik_multistep(
+                            res.trace, SwitchRates(a, b), EmissionRates(0.001, lam), d=d
+                        )
+                        assert np.isfinite(ll)
+                        assert pg.log_post[i, j, k] == pytest.approx(ll, rel=1e-12)
+
+    def test_multistep_lambda_axis_far_above_short_trace(self, monkeypatch):
+        # the engine's tables are exact mixtures, so no count bound is
+        # derived from the data and nothing goes through the truncated
+        # halving route
+        def refuse(*args, **kwargs):
+            raise AssertionError("engine called interval_distributions")
+
+        monkeypatch.setattr(multistep, "interval_distributions", refuse)
+        counts = [0, 3, 1, 0, 5, 2, 0, 1]
+        grid = GridSpec(
+            axes=(
+                GridAxis("r_alpha", 0.0, 2.0, 3),
+                GridAxis("r_beta", 0.5, 3.0, 2),
+                GridAxis("lambda", 0.0, 400.0, 3),
+            ),
+            fixed={"mu": 1.5},
+        )
+        for d in (1, 2, 4):
+            pg = evaluate_grid(CountTrace(counts), "multistep", grid, d=d)
+            for i, a in enumerate(grid.axis("r_alpha").values):
+                for j, b in enumerate(grid.axis("r_beta").values):
+                    for k, lam in enumerate(grid.axis("lambda").values):
+                        mats = {
+                            c: substep_path_matrix(c, d, a, b, 1.5, lam)
+                            for c in set(counts)
+                        }
+                        prior = (b / (a + b), a / (a + b))
+                        want = path_sum_loglik(
+                            lambda t: mats[counts[t - 1]], len(counts), prior
+                        )
+                        assert pg.log_post[i, j, k] == pytest.approx(want, rel=1e-12)
+
+    def test_window_underflow_is_not_zero_likelihood(self):
+        # at mu = lambda = 0.001 each step's sum is ~1e-100, so four-step
+        # products underflow although every per-step sum is positive
+        res = sim_dtmc_single(SwitchProbs(0.1, 0.1, 1), EmissionRates(2.0, 20.0), 300, seed=1)
+        grid = GridSpec(
+            axes=(GridAxis("alpha", 0.001, 0.5, 3), GridAxis("beta", 0.001, 0.5, 4)),
+            fixed={"lambda": 0.001, "mu": 0.001},
+        )
+        pg = evaluate_grid(res.trace, "single", grid)
+        for i, a in enumerate(grid.axis("alpha").values):
+            for j, b in enumerate(grid.axis("beta").values):
+                ll = trace_loglik_single(
+                    res.trace, SwitchProbs(a, b, 1), EmissionRates(0.001, 0.001)
+                )
+                assert pg.log_post[i, j] == pytest.approx(ll, rel=1e-12)
+        assert pg.log_post[0, 3] == pytest.approx(-27936.93, abs=0.01)
+
+    def test_alternating_chain_keeps_both_paths(self):
+        # at alpha = beta = 1 the start state fixes the hidden path; the
+        # counts fit one phase for 50 intervals and the other for 100
+        counts = np.array([0, 40] * 25 + [40, 0] * 50)
+        phase = np.arange(counts.size) % 2
+        from_off = poisson.logpmf(counts, np.where(phase == 0, 1.0, 40.0)).sum()
+        from_on = poisson.logpmf(counts, np.where(phase == 0, 40.0, 1.0)).sum()
+        expected = np.logaddexp(math.log(0.5) + from_off, math.log(0.5) + from_on)
+        grid = GridSpec(
+            axes=(GridAxis("alpha", 0.5, 1.0, 2), GridAxis("beta", 0.5, 1.0, 2)),
+            fixed={"lambda": 39.0, "mu": 1.0},
+        )
+        pg = evaluate_grid(CountTrace(counts), "single", grid)
+        assert pg.log_post[1, 1] == pytest.approx(expected, rel=1e-12)
+        for i, a in enumerate((0.5, 1.0)):
+            for j, b in enumerate((0.5, 1.0)):
+                ll = trace_loglik_single(
+                    CountTrace(counts), SwitchProbs(a, b, 1), EmissionRates(1.0, 39.0)
+                )
+                assert pg.log_post[i, j] == pytest.approx(ll, rel=1e-12)
+
+    @pytest.mark.parametrize("model", ["ctmc", "multistep"])
+    def test_frozen_chain_keeps_both_paths(self, model):
+        # both rates 0: the state never changes; off leads by ~2300 nats
+        # over the first 60 intervals and trails by ~4000 at the end
+        counts = np.array([0] * 60 + [40] * 60)
+        from_off = poisson.logpmf(counts, 1.0).sum()
+        from_on = poisson.logpmf(counts, 40.0).sum()
+        expected = np.logaddexp(math.log(0.5) + from_off, math.log(0.5) + from_on)
+        grid = GridSpec(
+            axes=(GridAxis("r_alpha", 0.0, 1.0, 2), GridAxis("r_beta", 0.0, 1.0, 2)),
+            fixed={"lambda": 39.0, "mu": 1.0},
+        )
+        pg = evaluate_grid(CountTrace(counts), model, grid)
+        assert pg.log_post[0, 0] == pytest.approx(expected, rel=1e-12)
+        scalar = trace_loglik_ctmc if model == "ctmc" else trace_loglik_multistep
+        got = scalar(CountTrace(counts), SwitchRates(0.0, 0.0), EmissionRates(1.0, 39.0))
+        assert got == pytest.approx(expected, rel=1e-12)
 
     def test_posterior_normalised(self):
         _, _, pg = small_single_posterior()

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import poisson
 
 from blinkinfer.kernels import (
     CountTrace,
@@ -66,6 +67,21 @@ class TestTraceLoglik:
         )
         got = trace_loglik_single(trace, probs, EM, prior)
         assert got == pytest.approx(expected, rel=1e-14)
+
+    def test_alternating_chain_keeps_both_paths(self):
+        # alpha = beta = 1: the state alternates, so the start state fixes
+        # the whole path.  The counts fit one phase for 50 intervals and the
+        # other for 100, so the early leader ends ~3700 nats behind.
+        counts = np.array([0, 40] * 25 + [40, 0] * 50)
+        phase = np.arange(counts.size) % 2  # start-of-interval state, from off
+        from_off = poisson.logpmf(counts, np.where(phase == 0, 1.0, 40.0)).sum()
+        from_on = poisson.logpmf(counts, np.where(phase == 0, 40.0, 1.0)).sum()
+        expected = np.logaddexp(math.log(0.5) + from_off, math.log(0.5) + from_on)
+        got = trace_loglik_single(
+            CountTrace(counts), SwitchProbs(1.0, 1.0, 1), EmissionRates(1.0, 39.0)
+        )
+        assert expected == pytest.approx(-3971.98, abs=0.01)
+        assert got == pytest.approx(expected, rel=1e-12)
 
     def test_frozen_off_is_poisson_product(self):
         trace = CountTrace([1, 4, 0, 2, 3])
