@@ -262,35 +262,47 @@ class _EngineContext:
         weights = _multistep.on_count_weights(self.d, a, b)
         return _flat(*_mix_nodes(self.emission_nodes, weights))
 
-    def eval_block(self, p_start, p_end):
-        a, b = self.pair_params(p_start, p_end)
-        m00, m01, m10, m11 = getattr(self, f"_entries_{self.model}")(a, b)
+    def start_rows(self, a, b, mats):
+        """Forward-pass start rows of the cells of switch pairs ``a``, ``b``.
 
-        bp = a.size
+        Each cell's row starts from (P(off), P(on)), stationary for its pair
+        unless a prior was given, with log weight 0.  A cell whose tables
+        never send a start state to both end states follows one hidden path
+        per start state, and a rescaled mix of the two can lose one for
+        good; its row is pinned to start off with log weight log P(off), and
+        a second row, pinned to start on, gets log P(on).  Returns (start,
+        log_w, pinned, log_w_on), the last two for the split cells only.
+        """
         if self.prior is None:
             total = a + b
             safe = np.where(total > 0, total, 1.0)
-            p_off_pair = np.where(total > 0, b / safe, 0.5)
+            pair = np.where(total > 0, np.stack([b, a]) / safe, 0.5)
         else:
-            p_off_pair = np.full(bp, self.prior.p_off)
-        v0_init = np.repeat(p_off_pair, self.n_em)
-
-        mats = tuple(np.ascontiguousarray(m) for m in (m00, m01, m10, m11))
-        acc = _forward_cells(*mats, self.inv, v0_init)
-        # a cell whose tables send each start state to one end state follows
-        # one hidden path per start state; renormalising the mixed vector
-        # could drop one of the two, so each is run from its own start
+            pair = np.repeat(self.prior.vector[:, None], a.size, axis=1)
+        start = np.repeat(pair, self.n_em, axis=1)
         m00, m01, m10, m11 = mats
-        fixed = ~np.any(((m00 > 0) & (m10 > 0)) | ((m01 > 0) & (m11 > 0)), axis=0)
-        if fixed.any():
-            sub = tuple(m[:, fixed] for m in mats)
-            p_off = v0_init[fixed]
-            start_off, start_on = np.ones_like(p_off), np.zeros_like(p_off)
-            with np.errstate(divide="ignore"):
-                from_off = np.log(p_off) + _forward_cells(*sub, self.inv, start_off)
-                from_on = np.log(1.0 - p_off) + _forward_cells(*sub, self.inv, start_on)
-            acc[fixed] = np.logaddexp(from_off, from_on)
-        return acc.reshape(bp, self.n_em)
+        pinned = np.flatnonzero(
+            ~np.any(((m00 > 0) & (m10 > 0)) | ((m01 > 0) & (m11 > 0)), axis=0)
+        )
+        log_w = np.zeros(start.shape[1])
+        with np.errstate(divide="ignore"):
+            log_w[pinned] = np.log(start[0, pinned])
+            log_w_on = np.log(start[1, pinned])
+        start[:, pinned] = [[1.0], [0.0]]
+        return start, log_w, pinned, log_w_on
+
+    def eval_block(self, p_start, p_end):
+        a, b = self.pair_params(p_start, p_end)
+        entries = getattr(self, f"_entries_{self.model}")(a, b)
+        mats = tuple(np.ascontiguousarray(m) for m in entries)
+        start, log_w, pinned, log_w_on = self.start_rows(a, b, mats)
+        acc = log_w + _forward_cells(*mats, self.inv, start)
+        if pinned.size:
+            sub = tuple(m[:, pinned] for m in mats)
+            start_on = np.tile([[0.0], [1.0]], pinned.size)
+            on = log_w_on + _forward_cells(*sub, self.inv, start_on)
+            acc[pinned] = np.logaddexp(acc[pinned], on)
+        return acc.reshape(a.size, self.n_em)
 
 
 def _flat(*entries):
@@ -309,51 +321,44 @@ def _mix_nodes(emission, weights):
     return joint[..., 0, 0], joint[..., 1, 0], joint[..., 0, 1], joint[..., 1, 1]
 
 
-_TINY = np.finfo(float).tiny
+_LN2 = math.log(2.0)
 
 
-def _forward_cells(m00, m01, m10, m11, inv, v0_init):
-    """Log-likelihood of every cell by the renormalised forward recursion.
+def _forward_cells(m00, m01, m10, m11, inv, start, prefixes=None):
+    """Log-likelihood of every cell by the forward recursion.
 
-    The per-step sums are multiplied over windows of four steps before one
-    log is taken.  Where a window's product drops below the normal float
-    range, the logs of its own sums are added instead, so a cell is -inf
-    only when some per-step sum is exactly zero.
+    Each step scales the state vector by the power of two that brings its
+    sum into [0.5, 1), read from ``np.frexp``, and adds that exponent to
+    an int64 count e.  Scaling by a power of two is exact, so the rescaling
+    adds no rounding, cannot overflow and takes no log; the result
+    e ln 2 + log(v0 + v1) is -inf only where some step sends the vector to
+    exactly zero.
+
+    ``start`` holds the (off, on) start vectors, shape (2, cells).  With
+    ``prefixes`` of shape (len(inv) + 1, 2, cells), the scaled state vector
+    after every step is stored there, the start vector in row 0.
     """
-    v0 = v0_init.copy()
-    v1 = 1.0 - v0_init
-    acc = np.zeros(v0.size)
-    window = np.ones(v0.size)
-    sums, n_dead = [], 0
-    for t in inv:
-        w0 = m00[t] * v0 + m01[t] * v1
-        w1 = m10[t] * v0 + m11[t] * v1
-        s = w0 + w1
-        window *= s
-        r = 1.0 / np.where(s > 0.0, s, 1.0)
-        v0 = w0 * r
-        v1 = w1 * r
-        sums.append(s)
-        if len(sums) == 4:
-            n_dead = _fold(acc, window, sums, n_dead)
-    _fold(acc, window, sums, n_dead)
-    return acc
-
-
-def _fold(acc, window, sums, n_dead):
-    """Add the log of the window into ``acc``; returns the count of -inf cells."""
-    low = window < _TINY
-    acc += np.log(np.where(low, 1.0, window))
-    # a dead cell's window stays zero, so only new low cells need the slow path
-    if np.count_nonzero(low) > n_dead:
-        idx = np.flatnonzero(low & (acc > -np.inf))
-        with np.errstate(divide="ignore"):
-            for s in sums:
-                acc[idx] += np.log(s[idx])
-        n_dead = int(np.count_nonzero(acc == -np.inf))
-    window[:] = 1.0
-    sums.clear()
-    return n_dead
+    cells = start.shape[1]
+    buf = np.empty((2, 2, cells)) if prefixes is None else prefixes
+    rows = len(buf)
+    buf[0] = start
+    exps = np.zeros(cells, dtype=np.int64)
+    w0, w1, tmp = np.empty((3, cells))
+    ex = np.empty(cells, dtype=np.intc)
+    for k, t in enumerate(inv, start=1):
+        v0, v1 = buf[(k - 1) % rows]
+        np.multiply(m00[t], v0, out=w0)
+        w0 += np.multiply(m01[t], v1, out=tmp)
+        np.multiply(m10[t], v0, out=w1)
+        w1 += np.multiply(m11[t], v1, out=tmp)
+        np.frexp(np.add(w0, w1, out=tmp), out=(tmp, ex))
+        exps += ex
+        np.negative(ex, out=ex)
+        np.ldexp(w0, ex, out=buf[k % rows, 0])
+        np.ldexp(w1, ex, out=buf[k % rows, 1])
+    v0, v1 = buf[len(inv) % rows]
+    with np.errstate(divide="ignore"):
+        return exps * _LN2 + np.log(v0 + v1)
 
 
 _WORKER_CTX: _EngineContext | None = None

@@ -3,14 +3,17 @@
 Zeroing one row of an interval matrix restricts the matrix-product
 likelihood to paths passing through that state, so the ratio of a masked
 product to the full product is the state's posterior probability given the
-whole trace.  Computed for every position in two passes: forward prefix
-vectors and backward suffix vectors, each renormalised per step.  The
-rescaling factors of the two passes are identical for both states at a
-given position, so they cancel in the ratio and never need exponentiating.
+whole trace.  Computed for every position in two passes: the grid engine's
+forward recursion stores the prefix vectors, and a backward pass rolls the
+suffix vectors, both rescaled by a power of two per step.  The scale
+factors of the two passes are common to both states at a position, so
+they cancel in the ratio and never need exponentiating.
 
 Exposed for the single-step model; with parameters unknown the masked
 products are averaged over a parameter grid weighted by each cell's
-likelihood (flat priors).
+likelihood (flat priors).  A cell whose chain never mixes is split into
+two start-pinned rows, as in the grid engine, so that no hidden path is
+lost to the rescaling.
 """
 
 from __future__ import annotations
@@ -21,8 +24,8 @@ from typing import Any
 import numpy as np
 
 from .kernels import CountTrace, EmissionRates, StatePrior, SwitchProbs
-from .posterior import GridSpec, _EngineContext
-from .single_step import StepMatrix, step_matrix_single
+from .posterior import GridSpec, _EngineContext, _forward_cells
+from .single_step import StepMatrix
 
 __all__ = [
     "StatePosterior",
@@ -32,6 +35,7 @@ __all__ = [
 ]
 
 _CHUNK_CELLS = 8192
+_LEAST_POSITIVE = np.nextafter(0.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -77,38 +81,16 @@ def state_posterior_known(
 ) -> StatePosterior:
     """State posterior with all four parameters known.
 
-    One forward pass stores the normalised prefix vectors; one backward
-    pass rolls the suffix vectors; position k's numerators are the
-    elementwise products, equal (up to common factors) to the masked
-    matrix products.
+    The smoother of :func:`state_posterior_marginal` on a grid of one cell.
     """
+    if probs.d != 1:
+        raise ValueError("single-step model requires d = 1")
     if prior is None:
         prior = StatePrior.stationary_from_probs(probs)
-    n = len(trace)
-    mats = {
-        int(c): step_matrix_single(int(c), probs, emissions).entries
-        for c in np.unique(trace.counts)
-    }
-
-    fwd = np.empty((n + 1, 2))
-    fwd[0] = prior.vector
-    for t, c in enumerate(trace.counts, start=1):
-        w = mats[int(c)] @ fwd[t - 1]
-        s = w.sum()
-        if s <= 0.0:
-            raise ValueError("trace has zero probability under these parameters")
-        fwd[t] = w / s
-
-    p_on = np.empty(n)
-    g = np.array([1.0, 1.0])
-    for k in range(n, 0, -1):
-        num = g * fwd[k]
-        p_on[k - 1] = num[1] / num.sum()
-        g = g @ mats[int(trace.counts[k - 1])]
-        g /= g.sum()
-
+    cell = {"alpha": probs.alpha, "beta": probs.beta, "lambda": emissions.lam}
+    cell["mu"] = emissions.mu
     return StatePosterior(
-        p_on=p_on,
+        p_on=_smooth(trace, GridSpec(axes=(), fixed=cell), prior),
         model="single",
         context={"probs": probs, "emissions": emissions, "prior": prior},
     )
@@ -126,82 +108,90 @@ def state_posterior_marginal(
     grid realisation of integrating the parameters out.  Only the
     single-step model is supported.
     """
-    ctx = _EngineContext(trace, "single", grid, prior, None, None)
-    n = len(trace)
-    n_pairs = ctx.n_pairs()
-    cells = n_pairs * ctx.n_em
-    inv = ctx.inv
-
-    a_all, b_all = ctx.pair_params(0, n_pairs)
-    m00, m01, m10, m11 = ctx._entries_single(a_all, b_all)
-
-    if prior is None:
-        total = a_all + b_all
-        safe = np.where(total > 0, total, 1.0)
-        p_off_pair = np.where(total > 0, b_all / safe, 0.5)
-    else:
-        p_off_pair = np.full(n_pairs, prior.p_off)
-    v0_init = np.repeat(p_off_pair, ctx.n_em)
-
-    # pass 1: per-cell log-likelihood, to anchor the weights
-    loglik = np.zeros(cells)
-    dead = np.zeros(cells, dtype=bool)
-    v0, v1 = v0_init.copy(), 1.0 - v0_init
-    for t in inv:
-        w0 = m00[t] * v0 + m01[t] * v1
-        w1 = m10[t] * v0 + m11[t] * v1
-        s = w0 + w1
-        bad = s <= 0.0
-        if bad.any():
-            dead |= bad
-            s = np.where(bad, 1.0, s)
-        v0, v1 = w0 / s, w1 / s
-        loglik += np.log(s)
-    loglik[dead] = -np.inf
-    peak = loglik.max()
-    if not np.isfinite(peak):
-        raise ValueError("trace has zero probability everywhere on the grid")
-
-    # pass 2: per-chunk smoother, accumulating weighted numerators; chunks
-    # sized so the stored prefix vectors stay within ~64 MB
-    chunk = max(256, min(_CHUNK_CELLS, 4_000_000 // (n + 1)))
-    sum_w_pon = np.zeros(n)
-    sum_w = 0.0
-    for start in range(0, cells, chunk):
-        stop = min(start + chunk, cells)
-        sl = slice(start, stop)
-        w_cell = np.exp(loglik[sl] - peak)
-        if not w_cell.any():
-            continue
-        width = stop - start
-        fwd = np.empty((n + 1, 2, width))
-        fwd[0, 0] = v0_init[sl]
-        fwd[0, 1] = 1.0 - v0_init[sl]
-        for k, t in enumerate(inv, start=1):
-            w0 = m00[t][sl] * fwd[k - 1, 0] + m01[t][sl] * fwd[k - 1, 1]
-            w1 = m10[t][sl] * fwd[k - 1, 0] + m11[t][sl] * fwd[k - 1, 1]
-            s = w0 + w1
-            s = np.where(s > 0, s, 1.0)
-            fwd[k, 0] = w0 / s
-            fwd[k, 1] = w1 / s
-        g0 = np.ones(width)
-        g1 = np.ones(width)
-        for k in range(n, 0, -1):
-            num0 = g0 * fwd[k, 0]
-            num1 = g1 * fwd[k, 1]
-            tot = num0 + num1
-            tot = np.where(tot > 0, tot, 1.0)
-            sum_w_pon[k - 1] += np.dot(w_cell, num1 / tot)
-            t = inv[k - 1]
-            h0 = g0 * m00[t][sl] + g1 * m10[t][sl]
-            h1 = g0 * m01[t][sl] + g1 * m11[t][sl]
-            s = h0 + h1
-            s = np.where(s > 0, s, 1.0)
-            g0, g1 = h0 / s, h1 / s
-        sum_w += float(w_cell.sum())
-
     return StatePosterior(
-        p_on=sum_w_pon / sum_w,
+        p_on=_smooth(trace, grid, prior),
         model="single",
         context={"grid": grid, "prior": prior},
     )
+
+
+def _smooth(trace, grid, prior):
+    """On-probability at every boundary, averaged over the grid's start rows.
+
+    Each row's forward pass gives its log weight and its prefix vectors;
+    a backward pass over the stored prefixes gives the row's numerators.
+    Rows go in chunks sized so the stored prefixes stay within ~64 MB, and
+    a running peak of the log weights combines the chunks.  A start-pinned
+    row follows one hidden path, so its prefixes alone give its state; its
+    suffix vectors stay at ones, since rolled back they could underflow on
+    that path.
+    """
+    ctx = _EngineContext(trace, "single", grid, prior, None, None)
+    n = len(trace)
+    a, b = ctx.pair_params(0, ctx.n_pairs())
+    mats = ctx._entries_single(a, b)
+    start, log_w, pinned, log_w_on = ctx.start_rows(a, b, mats)
+    is_pinned = np.zeros(log_w.size, dtype=bool)
+    is_pinned[pinned] = True
+    row_sets = [(mats, start, log_w, is_pinned)]
+    if pinned.size:
+        pinned_mats = tuple(m[:, pinned] for m in mats)
+        start_on = np.tile([[0.0], [1.0]], pinned.size)
+        all_pinned = np.ones(pinned.size, dtype=bool)
+        row_sets.append((pinned_mats, start_on, log_w_on, all_pinned))
+
+    chunk = max(256, min(_CHUNK_CELLS, 4_000_000 // (n + 1)))
+    fwd = np.empty((n + 1, 2, min(chunk, log_w.size)))
+    peak, sum_w, sum_w_pon = -np.inf, 0.0, np.zeros(n)
+    for tables, starts, weights, split in row_sets:
+        for lo in range(0, weights.size, chunk):
+            sl = slice(lo, lo + chunk)
+            sub = tuple(m[:, sl] for m in tables)
+            prefixes = fwd[:, :, : weights[sl].size]
+            loglik = _forward_cells(*sub, ctx.inv, starts[:, sl], prefixes)
+            loglik += weights[sl]
+            top = loglik.max()
+            if top == -np.inf:
+                continue
+            if top > peak:
+                rescale = np.exp(peak - top)
+                sum_w *= rescale
+                sum_w_pon *= rescale
+                peak = top
+            w_row = np.exp(loglik - peak)
+            _accumulate_backward(sub, ctx.inv, prefixes, w_row, split[sl], sum_w_pon)
+            # the numerators' own dot, so that rounding keeps p_on <= 1
+            sum_w += float(np.dot(w_row, np.ones(w_row.size)))
+    if sum_w == 0.0:
+        raise ValueError("trace has zero probability everywhere on the grid")
+    return sum_w_pon / sum_w
+
+
+def _accumulate_backward(mats, inv, prefixes, w_row, pinned, sum_w_pon):
+    """Add each row's weighted P(on at boundary k) into ``sum_w_pon[k-1]``.
+
+    Rolls the suffix vectors back from the end, rescaled by powers of two
+    as in the forward pass; ``pinned`` rows keep theirs at ones.
+    """
+    m00, m01, m10, m11 = mats
+    fixed = np.flatnonzero(pinned)
+    g0, g1 = np.ones((2, w_row.size))
+    num0, num1, tmp = np.empty((3, w_row.size))
+    ex = np.empty(w_row.size, dtype=np.intc)
+    for k in range(len(inv), 0, -1):
+        np.multiply(g0, prefixes[k, 0], out=num0)
+        np.multiply(g1, prefixes[k, 1], out=num1)
+        num0 += num1
+        # num1 <= num0, so this floor turns 0/0 into 0 and changes nothing else
+        np.maximum(num0, _LEAST_POSITIVE, out=num0)
+        sum_w_pon[k - 1] += np.dot(w_row, np.divide(num1, num0, out=num1))
+        t = inv[k - 1]
+        np.multiply(g0, m00[t], out=num0)
+        num0 += np.multiply(g1, m10[t], out=tmp)
+        np.multiply(g0, m01[t], out=num1)
+        num1 += np.multiply(g1, m11[t], out=tmp)
+        np.frexp(np.add(num0, num1, out=tmp), out=(tmp, ex))
+        np.negative(ex, out=ex)
+        np.ldexp(num0, ex, out=g0)
+        np.ldexp(num1, ex, out=g1)
+        g0[fixed] = g1[fixed] = 1.0

@@ -60,3 +60,34 @@ def substep_path_matrix(count, d, r_alpha, r_beta, mu, lam):
             k = sum(states[:-1])
             out[states[-1], start] += weight * poisson.pmf(count, mu + lam * k / d)
     return out
+
+
+def log_forward_backward(counts, alpha, beta, mu, lam, prior_vec):
+    """Single-step log-likelihood and on-state posteriors in log space.
+
+    Runs the forward and backward passes on log step matrices built here
+    from scipy's Poisson log-pmf, combining terms with logsumexp, so no
+    hidden path is lost to rescaling however far it falls behind.
+    ``prior_vec`` is (P(off), P(on)) at the start.  Returns (log-likelihood,
+    p_on) with ``p_on[k-1]`` = P(on at boundary k | all counts), k = 1..N.
+    """
+    counts = np.asarray(counts)
+    n = counts.size
+    with np.errstate(divide="ignore"):
+        log_trans = np.log(np.array([[1.0 - alpha, alpha], [beta, 1.0 - beta]]))
+        log_prior = np.log(np.asarray(prior_vec, dtype=float))
+    # log_mats[t, end, start]; the emission depends on the start state
+    emit = np.stack(
+        [poisson.logpmf(counts, mu), poisson.logpmf(counts, mu + lam)], axis=1
+    )
+    log_mats = log_trans.T[None, :, :] + emit[:, None, :]
+    fwd = np.empty((n + 1, 2))
+    bwd = np.zeros((n + 1, 2))
+    fwd[0] = log_prior
+    for t in range(1, n + 1):
+        fwd[t] = logsumexp(log_mats[t - 1] + fwd[t - 1][None, :], axis=1)
+    for t in range(n, 0, -1):
+        bwd[t - 1] = logsumexp(log_mats[t - 1] + bwd[t][:, None], axis=0)
+    joint = fwd[1:] + bwd[1:]
+    log_p = joint - logsumexp(joint, axis=1, keepdims=True)
+    return float(logsumexp(fwd[n])), np.exp(log_p[:, 1])

@@ -24,7 +24,7 @@ from blinkinfer.posterior import (
 from blinkinfer.multistep import trace_loglik_multistep
 from blinkinfer.simulate import sim_ctmc, sim_dtmc_single
 from blinkinfer.single_step import trace_loglik_single
-from oracles import path_sum_loglik, substep_path_matrix
+from oracles import log_forward_backward, path_sum_loglik, substep_path_matrix
 
 EM = EmissionRates(mu=2.0, lam=20.0)
 
@@ -203,6 +203,21 @@ class TestEvaluateGrid:
         got = scalar(CountTrace(counts), SwitchRates(0.0, 0.0), EmissionRates(1.0, 39.0))
         assert got == pytest.approx(expected, rel=1e-12)
 
+    def test_start_keeps_tiny_stationary_on_probability(self):
+        # at alpha = 1e-30, beta = 1 the stationary P(on) = 1e-30 rounds
+        # away in 1 - P(off), yet the path started on carries most of the
+        # likelihood
+        counts = CountTrace([40] * 20 + [0] * 100)
+        grid = GridSpec(
+            axes=(GridAxis("alpha", 1e-30, 0.5, 2),),
+            fixed={"beta": 1.0, "lambda": 39.0, "mu": 1.0},
+        )
+        pg = evaluate_grid(counts, "single", grid)
+        ll = trace_loglik_single(
+            counts, SwitchProbs(1e-30, 1.0, 1), EmissionRates(1.0, 39.0)
+        )
+        assert pg.log_post[0] == pytest.approx(ll, rel=1e-12)
+
     def test_posterior_normalised(self):
         _, _, pg = small_single_posterior()
         assert abs(pg.post.sum() - 1.0) < 1e-10
@@ -279,6 +294,26 @@ class TestEvaluateGrid:
             region = credible_regions(pg.switch_marginal(), [0.99])[0]
             areas.append(int(region.mask.sum()))
         assert all(a > b for a, b in zip(areas, areas[1:])), areas
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestSubnormalStepSum:
+    def test_subnormal_step_sum_gives_finite_loglik(self):
+        # at rate 0.002, the count 77 has probability ~4e-322, a subnormal
+        # step sum whose reciprocal overflows; subnormal tables keep only
+        # about 6 bits, hence the loose tolerance
+        counts = [2, 77, 3, 1]
+        grid = GridSpec(
+            axes=(GridAxis("alpha", 0.1, 0.6, 2), GridAxis("beta", 0.1, 0.6, 2)),
+            fixed={"lambda": 0.001, "mu": 0.001},
+        )
+        pg = evaluate_grid(CountTrace(counts), "single", grid)
+        assert np.all(np.isfinite(pg.log_post))
+        for i, a in enumerate(grid.axis("alpha").values):
+            for j, b in enumerate(grid.axis("beta").values):
+                prior = (b / (a + b), a / (a + b))
+                want, _ = log_forward_backward(counts, a, b, 0.001, 0.001, prior)
+                assert abs(pg.log_post[i, j] - want) < 0.05
 
 
 class TestMarginalize:

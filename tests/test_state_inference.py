@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.stats import poisson
 
 from blinkinfer.kernels import (
     CountTrace,
@@ -16,6 +19,7 @@ from blinkinfer.state_inference import (
     state_posterior_marginal,
 )
 from blinkinfer.threshold import assign_states
+from oracles import log_forward_backward, path_sum_loglik
 
 EM = EmissionRates(mu=2.0, lam=20.0)
 
@@ -233,3 +237,98 @@ class TestMarginal:
         bayes_acc = np.mean(bayes_states[:-1] == truth[1:-1])
         thr_acc = np.mean(thr_states[1:] == truth[1:-1])
         assert bayes_acc >= thr_acc
+
+
+# At alpha = beta = 1 the chain alternates and at alpha = beta = 0 it is
+# frozen, so the start state fixes the hidden path.  ALTERNATING fits one
+# phase for 50 intervals and the other for 100.  BALANCED fits each phase
+# for 100, so both paths carry weight while the suffix from either one's
+# state trails the other's by thousands of nats.  Under FROZEN_FLIP the on
+# path leads by ~2000 nats over the first 20 intervals and the off path
+# wins by ~1800 at the end.
+ALTERNATING = [0, 40] * 25 + [40, 0] * 50
+BALANCED = [0, 40] * 50 + [40, 0] * 50
+FROZEN_FLIP = [40] * 20 + [0] * 100
+PINNED_CASES = [
+    pytest.param(ALTERNATING, 1.0, id="alternating"),
+    pytest.param(ALTERNATING, 0.0, id="alternating-frozen"),
+    pytest.param(BALANCED, 1.0, id="balanced"),
+    pytest.param(FROZEN_FLIP, 0.0, id="frozen-flip"),
+]
+PINNED_EM = EmissionRates(mu=1.0, lam=39.0)
+
+
+def oracle_p_on(counts, alpha, beta, em):
+    total = alpha + beta
+    prior = (beta / total, alpha / total) if total > 0 else (0.5, 0.5)
+    return log_forward_backward(counts, alpha, beta, em.mu, em.lam, prior)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestPinnedStartPaths:
+    @pytest.mark.parametrize("alpha, beta", [(0.3, 0.6), (1.0, 1.0), (0.0, 0.0)])
+    def test_oracle_matches_path_enumeration(self, alpha, beta):
+        counts = [3, 0, 17, 9, 1]
+        trans = np.array([[1.0 - alpha, beta], [alpha, 1.0 - beta]])  # [end, start]
+
+        def mat(t, keep=None):
+            m = trans * poisson.pmf(counts[t - 1], [1.0, 12.0])[None, :]
+            if keep is not None:
+                m[1 - keep] = 0.0
+            return m
+
+        ll, p_on = log_forward_backward(counts, alpha, beta, 1.0, 11.0, (0.5, 0.5))
+        assert ll == pytest.approx(path_sum_loglik(mat, 5, (0.5, 0.5)), rel=1e-12)
+        for k in range(1, 6):
+            on = path_sum_loglik(lambda t: mat(t, 1 if t == k else None), 5, (0.5, 0.5))
+            assert p_on[k - 1] == pytest.approx(np.exp(on - ll), abs=1e-12)
+
+    @pytest.mark.parametrize("counts, switch", PINNED_CASES)
+    def test_known_matches_log_space(self, counts, switch):
+        sp = state_posterior_known(
+            CountTrace(counts), SwitchProbs(switch, switch, 1), PINNED_EM
+        )
+        _, want = oracle_p_on(counts, switch, switch, PINNED_EM)
+        np.testing.assert_allclose(sp.p_on, want, rtol=0, atol=1e-9)
+
+    @pytest.mark.parametrize("counts, switch", PINNED_CASES)
+    def test_one_cell_marginal_matches_log_space(self, counts, switch):
+        grid = GridSpec(
+            axes=(), fixed={"alpha": switch, "beta": switch, "lambda": 39.0, "mu": 1.0}
+        )
+        sp = state_posterior_marginal(CountTrace(counts), grid)
+        _, want = oracle_p_on(counts, switch, switch, PINNED_EM)
+        np.testing.assert_allclose(sp.p_on, want, rtol=0, atol=1e-9)
+
+    def test_marginal_over_pinned_cells(self):
+        # both cells split in two, and the cells are weighted by their
+        # likelihoods: alpha = 1 leads by ~4500 nats
+        grid = GridSpec(
+            axes=(GridAxis("alpha", 0.0, 1.0, 2),),
+            fixed={"beta": 1.0, "lambda": 39.0, "mu": 1.0},
+        )
+        sp = state_posterior_marginal(CountTrace(ALTERNATING), grid)
+        cells = [oracle_p_on(ALTERNATING, a, 1.0, PINNED_EM) for a in (0.0, 1.0)]
+        logliks = np.array([ll for ll, _ in cells])
+        weights = np.exp(logliks - logliks.max())
+        want = sum(w * p for w, (_, p) in zip(weights, cells)) / weights.sum()
+        np.testing.assert_allclose(sp.p_on, want, rtol=0, atol=1e-9)
+
+
+_SWITCH = st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=60, deadline=None)
+@given(
+    counts=st.lists(st.integers(0, 60), min_size=1, max_size=60),
+    alpha=_SWITCH,
+    beta=_SWITCH,
+    mu=st.floats(0.5, 10.0),
+    lam=st.floats(0.0, 40.0),
+)
+def test_known_matches_log_space_oracle(counts, alpha, beta, mu, lam):
+    em = EmissionRates(mu=mu, lam=lam)
+    sp = state_posterior_known(CountTrace(counts), SwitchProbs(alpha, beta, 1), em)
+    _, want = oracle_p_on(counts, alpha, beta, em)
+    np.testing.assert_allclose(sp.p_on, want, rtol=0, atol=1e-9)
