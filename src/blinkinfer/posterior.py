@@ -322,43 +322,137 @@ def _mix_nodes(emission, weights):
 
 
 _LN2 = math.log(2.0)
+# The recursion runs over slices of this many cells, so that a step's state
+# vectors and table rows stay in cache.  Cells are independent, so the
+# slicing changes no bit.
+_CHUNK_CELLS = 16384
+# Steps per window between rescalings.
+_WINDOW_STEPS = 8
+# Rerun limits of a window; see _forward_cells.
+_SUM_FLOOR = 2.0**-600
+_DIP_RATIO = 2.0**-300
+_VALUE_FLOOR = 2.0**-960
 
 
 def _forward_cells(m00, m01, m10, m11, inv, start, prefixes=None):
     """Log-likelihood of every cell by the forward recursion.
 
-    Each step scales the state vector by the power of two that brings its
-    sum into [0.5, 1), read from ``np.frexp``, and adds that exponent to
-    an int64 count e.  Scaling by a power of two is exact, so the rescaling
-    adds no rounding, cannot overflow and takes no log; the result
-    e ln 2 + log(v0 + v1) is -inf only where some step sends the vector to
-    exactly zero.
+    The state vector is left unscaled over windows of ``_WINDOW_STEPS``
+    steps.  At the end of each it is scaled by the power of two that brings
+    its sum into [0.5, 1), read from ``np.frexp``, and that exponent adds
+    to an int64 count e.  Table columns sum to at most 1, so the sum never
+    grows and cannot overflow.  Scaling by a power of two is exact, so the
+    result is bitwise that of a rescaling at every step unless some value
+    turns subnormal inside a window.  Where that could happen, a cell's
+    window runs again from its saved start, rescaled at every step:
+
+    - where its sum fell below ``_SUM_FLOOR`` from a nonzero start, an
+      exact zero included.  Above that, a component that keeps at least
+      ``_DIP_RATIO`` of the other stays far above the subnormal range, and
+      a subnormal product is lost to rounding in the sum it joins;
+    - where a component that some table row can leave below
+      ``_DIP_RATIO`` of the other fell below ``_VALUE_FLOOR`` at some
+      step.  Slices of cells holding such a component track each step's
+      smallest values.  A component that starts the window at zero and
+      that no row feeds from the other state stays zero and is exempt.
+
+    The result e ln 2 + log(v0 + v1) is -inf only where some step sends
+    the vector to exactly zero.
 
     ``start`` holds the (off, on) start vectors, shape (2, cells).  With
-    ``prefixes`` of shape (len(inv) + 1, 2, cells), the scaled state vector
-    after every step is stored there, the start vector in row 0.
+    ``prefixes`` of shape (len(inv) + 1, 2, cells), the state vector after
+    every step is stored there, the start vector in row 0.  Inside a window
+    it is stored unscaled; a cell's vectors at one position share one scale,
+    which cancels in any ratio of their components.
     """
+    out = np.empty(start.shape[1])
+    for lo in range(0, out.size, _CHUNK_CELLS):
+        sl = slice(lo, lo + _CHUNK_CELLS)
+        mats = tuple(m[:, sl] for m in (m00, m01, m10, m11))
+        part = None if prefixes is None else prefixes[:, :, sl]
+        v, exps = _forward_chunk(mats, inv, start[:, sl], part, _WINDOW_STEPS)
+        with np.errstate(divide="ignore"):
+            out[sl] = exps * _LN2 + np.log(v[0] + v[1])
+    return out
+
+
+def _forward_chunk(mats, inv, start, prefixes, window):
+    """End vector, scaled to a sum in [0.5, 1) or zero, and its exponents.
+
+    Rescales once every ``window`` steps; see :func:`_forward_cells`.
+    """
+    m00, m01, m10, m11 = mats
     cells = start.shape[1]
-    buf = np.empty((2, 2, cells)) if prefixes is None else prefixes
-    rows = len(buf)
-    buf[0] = start
+    n = len(inv)
+    if prefixes is None:
+        v = start.copy()
+        steps = np.empty((2, 2, cells))
+    else:
+        prefixes[0] = start
+    track = False
+    if window > 1:
+        fed = np.stack([np.any(m01 > 0, axis=0), np.any(m10 > 0, axis=0)])
+        may_dip = np.zeros((2, cells), dtype=bool)
+        for r00, r01, r10, r11 in zip(m00, m01, m10, m11):
+            may_dip[0] |= (r00 < _DIP_RATIO * r10) | (r01 < _DIP_RATIO * r11)
+            may_dip[1] |= (r10 < _DIP_RATIO * r00) | (r11 < _DIP_RATIO * r01)
+        may_dip &= fed | (start > 0)
+        track = bool(may_dip.any())
+        low = np.empty((2, cells)) if track else None
     exps = np.zeros(cells, dtype=np.int64)
-    w0, w1, tmp = np.empty((3, cells))
+    total, tmp = np.empty((2, cells))
     ex = np.empty(cells, dtype=np.intc)
-    for k, t in enumerate(inv, start=1):
-        v0, v1 = buf[(k - 1) % rows]
-        np.multiply(m00[t], v0, out=w0)
-        w0 += np.multiply(m01[t], v1, out=tmp)
-        np.multiply(m10[t], v0, out=w1)
-        w1 += np.multiply(m11[t], v1, out=tmp)
-        np.frexp(np.add(w0, w1, out=tmp), out=(tmp, ex))
+    for lo in range(0, n, window):
+        hi = min(lo + window, n)
+        first = src = v if prefixes is None else prefixes[lo]
+        if track:
+            low.fill(np.inf)
+        for k in range(lo + 1, hi + 1):
+            dst = steps[k % 2] if prefixes is None else prefixes[k]
+            t = inv[k - 1]
+            np.multiply(m00[t], src[0], out=dst[0])
+            dst[0] += np.multiply(m01[t], src[1], out=tmp)
+            np.multiply(m10[t], src[0], out=dst[1])
+            dst[1] += np.multiply(m11[t], src[1], out=tmp)
+            if track:
+                np.minimum(low, dst, out=low)
+            src = dst
+        np.add(src[0], src[1], out=total)
+        if window > 1:
+            unsafe = total < _SUM_FLOOR
+            if track:
+                dipped = may_dip & (low < _VALUE_FLOOR) & (fed | (first > 0))
+                unsafe |= np.any(dipped, axis=0)
+            lost = np.flatnonzero(unsafe & np.any(first > 0, axis=0))
+            saved = first[:, lost]
+        end = v if prefixes is None else src
+        np.frexp(total, out=(tmp, ex))
         exps += ex
         np.negative(ex, out=ex)
-        np.ldexp(w0, ex, out=buf[k % rows, 0])
-        np.ldexp(w1, ex, out=buf[k % rows, 1])
-    v0, v1 = buf[len(inv) % rows]
-    with np.errstate(divide="ignore"):
-        return exps * _LN2 + np.log(v0 + v1)
+        np.ldexp(src[0], ex, out=end[0])
+        np.ldexp(src[1], ex, out=end[1])
+        if window > 1 and lost.size:
+            window_rows = None if prefixes is None else prefixes[lo : hi + 1]
+            redo, redo_exps = _rerun_window(mats, inv[lo:hi], lost, saved, window_rows)
+            end[:, lost] = redo
+            exps[lost] += redo_exps + ex[lost]
+    return (v if prefixes is None else prefixes[n]), exps
+
+
+def _rerun_window(mats, rows, cells, start, window_rows):
+    """One window for the given cells, rescaled at every step.
+
+    ``rows`` are the window's table rows and ``start`` the cells' saved
+    start vectors.  Writes the rescaled vectors into ``window_rows`` (the
+    window's prefix rows, start row first), if given, and returns the end
+    vector and its exponents.
+    """
+    sub = tuple(m[rows[:, None], cells] for m in mats)
+    part = None if window_rows is None else np.empty((rows.size + 1, 2, cells.size))
+    end, exps = _forward_chunk(sub, np.arange(rows.size), start, part, 1)
+    if window_rows is not None:
+        window_rows[1:, :, cells] = part[1:]
+    return end, exps
 
 
 _WORKER_CTX: _EngineContext | None = None

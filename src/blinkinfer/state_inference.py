@@ -4,10 +4,11 @@ Zeroing one row of an interval matrix restricts the matrix-product
 likelihood to paths passing through that state, so the ratio of a masked
 product to the full product is the state's posterior probability given the
 whole trace.  Computed for every position in two passes: the grid engine's
-forward recursion stores the prefix vectors, and a backward pass rolls the
-suffix vectors, both rescaled by a power of two per step.  The scale
-factors of the two passes are common to both states at a position, so
-they cancel in the ratio and never need exponentiating.
+forward recursion stores the prefix vectors, rescaled by a power of two
+once per window of steps, and a backward pass rolls the suffix vectors,
+rescaled by a power of two per step.  The scale factors of the two passes
+are common to both states at a position, so they cancel in the ratio and
+never need exponentiating.
 
 Exposed for the single-step model; with parameters unknown the masked
 products are averaged over a parameter grid weighted by each cell's

@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import poisson
 
 import blinkinfer.multistep as multistep
-from blinkinfer.ctmc import trace_loglik_ctmc
+import blinkinfer.posterior as posterior
+from blinkinfer.ctmc import QuadratureSpec, trace_loglik_ctmc
 from blinkinfer.kernels import (
     CountTrace,
     EmissionRates,
@@ -24,6 +27,7 @@ from blinkinfer.posterior import (
 from blinkinfer.multistep import trace_loglik_multistep
 from blinkinfer.simulate import sim_ctmc, sim_dtmc_single
 from blinkinfer.single_step import trace_loglik_single
+from blinkinfer.state_inference import state_posterior_known
 from oracles import log_forward_backward, path_sum_loglik, substep_path_matrix
 
 EM = EmissionRates(mu=2.0, lam=20.0)
@@ -314,6 +318,169 @@ class TestSubnormalStepSum:
                 prior = (b / (a + b), a / (a + b))
                 want, _ = log_forward_backward(counts, a, b, 0.001, 0.001, prior)
                 assert abs(pg.log_post[i, j] - want) < 0.05
+
+
+# a finite cell whose 8-step window sum underflows to exactly zero: each
+# count of 60 at rate 1 or 1.5 has probability about 2^-240
+ZERO_WINDOW_COUNTS = [1, 0, 2] + [60] * 16 + [0, 1, 3]
+
+
+def _count_reruns(monkeypatch):
+    """Record the cells of every window rerun, one array per call."""
+    calls = []
+    rerun = posterior._rerun_window
+
+    def counting(mats, rows, cells, start, window_rows):
+        calls.append(cells.copy())
+        return rerun(mats, rows, cells, start, window_rows)
+
+    monkeypatch.setattr(posterior, "_rerun_window", counting)
+    return calls
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestDeferredRescaling:
+    def test_zero_window_sum_is_rerun(self):
+        grid = GridSpec(
+            axes=(GridAxis("alpha", 0.3, 0.7, 3), GridAxis("beta", 0.3, 0.7, 3)),
+            fixed={"lambda": 0.5, "mu": 1.0},
+        )
+        pg = evaluate_grid(CountTrace(ZERO_WINDOW_COUNTS), "single", grid)
+        for i, a in enumerate(grid.axis("alpha").values):
+            for j, b in enumerate(grid.axis("beta").values):
+                ll = trace_loglik_single(
+                    CountTrace(ZERO_WINDOW_COUNTS),
+                    SwitchProbs(a, b, 1),
+                    EmissionRates(1.0, 0.5),
+                )
+                assert pg.log_post[i, j] == pytest.approx(ll, rel=1e-9)
+        assert pg.log_post[0, 0] == pytest.approx(-2667.3697, abs=1e-4)
+
+    def test_dead_cell_reruns_once(self, monkeypatch):
+        # at lambda = mu = 0 the count 3 has probability 0, so that cell
+        # dies in the window holding it and its start is zero afterwards
+        calls = _count_reruns(monkeypatch)
+        counts = CountTrace([0] * 20 + [3] + [0] * 30 + [3] + [0] * 9)
+        grid = GridSpec(
+            axes=(GridAxis("alpha", 0.2, 0.6, 2), GridAxis("lambda", 0.0, 2.0, 2)),
+            fixed={"beta": 0.3, "mu": 0.0},
+        )
+        pg = evaluate_grid(counts, "single", grid)
+        assert np.all(pg.log_post[:, 0] == -np.inf)
+        for i, a in enumerate(grid.axis("alpha").values):
+            ll = trace_loglik_single(counts, SwitchProbs(a, 0.3, 1), EmissionRates(0.0, 2.0))
+            assert pg.log_post[i, 1] == pytest.approx(ll, rel=1e-12)
+        rerun = np.concatenate(calls)
+        assert sorted(rerun) == [0, 2]  # the two lambda = 0 cells, once each
+
+    def test_emptied_start_state_reruns_once(self, monkeypatch):
+        # at alpha = 0, beta = 1 the chain never mixes; its row started on
+        # leaves the on state at once and nothing feeds it again
+        calls = _count_reruns(monkeypatch)
+        counts = CountTrace([3, 1, 0, 2] * 10)
+        grid = GridSpec(
+            axes=(GridAxis("alpha", 0.0, 0.5, 2),),
+            fixed={"beta": 1.0, "lambda": 4.0, "mu": 1.0},
+        )
+        pg = evaluate_grid(counts, "single", grid)
+        for i, a in enumerate(grid.axis("alpha").values):
+            ll = trace_loglik_single(counts, SwitchProbs(a, 1.0, 1), EmissionRates(1.0, 4.0))
+            assert pg.log_post[i] == pytest.approx(ll, rel=1e-12)
+        assert [c.tolist() for c in calls] == [[0]]
+
+    def test_component_dip_is_rerun(self):
+        # the on state gets 2^-500 of the off state, and the window then
+        # loses 2^-552 without a rescaling, so the on state is subnormal
+        # inside it although the window sum stays above 2^-600; the next
+        # window keeps only the on state
+        eye = np.eye(2)
+        tables = np.array(
+            [[[1.0, 1.0], [2.0**-500, 0.0]], 2.0**-92 * eye, eye, [[0.0, 0.5], [0.0, 0.5]]]
+        )  # [row, end, start]
+        mats = tuple(
+            np.ascontiguousarray(tables[:, end, begin][:, None])
+            for end, begin in ((0, 0), (0, 1), (1, 0), (1, 1))
+        )
+        inv = np.array([0, 1, 1, 1, 1, 1, 1, 2, 3])
+        start = np.array([[1 / 3], [2 / 3]])
+        got, _ = _run(mats, inv, start, 8, 16384, False)
+        want, _ = _run(mats, inv, start, 1, 16384, False)
+        np.testing.assert_array_equal(got, want)
+        assert got[0] == pytest.approx(-1052 * math.log(2) - math.log(3), rel=1e-14)
+
+    def test_smoother_with_reruns_matches_log_space(self, monkeypatch):
+        calls = _count_reruns(monkeypatch)
+        em = EmissionRates(mu=1.0, lam=0.5)
+        sp = state_posterior_known(
+            CountTrace(ZERO_WINDOW_COUNTS), SwitchProbs(0.4, 0.3, 1), em
+        )
+        assert calls
+        _, want = log_forward_backward(ZERO_WINDOW_COUNTS, 0.4, 0.3, 1.0, 0.5, (3 / 7, 4 / 7))
+        np.testing.assert_allclose(sp.p_on, want, rtol=0, atol=1e-9)
+
+
+def _pair_tables(model, counts, a, b, lam, mu, d):
+    """Step tables and start vectors of switch pairs ``a``, ``b`` at one emission."""
+    names = ("alpha", "beta") if model == "single" else ("r_alpha", "r_beta")
+    fixed = {names[0]: 0.0, names[1]: 0.0, "lambda": lam, "mu": mu}
+    ctx = posterior._EngineContext(
+        CountTrace(counts),
+        model,
+        GridSpec(axes=(), fixed=fixed),
+        None,
+        QuadratureSpec() if model == "ctmc" else None,
+        d if model == "multistep" else None,
+    )
+    a, b = np.asarray(a), np.asarray(b)
+    entries = getattr(ctx, f"_entries_{model}")(a, b)
+    mats = tuple(np.ascontiguousarray(m) for m in entries)
+    start, _, pinned, _ = ctx.start_rows(a, b, mats)
+    # cells that never mix run a second time, started on
+    mats = tuple(np.concatenate([m, m[:, pinned]], axis=1) for m in mats)
+    start = np.concatenate([start, np.tile([[0.0], [1.0]], pinned.size)], axis=1)
+    return mats, ctx.inv, start
+
+
+def _run(mats, inv, start, window, chunk, with_prefixes):
+    prefixes = np.empty((len(inv) + 1,) + start.shape) if with_prefixes else None
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(posterior, "_WINDOW_STEPS", window)
+        mp.setattr(posterior, "_CHUNK_CELLS", chunk)
+        out = posterior._forward_cells(*mats, inv, start, prefixes)
+    return out, prefixes
+
+
+_PROB = st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0))
+_EMISSION = st.one_of(st.just(0.0), st.just(1e-3), st.floats(0.0, 80.0))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=80, deadline=None)
+@given(
+    model=st.sampled_from(["single", "ctmc", "multistep"]),
+    counts=st.lists(st.integers(0, 200), min_size=1, max_size=80),
+    pairs=st.lists(st.tuples(_PROB, _PROB), min_size=1, max_size=20),
+    lam=_EMISSION,
+    mu=_EMISSION,
+    d=st.sampled_from([1, 2, 4]),
+)
+def test_deferred_rescaling_matches_per_step(model, counts, pairs, lam, mu, d):
+    a, b = zip(*pairs)
+    if model != "single":  # switching rates rather than probabilities
+        a, b = np.multiply(a, 4.0), np.multiply(b, 4.0)
+    mats, inv, start = _pair_tables(model, counts, a, b, lam, mu, d)
+    want, per_step = _run(mats, inv, start, 1, 16384, True)
+    for window, chunk in ((8, 16384), (8, 7), (1, 7)):
+        got, _ = _run(mats, inv, start, window, chunk, False)
+        np.testing.assert_array_equal(got, want)
+        got, deferred = _run(mats, inv, start, window, chunk, True)
+        np.testing.assert_array_equal(got, want)
+        # stored vectors are the per-step ones times one power of two per
+        # cell and position
+        _, shift = np.frexp(deferred.sum(axis=1))
+        _, base = np.frexp(per_step.sum(axis=1))
+        scaled = np.ldexp(per_step, (shift - base)[:, None, :])
+        np.testing.assert_array_equal(deferred, scaled)
 
 
 class TestMarginalize:
