@@ -1,16 +1,25 @@
+import math
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import poisson
 
+import blinkinfer.posterior as posterior
+import blinkinfer.state_inference as state_inference
 from blinkinfer.kernels import (
     CountTrace,
     EmissionRates,
     StatePrior,
     SwitchProbs,
 )
-from blinkinfer.posterior import GridAxis, GridSpec
+from blinkinfer.posterior import GridAxis, GridSpec, _EngineContext
 from blinkinfer.simulate import sim_dtmc_single
 from blinkinfer.single_step import StepMatrix, step_matrix_single
 from blinkinfer.state_inference import (
@@ -332,3 +341,241 @@ def test_known_matches_log_space_oracle(counts, alpha, beta, mu, lam):
     sp = state_posterior_known(CountTrace(counts), SwitchProbs(alpha, beta, 1), em)
     _, want = oracle_p_on(counts, alpha, beta, em)
     np.testing.assert_allclose(sp.p_on, want, rtol=0, atol=1e-9)
+
+
+def _grid_values(grid):
+    """Every cell's (alpha, beta, lambda, mu), as four flat arrays."""
+    named = {ax.name: ax.values for ax in grid.axes}
+    named.update({k: np.array([float(v)]) for k, v in grid.fixed.items()})
+    mesh = np.meshgrid(*(named[k] for k in ("alpha", "beta", "lambda", "mu")))
+    return tuple(m.ravel() for m in mesh)
+
+
+def weighted_oracle_p_on(counts, grid):
+    """Grid-averaged p_on from ``log_forward_backward`` run on each cell.
+
+    Each cell is weighted by its likelihood (flat priors), with the weights
+    taken relative to the largest in log space.
+    """
+    cells = []
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for a, b, lam, mu in zip(*_grid_values(grid)):
+            ll, p_on = oracle_p_on(counts, a, b, EmissionRates(mu=mu, lam=lam))
+            if ll > -np.inf:
+                cells.append((ll, p_on))
+    logliks = np.array([ll for ll, _ in cells])
+    weights = np.exp(logliks - logliks.max())
+    return sum(w * p for w, (_, p) in zip(weights, cells)) / weights.sum()
+
+
+def log_space_marginal(counts, grid, cells_per_pass=256):
+    """Grid-averaged p_on by log-space forward-backward, many cells at once.
+
+    Each cell's forward and backward log vectors are shifted by their own
+    log-sum at every step, so they stay near zero however long the trace,
+    and a path that trails by any number of nats is kept.  The forward
+    shifts add up to the cell's log-likelihood with ``math.fsum``; summed
+    in order, the log-likelihoods of a long trace carry errors that reach
+    1e-9 in the weights.  Cells are then weighted as in
+    :func:`weighted_oracle_p_on`.
+    """
+    counts = np.asarray(counts)
+    n = counts.size
+    alpha, beta, lam, mu = _grid_values(grid)
+    peak, sum_w, sum_wp = -np.inf, 0.0, np.zeros(n)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for lo in range(0, alpha.size, cells_per_pass):
+            sl = slice(lo, lo + cells_per_pass)
+            a, b, m, r = alpha[sl], beta[sl], mu[sl], lam[sl]
+            total = a + b
+            safe = np.where(total > 0, total, 1.0)
+            stay_off, go_on = np.log1p(-a), np.log(a)
+            go_off, stay_on = np.log(b), np.log1p(-b)
+            emit_off = poisson.logpmf(counts[:, None], m[None, :])
+            emit_on = poisson.logpmf(counts[:, None], (m + r)[None, :])
+            fwd = np.empty((n + 1, 2, a.size))
+            fwd[0] = np.log(np.where(total > 0, np.stack([b, a]) / safe, 0.5))
+            shifts = np.empty((n, a.size))
+            for t in range(n):
+                off = fwd[t, 0] + emit_off[t]
+                on = fwd[t, 1] + emit_on[t]
+                fwd[t + 1, 0] = np.logaddexp(off + stay_off, on + go_off)
+                fwd[t + 1, 1] = np.logaddexp(off + go_on, on + stay_on)
+                shifts[t] = np.logaddexp(fwd[t + 1, 0], fwd[t + 1, 1])
+                fwd[t + 1] -= shifts[t]
+            p_on = np.empty((n, a.size))
+            bwd = np.zeros((2, a.size))
+            for t in range(n, 0, -1):
+                joint = fwd[t] + bwd
+                p_on[t - 1] = np.exp(joint[1] - np.logaddexp(joint[0], joint[1]))
+                after_off = np.logaddexp(stay_off + bwd[0], go_on + bwd[1])
+                after_on = np.logaddexp(go_off + bwd[0], stay_on + bwd[1])
+                bwd = np.stack([emit_off[t - 1] + after_off, emit_on[t - 1] + after_on])
+                bwd -= np.logaddexp(bwd[0], bwd[1])
+            possible = np.all(np.isfinite(shifts), axis=0)
+            if not possible.any():
+                continue
+            ll = np.array([math.fsum(col) for col in shifts[:, possible].T])
+            if ll.max() > peak:
+                rescale = np.exp(peak - ll.max())
+                sum_w, sum_wp = sum_w * rescale, sum_wp * rescale
+                peak = ll.max()
+            w = np.exp(ll - peak)
+            sum_w += w.sum()
+            sum_wp += p_on[:, possible] @ w
+    return sum_wp / sum_w
+
+
+# trace lengths spread evenly up to 200, so most traces span several segments
+_COUNTS = st.integers(1, 200).flatmap(
+    lambda n: st.lists(st.integers(0, 200), min_size=n, max_size=n)
+)
+
+
+_RATE = st.one_of(st.just(0.0), st.just(1e-3), st.floats(0.0, 80.0))
+
+
+@st.composite
+def _grids(draw):
+    """Up to three alpha and beta values, two lambda values and one mu."""
+    axes, fixed = [], {"mu": draw(_RATE)}
+    for name, values, most in (
+        ("alpha", _SWITCH, 3),
+        ("beta", _SWITCH, 3),
+        ("lambda", _RATE, 2),
+    ):
+        lo, hi = sorted((draw(values), draw(values)))
+        if lo == hi:
+            fixed[name] = lo
+        else:
+            axes.append(GridAxis(name, lo, hi, draw(st.integers(2, most))))
+    return GridSpec(axes=tuple(axes), fixed=fixed)
+
+
+def _smooth_at(counts, grid, chunk, steps=None):
+    """``_smooth`` at a cell chunk and, if given, a segment length.
+
+    Returns p_on, None where the trace has zero probability everywhere,
+    and the segment bounds the smoother used.
+    """
+    used = []
+    marks = state_inference._forward_marks
+
+    def recording(mats, inv, start, bounds, prefixes):
+        used.append(bounds)
+        return marks(mats, inv, start, bounds, prefixes)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(posterior, "_CHUNK_CELLS", chunk)
+        mp.setattr(state_inference, "_forward_marks", recording)
+        if steps is not None:
+            rows = min(chunk, int(np.prod([ax.n for ax in grid.axes])))
+            mp.setattr(state_inference, "_PREFIX_BUDGET", (steps + 1) * rows)
+        try:
+            p_on = state_inference._smooth(CountTrace(counts), grid, None)
+        except ValueError:
+            p_on = None
+    return p_on, used[0]
+
+
+def _row_tables(counts, grid):
+    """Step tables and start vectors of every row ``_smooth`` runs."""
+    ctx = _EngineContext(CountTrace(counts), "single", grid, None, None, None)
+    a, b = ctx.pair_params(0, ctx.n_pairs())
+    mats = ctx._entries_single(a, b)
+    start, _, pinned, _ = ctx.start_rows(a, b, mats)
+    mats = tuple(np.concatenate([m, m[:, pinned]], axis=1) for m in mats)
+    start = np.concatenate([start, np.tile([[0.0], [1.0]], pinned.size)], axis=1)
+    return mats, ctx.inv, start
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestCheckpointedSmoother:
+    """The smoother keeps state vectors only at segment boundaries and
+    recomputes each segment's prefixes in the backward pass.  Segments are
+    whole windows of the forward recursion, so the recomputed prefixes, and
+    with them p_on, are bitwise those of a single segment."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(counts=_COUNTS, grid=_grids())
+    def test_segments_change_no_bit(self, counts, grid):
+        n = len(counts)
+        whole, bounds = _smooth_at(counts, grid, 7)
+        assert bounds == [0, n]
+        # segments of one and two windows, and a last segment that is the
+        # trace's last, possibly partial, window; the third budget is not a
+        # whole number of windows and rounds down
+        last = 8 * ((n - 1) // 8)
+        for steps, seg in ((8, 8), (16, 16), (last + 4, max(8, last))):
+            got, bounds = _smooth_at(counts, grid, 7, steps)
+            assert bounds == [*range(0, n, seg), n]
+            if whole is None:
+                assert got is None
+            else:
+                np.testing.assert_array_equal(got, whole)
+        # Where counts lie far above both rates, the linear-space step
+        # tables underflow and the smoother raises although the log-space
+        # likelihood is finite; that fault is not the segments' doing
+        if whole is not None:
+            assert np.all((whole >= 0.0) & (whole <= 1.0))
+            want = weighted_oracle_p_on(counts, grid)
+            np.testing.assert_allclose(whole, want, rtol=0, atol=1e-9)
+
+    @settings(max_examples=40, deadline=None)
+    @given(counts=_COUNTS, grid=_grids(), seg=st.sampled_from([8, 16, 24]))
+    def test_checkpoints_are_forward_prefixes(self, counts, grid, seg):
+        mats, inv, start = _row_tables(counts, grid)
+        bounds = [*range(0, len(counts), seg), len(counts)]
+        prefixes = np.empty((len(counts) + 1,) + start.shape)
+        want = posterior._forward_cells(*mats, inv, start, prefixes)
+        last = np.empty((bounds[-1] - bounds[-2] + 1,) + start.shape)
+        got, marks = state_inference._forward_marks(mats, inv, start, bounds, last)
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(marks, prefixes[bounds[:-2]])
+        np.testing.assert_array_equal(last, prefixes[bounds[-2] :])
+
+    def test_log_space_marginal_matches_oracle_per_cell(self):
+        counts = [3, 0, 17, 9, 1, 0, 0, 12, 30, 4] * 3
+        grid = GridSpec(
+            axes=(GridAxis("alpha", 0.0, 1.0, 3), GridAxis("beta", 0.1, 0.7, 2)),
+            fixed={"lambda": 12.0, "mu": 1.0},
+        )
+        np.testing.assert_allclose(
+            log_space_marginal(counts, grid, cells_per_pass=4),
+            weighted_oracle_p_on(counts, grid),
+            rtol=0,
+            atol=1e-12,
+        )
+
+    def test_long_trace_many_cells(self):
+        # 2000 cells at N = 1e4: one chunk of rows in six segments
+        probs = SwitchProbs(0.1, 0.15, 1)
+        res = sim_dtmc_single(probs, EmissionRates(mu=4.0, lam=6.0), 10_000, seed=88)
+        grid = GridSpec(
+            axes=(GridAxis("alpha", 0.01, 0.48, 40), GridAxis("beta", 0.01, 0.48, 50)),
+            fixed={"lambda": 6.0, "mu": 4.0},
+        )
+        sp = state_posterior_marginal(res.trace, grid)
+        assert np.all((sp.p_on >= 0.0) & (sp.p_on <= 1.0))
+        want = log_space_marginal(res.trace.counts, grid)
+        np.testing.assert_allclose(sp.p_on, want, rtol=0, atol=1e-9)
+
+
+def test_state_inference_demo_beats_threshold():
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(root / "src"), env.get("PYTHONPATH")])
+    )
+    run = subprocess.run(
+        [sys.executable, str(root / "demos" / "06_state_inference.py")],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
+    threshold = re.search(r"^threshold accuracy: ([0-9.]+)$", run.stdout, re.M)
+    smoothed = re.search(r"^smoothed posterior accuracy: ([0-9.]+)$", run.stdout, re.M)
+    assert threshold and smoothed, run.stdout
+    assert float(smoothed.group(1)) >= float(threshold.group(1))
