@@ -169,13 +169,6 @@ def fraction_density(a: int, b: int, rates: SwitchRates) -> FractionDensity:
     )
 
 
-def _delta_step_terms(counts, rates, emissions):
-    """Analytic switch-free contributions, indexed [start == end state]."""
-    off = poisson_pmf(emissions.mu, counts) * math.exp(-rates.r_alpha)
-    on = poisson_pmf(emissions.on_rate, counts) * math.exp(-rates.r_beta)
-    return off, on
-
-
 def count_state_prob_ctmc(
     count: int,
     a: int,
@@ -203,22 +196,6 @@ def count_state_prob_ctmc(
     return total
 
 
-def _step_matrices_by_count(counts, rates, emissions, quad):
-    """Step matrices (entry [end, start]) for each distinct count value."""
-    distinct = np.unique(counts)
-    x, w = quad.nodes_weights()
-    smooth = _smooth_densities(rates.r_alpha, rates.r_beta, x)  # (2, 2, q)
-    em = poisson_pmf(
-        emissions.mu + x[None, :] * emissions.lam, distinct[:, None].astype(float)
-    )  # (D, q)
-    joint = np.einsum("dq,abq->dab", em * w[None, :], smooth)
-    d_off, d_on = _delta_step_terms(distinct, rates, emissions)
-    joint[:, 0, 0] += d_off
-    joint[:, 1, 1] += d_on
-    mats = joint.transpose(0, 2, 1)  # [end, start] orientation
-    return {int(c): mats[i] for i, c in enumerate(distinct)}
-
-
 def trace_loglik_ctmc(
     trace: CountTrace,
     rates: SwitchRates,
@@ -228,15 +205,18 @@ def trace_loglik_ctmc(
 ) -> float:
     """Log-likelihood of the trace under continuous switching.
 
-    Same rescaled matrix product as the single-step model, with interval
-    matrices built from :func:`count_state_prob_ctmc`.  Matrices are
-    computed once per distinct count value, which is what makes long traces
-    over dense parameter grids affordable.
+    Same rescaled matrix product as the single-step model.  The interval
+    matrices are the grid engine's ctmc tables at this one cell: the
+    integrals of :func:`count_state_prob_ctmc`, summed in another order,
+    built once per distinct count value.
     """
+    from .posterior import _cell_tables
+
     if prior is None:
         prior = StatePrior.stationary_from_rates(rates)
-    mats = _step_matrices_by_count(trace.counts, rates, emissions, quad)
-    return scaled_chain_loglik((mats[int(c)] for c in trace.counts), prior)
+    switch = (rates.r_alpha, rates.r_beta)
+    tables, inv = _cell_tables(trace, "ctmc", switch, emissions, quad)
+    return scaled_chain_loglik((tables[k] for k in inv), prior)
 
 
 def avg_count_prob(count: int, emissions: EmissionRates) -> float:
@@ -264,31 +244,31 @@ def check_quadrature_convergence(
     counts,
     tol: float = 1e-9,
 ) -> float:
-    """Verify that doubling the node count leaves the step integrals fixed.
+    """Verify that doubling the node count leaves the engine's tables fixed.
 
-    Returns the worst absolute change across the given counts and all four
-    start/end combinations; raises :class:`QuadratureConvergenceError` with
-    diagnostics when it exceeds ``tol``.  Intended to run once when a
+    Builds the grid engine's ctmc tables of one cell over the given counts
+    at ``quad`` and at twice its nodes.  Returns the worst absolute change
+    across the counts and all four start/end combinations; raises
+    :class:`QuadratureConvergenceError`, naming the first worst (count,
+    start, end), when it exceeds ``tol``.  Intended to run once when a
     quadrature rule is configured for an inference.
     """
-    counts = np.unique(np.asarray(counts))
+    from .posterior import _cell_tables
+
+    counts = CountTrace(np.unique(np.asarray(counts)))
     fine = QuadratureSpec(node_count=2 * quad.node_count, scheme=quad.scheme)
-    worst = 0.0
-    worst_at = None
-    for c in counts:
-        for a in (0, 1):
-            for b in (0, 1):
-                coarse_val = count_state_prob_ctmc(int(c), a, b, rates, emissions, quad)
-                fine_val = count_state_prob_ctmc(int(c), a, b, rates, emissions, fine)
-                diff = abs(coarse_val - fine_val)
-                if diff > worst:
-                    worst = diff
-                    worst_at = (int(c), a, b)
+    switch = (rates.r_alpha, rates.r_beta)
+    coarse_tables, _ = _cell_tables(counts, "ctmc", switch, emissions, quad)
+    fine_tables, _ = _cell_tables(counts, "ctmc", switch, emissions, fine)
+    # tables are [count, end, start]; report in count, start, end order
+    diff = np.abs(np.subtract(coarse_tables, fine_tables)).transpose(0, 2, 1)
+    k, a, b = np.unravel_index(np.argmax(diff), diff.shape)
+    worst = float(diff[k, a, b])
     if worst > tol:
         raise QuadratureConvergenceError(
             f"quadrature with {quad.node_count} nodes has not converged at "
             f"rates ({rates.r_alpha}, {rates.r_beta}): refining to "
-            f"{fine.node_count} nodes moved P(count={worst_at[0]}, "
-            f"{worst_at[1]}->{worst_at[2]}) by {worst:.3e} (tolerance {tol:.1e})"
+            f"{fine.node_count} nodes moved P(count={counts.counts[k]}, "
+            f"{a}->{b}) by {worst:.3e} (tolerance {tol:.1e})"
         )
     return worst

@@ -220,10 +220,7 @@ class _EngineContext:
             self.nodes = np.arange(d + 1) / d
         if model != "single":
             rate = self.mu_flat[:, None] + self.lam_flat[:, None] * self.nodes[None, :]
-            emission = np.empty((self.distinct.size, self.n_em, self.nodes.size))
-            for i, c in enumerate(self.distinct):
-                emission[i] = poisson_pmf(rate, float(c))
-            self.emission_nodes = emission
+            self.emission_nodes = poisson_pmf(rate, dcol[:, :, None])
 
     def pairs_per_block(self) -> int:
         return max(1, _BLOCK_CELL_TARGET // self.n_em)
@@ -291,10 +288,14 @@ class _EngineContext:
         start[:, pinned] = [[1.0], [0.0]]
         return start, log_w, pinned, log_w_on
 
+    def tables(self, a, b):
+        """The model's step tables for switch pairs ``a``, ``b``, contiguous."""
+        entries = getattr(self, f"_entries_{self.model}")(a, b)
+        return tuple(np.ascontiguousarray(m) for m in entries)
+
     def eval_block(self, p_start, p_end):
         a, b = self.pair_params(p_start, p_end)
-        entries = getattr(self, f"_entries_{self.model}")(a, b)
-        mats = tuple(np.ascontiguousarray(m) for m in entries)
+        mats = self.tables(a, b)
         start, log_w, pinned, log_w_on = self.start_rows(a, b, mats)
         acc = log_w + _forward_cells(*mats, self.inv, start)
         if pinned.size:
@@ -303,6 +304,21 @@ class _EngineContext:
             on = log_w_on + _forward_cells(*sub, self.inv, start_on)
             acc[pinned] = np.logaddexp(acc[pinned], on)
         return acc.reshape(a.size, self.n_em)
+
+
+def _cell_tables(trace, model, switch, emissions, quad=None):
+    """Step tables of one parameter cell and the trace's row of each interval.
+
+    ``switch`` is the model's (switch-on, switch-off) pair.  Returns
+    (tables, inv): tables[k] is the 2x2 array, entry [end, start], of the
+    k-th distinct count, and interval t reads tables[inv[t]].  A list, since
+    a scalar recursion indexes it once per interval.
+    """
+    names = ("alpha", "beta") if model == "single" else ("r_alpha", "r_beta")
+    cell = {**dict(zip(names, switch)), "lambda": emissions.lam, "mu": emissions.mu}
+    ctx = _EngineContext(trace, model, GridSpec(axes=(), fixed=cell), None, quad, None)
+    a, b = ctx.pair_params(0, 1)
+    return list(np.stack(ctx.tables(a, b), axis=-1).reshape(-1, 2, 2)), ctx.inv
 
 
 def _flat(*entries):

@@ -23,6 +23,7 @@ from .kernels import (
     poisson_pmf,
     scaled_chain_loglik,
 )
+from .posterior import _cell_tables
 
 __all__ = [
     "StepMatrix",
@@ -90,22 +91,18 @@ def trace_loglik_single(
 ) -> float:
     """Log-likelihood of the whole trace by the rescaled matrix product.
 
-    Equals the log of the sum over all hidden state paths.  The default
-    prior is the chain's stationary distribution.  Returns -inf when no
-    state path can produce the data (for example positive counts with
-    mu = lam = 0).
+    Equals the log of the sum over all hidden state paths.  The interval
+    matrices are the grid engine's single-step tables at this one cell,
+    bitwise those of :func:`step_matrix_single`.  The default prior is the
+    chain's stationary distribution.  Returns -inf when no state path can
+    produce the data (for example positive counts with mu = lam = 0).
     """
+    if probs.d != 1:
+        raise ValueError("single-step model requires d = 1")
     if prior is None:
         prior = StatePrior.stationary_from_probs(probs)
-    mats = _step_matrices_by_count(trace, probs, emissions)
-    return scaled_chain_loglik((mats[c] for c in trace.counts), prior)
-
-
-def _step_matrices_by_count(trace, probs, emissions):
-    return {
-        int(c): step_matrix_single(int(c), probs, emissions).entries
-        for c in np.unique(trace.counts)
-    }
+    tables, inv = _cell_tables(trace, "single", (probs.alpha, probs.beta), emissions)
+    return scaled_chain_loglik((tables[k] for k in inv), prior)
 
 
 def brute_force_loglik(
@@ -126,9 +123,9 @@ def brute_force_loglik(
     if prior is None:
         prior = StatePrior.stationary_from_probs(probs)
 
-    mats = _step_matrices_by_count(trace, probs, emissions)
+    mats = [step_matrix_single(int(c), probs, emissions).entries for c in trace.counts]
     with np.errstate(divide="ignore"):
-        log_mats = np.stack([np.log(mats[int(c)]) for c in trace.counts])
+        log_mats = np.log(np.stack(mats))
         log_prior = np.log(prior.vector)
 
     n_paths = 1 << (n + 1)

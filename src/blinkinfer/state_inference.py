@@ -143,7 +143,7 @@ def _smooth(trace, grid, prior):
     ctx = _EngineContext(trace, "single", grid, prior, None, None)
     n = len(trace)
     a, b = ctx.pair_params(0, ctx.n_pairs())
-    mats = ctx._entries_single(a, b)
+    mats = ctx.tables(a, b)
     start, log_w, pinned, log_w_on = ctx.start_rows(a, b, mats)
     is_pinned = np.zeros(log_w.size, dtype=bool)
     is_pinned[pinned] = True

@@ -2,13 +2,15 @@
 
 Everything here deliberately avoids the library's forward recursion: path
 sums are enumerated, integrals are done with locally constructed quadrature
-rules, so agreement with the package is a two-route check.
+rules or replaced by a matrix exponential, so agreement with the package is
+a two-route check.
 """
 
 import itertools
 import math
 
 import numpy as np
+from scipy.linalg import expm
 from scipy.special import logsumexp
 from scipy.stats import poisson
 
@@ -60,6 +62,31 @@ def substep_path_matrix(count, d, r_alpha, r_beta, mu, lam):
             k = sum(states[:-1])
             out[states[-1], start] += weight * poisson.pmf(count, mu + lam * k / d)
     return out
+
+
+def ctmc_expm_step_matrix(counts, r_alpha, r_beta, mu, lam):
+    """Continuous-time step matrices by the matrix exponential.
+
+    Exponentiates the generator of the Markov-modulated Poisson process on
+    (count, state), states 2 * count + state, counts 0..max(counts).  Mass
+    leaving the largest count is dropped; counts only rise within an
+    interval, so that changes no entry returned.  No Bessel function and no
+    quadrature.  Returns shape (len(counts), 2, 2), entry [k, end, start].
+    """
+    counts = np.asarray(counts)
+    k_max = int(counts.max())
+    leave = (r_alpha, r_beta)
+    emit = (mu, mu + lam)
+    q = np.zeros((2 * (k_max + 1), 2 * (k_max + 1)))
+    for c in range(k_max + 1):
+        for s in (0, 1):
+            i = 2 * c + s
+            q[i, i] = -(leave[s] + emit[s])
+            q[i, 2 * c + 1 - s] = leave[s]
+            if c < k_max:
+                q[i, i + 2] = emit[s]
+    rows = expm(q)[:2].reshape(2, k_max + 1, 2)  # [start, count, end]
+    return rows[:, counts, :].transpose(1, 2, 0)
 
 
 def log_forward_backward(counts, alpha, beta, mu, lam, prior_vec):

@@ -22,9 +22,10 @@ from blinkinfer.kernels import (
     poisson_pmf,
     probs_from_rates,
 )
+from blinkinfer.posterior import _cell_tables
 from blinkinfer.simulate import sim_ctmc
 from blinkinfer.single_step import trace_loglik_single
-from oracles import gauss_legendre_integral, path_sum_loglik
+from oracles import ctmc_expm_step_matrix, gauss_legendre_integral, path_sum_loglik
 
 EM = EmissionRates(mu=2.0, lam=20.0)
 QUAD = QuadratureSpec()
@@ -259,6 +260,38 @@ class TestTraceLoglik:
         assert fast == pytest.approx(direct, rel=1e-14)
 
 
+class TestEngineTablesAgainstExpm:
+    """The engine's ctmc tables, the only ctmc builder, against expm."""
+
+    @pytest.mark.parametrize("ra", [0.0, 1e-3, 0.7, 8.0])
+    @pytest.mark.parametrize("rb", [0.0, 0.5, 8.0])
+    @pytest.mark.parametrize("mu, lam", [(0.0, 40.0), (1e-3, 1e-3), (2.0, 20.0)])
+    def test_tables_match_matrix_exponential(self, ra, rb, mu, lam):
+        counts = np.arange(61)
+        em = EmissionRates(mu, lam)
+        tables, inv = _cell_tables(CountTrace(counts), "ctmc", (ra, rb), em, QUAD)
+        got = np.stack(tables)[inv]
+        ref = ctmc_expm_step_matrix(counts, ra, rb, mu, lam)
+        np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-13)
+        big = ref > 1e-12
+        np.testing.assert_allclose(got[big], ref[big], rtol=1e-10, atol=0.0)
+
+    @pytest.mark.parametrize(
+        "ra, rb, mu, lam",
+        [(0.7, 0.5, 2.0, 20.0), (8.0, 8.0, 0.0, 40.0), (1e-3, 0.5, 1e-3, 1e-3)],
+    )
+    def test_trace_loglik_matches_expm_path_sum(self, ra, rb, mu, lam):
+        rng = np.random.default_rng(int(ra * 1000 + rb * 10))
+        rates = SwitchRates(ra, rb)
+        prior = StatePrior.stationary_from_rates(rates)
+        for n in (1, 3, 8):
+            counts = rng.poisson(mu + lam * rng.random(n))
+            ref = ctmc_expm_step_matrix(counts, ra, rb, mu, lam)
+            slow = path_sum_loglik(lambda t: ref[t - 1], n, prior.vector)
+            fast = trace_loglik_ctmc(CountTrace(counts), rates, EmissionRates(mu, lam))
+            assert fast == pytest.approx(slow, rel=1e-9)
+
+
 class TestAvgCountProb:
     def test_lambda_zero_reduces_to_poisson(self):
         em = EmissionRates(mu=3.0, lam=0.0)
@@ -308,3 +341,34 @@ class TestQuadrature:
                 counts=range(0, 120, 3),
                 tol=1e-12,
             )
+
+    @staticmethod
+    def _scalar_worst(rates, emissions, quad, counts):
+        """Worst change and its (count, start, end) by the scalar integrals."""
+        fine = QuadratureSpec(node_count=2 * quad.node_count)
+        worst, worst_at = 0.0, None
+        for c in counts:
+            for a in (0, 1):
+                for b in (0, 1):
+                    diff = abs(
+                        count_state_prob_ctmc(c, a, b, rates, emissions, quad)
+                        - count_state_prob_ctmc(c, a, b, rates, emissions, fine)
+                    )
+                    if diff > worst:
+                        worst, worst_at = diff, (c, a, b)
+        return worst, worst_at
+
+    def test_worst_matches_scalar_loop(self):
+        rates, em = SwitchRates(8.0, 8.0), EmissionRates(7.5, 36.0)
+        worst = check_quadrature_convergence(rates, em, QUAD, counts=range(81))
+        expected, _ = self._scalar_worst(rates, em, QUAD, range(81))
+        assert worst == pytest.approx(expected, rel=0.0, abs=1e-15)
+
+    @pytest.mark.parametrize("rb", [8.0, 0.5])  # worst at 0->0, at 0->1
+    def test_unconverged_names_scalar_loop_worst(self, rb):
+        rates, em = SwitchRates(8.0, rb), EmissionRates(7.5, 36.0)
+        coarse = QuadratureSpec(node_count=8)
+        _, (c, a, b) = self._scalar_worst(rates, em, coarse, range(81))
+        with pytest.raises(QuadratureConvergenceError) as err:
+            check_quadrature_convergence(rates, em, coarse, counts=range(81))
+        assert f"P(count={c}, {a}->{b})" in str(err.value)

@@ -12,6 +12,7 @@ from blinkinfer.kernels import (
     poisson_pmf,
     scaled_chain_loglik,
 )
+from blinkinfer.posterior import _cell_tables
 from blinkinfer.single_step import (
     StepMatrix,
     brute_force_loglik,
@@ -135,6 +136,25 @@ class TestTraceLoglik:
         trace = CountTrace(rng.integers(0, 40, size=20_000))
         val = trace_loglik_single(trace, SwitchProbs(0.1, 0.2, 1), EM)
         assert math.isfinite(val)
+
+
+class TestEngineTablesBitwise:
+    """The engine's tables are the only single-step builder; pin them."""
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 0.37])
+    @pytest.mark.parametrize("beta", [0.0, 1.0, 0.81])
+    @pytest.mark.parametrize("mu", [0.0, 2.5])
+    def test_tables_and_loglik_equal_step_matrix_single(self, alpha, beta, mu):
+        rng = np.random.default_rng(19)
+        trace = CountTrace(np.concatenate([[0, 0, 140], rng.poisson(9.0, 300)]))
+        probs, em = SwitchProbs(alpha, beta), EmissionRates(mu, 12.0)
+        tables, inv = _cell_tables(trace, "single", (alpha, beta), em)
+        mats = [step_matrix_single(int(c), probs, em).entries for c in trace.counts]
+        for t, m in enumerate(mats):
+            assert np.array_equal(tables[inv[t]], m)
+        got = trace_loglik_single(trace, probs, em)
+        prior = StatePrior.stationary_from_probs(probs)
+        assert got == scaled_chain_loglik(mats, prior)
 
 
 class TestBruteForce:
