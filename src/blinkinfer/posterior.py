@@ -16,10 +16,20 @@ workers run.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
+import hashlib
 import math
+import os
+import platform
+import shutil
+import subprocess
+import tempfile
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from multiprocessing import get_context
+from pathlib import Path
 
 import numpy as np
 
@@ -299,7 +309,7 @@ class _EngineContext:
         start, log_w, pinned, log_w_on = self.start_rows(a, b, mats)
         acc = log_w + _forward_cells(*mats, self.inv, start)
         if pinned.size:
-            sub = tuple(m[:, pinned] for m in mats)
+            sub = tuple(np.ascontiguousarray(m[:, pinned]) for m in mats)
             start_on = np.tile([[0.0], [1.0]], pinned.size)
             on = log_w_on + _forward_cells(*sub, self.inv, start_on)
             acc[pinned] = np.logaddexp(acc[pinned], on)
@@ -338,137 +348,125 @@ def _mix_nodes(emission, weights):
 
 
 _LN2 = math.log(2.0)
-# The recursion runs over slices of this many cells, so that a step's state
-# vectors and table rows stay in cache.  Cells are independent, so the
-# slicing changes no bit.
-_CHUNK_CELLS = 16384
-# Steps per window between rescalings.
-_WINDOW_STEPS = 8
-# Rerun limits of a window; see _forward_cells.
-_SUM_FLOOR = 2.0**-600
-_DIP_RATIO = 2.0**-300
-_VALUE_FLOOR = 2.0**-960
+# -ffp-contract=off keeps a * b + c from fusing into one rounding, which
+# would move the results; no flag may flush subnormals to zero
+_CFLAGS = ("-O3", "-ffp-contract=off", "-fPIC", "-shared")
 
 
 def _forward_cells(m00, m01, m10, m11, inv, start, prefixes=None):
     """Log-likelihood of every cell by the forward recursion.
 
-    The state vector is left unscaled over windows of ``_WINDOW_STEPS``
-    steps.  At the end of each it is scaled by the power of two that brings
-    its sum into [0.5, 1), read from ``np.frexp``, and that exponent adds
-    to an int64 count e.  Table columns sum to at most 1, so the sum never
-    grows and cannot overflow.  Scaling by a power of two is exact, so the
-    result is bitwise that of a rescaling at every step unless some value
-    turns subnormal inside a window.  Where that could happen, a cell's
-    window runs again from its saved start, rescaled at every step:
-
-    - where its sum fell below ``_SUM_FLOOR`` from a nonzero start, an
-      exact zero included.  Above that, a component that keeps at least
-      ``_DIP_RATIO`` of the other stays far above the subnormal range, and
-      a subnormal product is lost to rounding in the sum it joins;
-    - where a component that some table row can leave below
-      ``_DIP_RATIO`` of the other fell below ``_VALUE_FLOOR`` at some
-      step.  Slices of cells holding such a component track each step's
-      smallest values.  A component that starts the window at zero and
-      that no row feeds from the other state stays zero and is exempt.
-
-    The result e ln 2 + log(v0 + v1) is -inf only where some step sends
-    the vector to exactly zero.
+    Runs the kernel of ``_forward.c``: after every step the state vector
+    is scaled by the power of two that brings its sum into [0.5, 1), and
+    that exponent adds to an int64 count e.  Its bits are those of the same
+    recursion in numpy with ``frexp`` and ``ldexp``.  The result e ln 2 +
+    log(v0 + v1) is -inf only where some step sends the vector to exactly
+    zero.
 
     ``start`` holds the (off, on) start vectors, shape (2, cells).  With
-    ``prefixes`` of shape (len(inv) + 1, 2, cells), the state vector after
-    every step is stored there, the start vector in row 0.  Inside a window
-    it is stored unscaled; a cell's vectors at one position share one scale,
-    which cancels in any ratio of their components.
+    ``prefixes`` of shape (len(inv) + 1, 2, cells), the scaled state vector
+    after every step is stored there, the start vector in row 0; its last
+    axis must be contiguous, and it may be a slice of a wider buffer.
     """
-    out = np.empty(start.shape[1])
-    for lo in range(0, out.size, _CHUNK_CELLS):
-        sl = slice(lo, lo + _CHUNK_CELLS)
-        mats = tuple(m[:, sl] for m in (m00, m01, m10, m11))
-        part = None if prefixes is None else prefixes[:, :, sl]
-        v, exps = _forward_chunk(mats, inv, start[:, sl], part, _WINDOW_STEPS)
-        with np.errstate(divide="ignore"):
-            out[sl] = exps * _LN2 + np.log(v[0] + v[1])
-    return out
+    v, exps = _forward_run(m00, m01, m10, m11, inv, start, prefixes)
+    with np.errstate(divide="ignore"):
+        return exps * _LN2 + np.log(v[0] + v[1])
 
 
-def _forward_chunk(mats, inv, start, prefixes, window):
-    """End vector, scaled to a sum in [0.5, 1) or zero, and its exponents.
-
-    Rescales once every ``window`` steps; see :func:`_forward_cells`.
-    """
-    m00, m01, m10, m11 = mats
+def _forward_run(m00, m01, m10, m11, inv, start, prefixes=None):
+    """End vectors, scaled to a sum in [0.5, 1) or zero, and exponents."""
     cells = start.shape[1]
-    n = len(inv)
-    if prefixes is None:
-        v = start.copy()
-        steps = np.empty((2, 2, cells))
-    else:
+    shapes = {m.shape for m in (m00, m01, m10, m11)}
+    if start.shape != (2, cells) or shapes != {(len(m00), cells)}:
+        raise ValueError("step tables and start vectors disagree in shape")
+    if len(inv) and not 0 <= inv.min() <= inv.max() < len(m00):
+        raise ValueError("an interval reads a row outside the step tables")
+    pointer, stride = None, 0
+    if prefixes is not None:
+        steps, stride, width = prefixes.strides
+        if prefixes.shape != (len(inv) + 1, 2, cells) or prefixes.dtype != np.float64:
+            raise ValueError("prefix buffer has the wrong shape or dtype")
+        if width != 8 or steps != 2 * stride or not prefixes.flags.writeable:
+            raise ValueError("prefix buffer has the wrong layout")
         prefixes[0] = start
-    track = False
-    if window > 1:
-        fed = np.stack([np.any(m01 > 0, axis=0), np.any(m10 > 0, axis=0)])
-        may_dip = np.zeros((2, cells), dtype=bool)
-        for r00, r01, r10, r11 in zip(m00, m01, m10, m11):
-            may_dip[0] |= (r00 < _DIP_RATIO * r10) | (r01 < _DIP_RATIO * r11)
-            may_dip[1] |= (r10 < _DIP_RATIO * r00) | (r11 < _DIP_RATIO * r01)
-        may_dip &= fed | (start > 0)
-        track = bool(may_dip.any())
-        low = np.empty((2, cells)) if track else None
+        pointer, stride = prefixes.ctypes.data, stride // 8
+    end = np.empty((2, cells))
     exps = np.zeros(cells, dtype=np.int64)
-    total, tmp = np.empty((2, cells))
-    ex = np.empty(cells, dtype=np.intc)
-    for lo in range(0, n, window):
-        hi = min(lo + window, n)
-        first = src = v if prefixes is None else prefixes[lo]
-        if track:
-            low.fill(np.inf)
-        for k in range(lo + 1, hi + 1):
-            dst = steps[k % 2] if prefixes is None else prefixes[k]
-            t = inv[k - 1]
-            np.multiply(m00[t], src[0], out=dst[0])
-            dst[0] += np.multiply(m01[t], src[1], out=tmp)
-            np.multiply(m10[t], src[0], out=dst[1])
-            dst[1] += np.multiply(m11[t], src[1], out=tmp)
-            if track:
-                np.minimum(low, dst, out=low)
-            src = dst
-        np.add(src[0], src[1], out=total)
-        if window > 1:
-            unsafe = total < _SUM_FLOOR
-            if track:
-                dipped = may_dip & (low < _VALUE_FLOOR) & (fed | (first > 0))
-                unsafe |= np.any(dipped, axis=0)
-            lost = np.flatnonzero(unsafe & np.any(first > 0, axis=0))
-            saved = first[:, lost]
-        end = v if prefixes is None else src
-        np.frexp(total, out=(tmp, ex))
-        exps += ex
-        np.negative(ex, out=ex)
-        np.ldexp(src[0], ex, out=end[0])
-        np.ldexp(src[1], ex, out=end[1])
-        if window > 1 and lost.size:
-            window_rows = None if prefixes is None else prefixes[lo : hi + 1]
-            redo, redo_exps = _rerun_window(mats, inv[lo:hi], lost, saved, window_rows)
-            end[:, lost] = redo
-            exps[lost] += redo_exps + ex[lost]
-    return (v if prefixes is None else prefixes[n]), exps
-
-
-def _rerun_window(mats, rows, cells, start, window_rows):
-    """One window for the given cells, rescaled at every step.
-
-    ``rows`` are the window's table rows and ``start`` the cells' saved
-    start vectors.  Writes the rescaled vectors into ``window_rows`` (the
-    window's prefix rows, start row first), if given, and returns the end
-    vector and its exponents.
-    """
-    sub = tuple(m[rows[:, None], cells] for m in mats)
-    part = None if window_rows is None else np.empty((rows.size + 1, 2, cells.size))
-    end, exps = _forward_chunk(sub, np.arange(rows.size), start, part, 1)
-    if window_rows is not None:
-        window_rows[1:, :, cells] = part[1:]
+    kernel = _forward_kernel()
+    kernel(len(inv), cells, m00, m01, m10, m11, inv, start, end, exps, pointer, stride)
     return end, exps
+
+
+@functools.cache
+def _forward_kernel():
+    """The kernel of ``_forward.c``, compiled with gcc on first use.
+
+    The library is cached in ``$XDG_CACHE_HOME/blinkinfer`` (by default
+    ``~/.cache/blinkinfer``), or in a per-user temp directory where that is
+    not writable.  Its name hashes the source, the flags and the CPU, then
+    the compiler version; with no gcc on PATH, a cached build of the same
+    source for this CPU is loaded.
+    """
+    source = Path(__file__).with_name("_forward.c")
+    key = _digest(source.read_bytes(), _CFLAGS, _cpu_model())
+    cache = _cache_dir()
+    gcc = shutil.which("gcc")
+    if gcc is not None:
+        version = subprocess.run([gcc, "--version"], capture_output=True, check=True)
+        path = cache / f"forward-{key}-{_digest(version.stdout)}.so"
+        if not path.exists():
+            _compile(gcc, source, path)
+    else:
+        built = sorted(cache.glob(f"forward-{key}-*.so"))
+        if not built:
+            raise ImportError("the forward kernel needs gcc, which is not on PATH")
+        path = built[0]
+    kernel = ctypes.CDLL(str(path)).forward
+    f8, i8 = (np.ctypeslib.ndpointer(t, flags="C") for t in (np.float64, np.int64))
+    c8, pointer = ctypes.c_int64, ctypes.c_void_p
+    kernel.argtypes = [c8, c8, f8, f8, f8, f8, i8, f8, f8, i8, pointer, c8]
+    kernel.restype = None
+    return kernel
+
+
+def _compile(gcc, source, path):
+    """Build ``source`` into ``path`` under a temp name, then rename it."""
+    fd, tmp = tempfile.mkstemp(suffix=".tmp", dir=path.parent)
+    os.close(fd)
+    try:
+        for flags in (_CFLAGS + ("-march=native",), _CFLAGS):
+            cmd = [gcc, *flags, "-o", tmp, str(source), "-lm"]
+            built = subprocess.run(cmd, capture_output=True, text=True)
+            if built.returncode == 0:
+                os.replace(tmp, path)
+                return
+        raise ImportError(f"gcc could not build the forward kernel:\n{built.stderr}")
+    finally:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+
+
+def _cache_dir():
+    """The first writable cache directory this user owns, made if need be."""
+    base = os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache"
+    fallback = Path(tempfile.gettempdir()) / f"blinkinfer-{os.getuid()}"
+    for path in (Path(base) / "blinkinfer", fallback):
+        with contextlib.suppress(OSError):
+            path.mkdir(mode=0o700, parents=True, exist_ok=True)
+            if os.access(path, os.W_OK) and path.stat().st_uid == os.getuid():
+                return path
+    raise ImportError("no writable cache directory for the forward kernel")
+
+
+def _cpu_model():
+    """The CPU's model name and feature flags, which -march=native reads."""
+    with contextlib.suppress(OSError), open("/proc/cpuinfo") as f:
+        return sorted({ln for ln in f if ln.startswith(("model name", "flags"))})
+    return platform.machine()
+
+
+def _digest(*parts):
+    return hashlib.sha256(repr(parts).encode()).hexdigest()[:16]
 
 
 _WORKER_CTX: _EngineContext | None = None
@@ -522,6 +520,7 @@ def evaluate_grid(
     n_a, n_b = probe.avals.size, probe.bvals.size
     flat = np.empty((probe.n_pairs(), probe.n_em))
 
+    _forward_kernel()  # built before any fork, so that workers share it
     if workers <= 1 or len(blocks) == 1:
         for blk in blocks:
             flat[blk[0] : blk[1]] = probe.eval_block(*blk)

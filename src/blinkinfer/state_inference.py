@@ -9,12 +9,11 @@ state vectors only at the boundaries of trace segments (the checkpoints)
 and gives each row's likelihood.  The backward pass walks the segments from
 last to first: it recomputes one segment's prefix vectors from its
 checkpoint into a buffer of fixed size (~64 MB), then rolls the suffix
-vectors back over them.  A segment is a whole number of the recursion's
-windows, so the recomputed prefixes are bitwise those of one unbroken pass.
-Prefix vectors are rescaled by a power of two once per window of steps,
-suffix vectors by a power of two per step.  The scale factors of the two
-passes are common to both states at a position, so they cancel in the
-ratio and never need exponentiating.
+vectors back over them.  Prefix and suffix vectors are both rescaled by a
+power of two at every step, so the recomputed prefixes are bitwise those
+of one unbroken pass.  The scale factors of the two passes are common to
+both states at a position, so they cancel in the ratio and never need
+exponentiating.
 
 Exposed for the single-step model; with parameters unknown the masked
 products are averaged over a parameter grid weighted by each cell's
@@ -45,6 +44,8 @@ __all__ = [
 # Prefix vectors one chunk of rows may store in the backward pass, (steps
 # + 1) x rows: 64 MB of (off, on) pairs.
 _PREFIX_BUDGET = 4_000_000
+# Rows per chunk, which bounds the checkpoints a chunk keeps
+_ROW_CHUNK = 16384
 _LEAST_POSITIVE = np.nextafter(0.0, 1.0)
 
 
@@ -128,17 +129,16 @@ def state_posterior_marginal(
 def _smooth(trace, grid, prior):
     """On-probability at every boundary, averaged over the grid's start rows.
 
-    Rows go in chunks of ``posterior._CHUNK_CELLS``, and the trace in
-    segments of a whole number of the recursion's windows, as many steps
-    as keep a segment's prefixes within ``_PREFIX_BUDGET`` vectors (~64 MB)
-    for the chunk's width.  A first forward pass keeps each row's vector
-    only at the segment boundaries and gives its log weight; a backward
-    pass recomputes one segment's prefixes at a time from its checkpoint
-    and rolls the suffix vectors over them for the row's numerators.  A
-    running peak of the log weights combines the chunks.  A start-pinned
-    row follows one hidden path, so its prefixes alone give its state; its
-    suffix vectors stay at ones, since rolled back they could underflow on
-    that path.
+    Rows go in chunks of ``_ROW_CHUNK``, and the trace in segments of as
+    many steps as keep a segment's prefixes within ``_PREFIX_BUDGET``
+    vectors (~64 MB) for the chunk's width.  A first forward pass keeps
+    each row's vector only at the segment boundaries and gives its log
+    weight; a backward pass recomputes one segment's prefixes at a time
+    from its checkpoint and rolls the suffix vectors over them for the
+    row's numerators.  A running peak of the log weights combines the
+    chunks.  A start-pinned row follows one hidden path, so its prefixes
+    alone give its state; its suffix vectors stay at ones, since rolled
+    back they could underflow on that path.
     """
     ctx = _EngineContext(trace, "single", grid, prior, None, None)
     n = len(trace)
@@ -154,19 +154,19 @@ def _smooth(trace, grid, prior):
         all_pinned = np.ones(pinned.size, dtype=bool)
         row_sets.append((pinned_mats, start_on, log_w_on, all_pinned))
 
-    chunk = _posterior._CHUNK_CELLS
-    window = _posterior._WINDOW_STEPS
+    chunk = _ROW_CHUNK
     cells = min(chunk, log_w.size)
-    seg = max(window, (_PREFIX_BUDGET // cells - 1) // window * window)
+    seg = max(1, _PREFIX_BUDGET // cells - 1)
     bounds = [*range(0, n, seg), n]
     fwd = np.empty((bounds[1] + 1, 2, cells))
     peak, sum_w, sum_w_pon = -np.inf, 0.0, np.zeros(n)
     for tables, starts, weights, split in row_sets:
         for lo in range(0, weights.size, chunk):
             sl = slice(lo, lo + chunk)
-            sub = tuple(m[:, sl] for m in tables)
+            sub = tuple(np.ascontiguousarray(m[:, sl]) for m in tables)
+            first = np.ascontiguousarray(starts[:, sl])
             prefixes = fwd[:, :, : weights[sl].size]
-            loglik, marks = _forward_marks(sub, ctx.inv, starts[:, sl], bounds, prefixes)
+            loglik, marks = _forward_marks(sub, ctx.inv, first, bounds, prefixes)
             loglik += weights[sl]
             top = loglik.max()
             if top == -np.inf:
@@ -204,9 +204,7 @@ def _forward_marks(mats, inv, start, bounds, prefixes):
         part = prefixes[: hi - lo + 1] if hi == n else None
         if part is None:
             marks[j] = v
-        v, seg_exps = _posterior._forward_chunk(
-            mats, inv[lo:hi], v, part, _posterior._WINDOW_STEPS
-        )
+        v, seg_exps = _posterior._forward_run(*mats, inv[lo:hi], v, part)
         exps += seg_exps
     with np.errstate(divide="ignore"):
         return exps * _posterior._LN2 + np.log(v[0] + v[1]), marks
@@ -218,10 +216,9 @@ def _accumulate_backward(mats, inv, bounds, marks, prefixes, w_row, pinned, sum_
     Walks the segments from last to first.  ``prefixes`` holds the last
     segment's prefix vectors from the forward pass; every earlier segment's
     are recomputed there from its checkpoint in ``marks``, bitwise as the
-    forward pass had them, since a segment starts on a window boundary.
-    The suffix vectors roll back from the end across the segments,
-    rescaled by powers of two as in the forward pass; ``pinned`` rows keep
-    theirs at ones.
+    forward pass had them.  The suffix vectors roll back from the end
+    across the segments, rescaled by powers of two as in the forward pass;
+    ``pinned`` rows keep theirs at ones.
     """
     m00, m01, m10, m11 = mats
     fixed = np.flatnonzero(pinned)
@@ -232,9 +229,7 @@ def _accumulate_backward(mats, inv, bounds, marks, prefixes, w_row, pinned, sum_
         lo, hi = bounds[j], bounds[j + 1]
         rows = prefixes[: hi - lo + 1]
         if j < len(marks):
-            _posterior._forward_chunk(
-                mats, inv[lo:hi], marks[j], rows, _posterior._WINDOW_STEPS
-            )
+            _posterior._forward_run(*mats, inv[lo:hi], marks[j], rows)
         for k in range(hi - lo, 0, -1):
             np.multiply(g0, rows[k, 0], out=num0)
             np.multiply(g1, rows[k, 1], out=num1)

@@ -2,8 +2,8 @@
 
 Everything here deliberately avoids the library's forward recursion: path
 sums are enumerated, integrals are done with locally constructed quadrature
-rules or replaced by a matrix exponential, so agreement with the package is
-a two-route check.
+rules or replaced by a matrix exponential, and the per-step recursion is
+plain numpy, so agreement with the package is a two-route check.
 """
 
 import itertools
@@ -118,3 +118,34 @@ def log_forward_backward(counts, alpha, beta, mu, lam, prior_vec):
     joint = fwd[1:] + bwd[1:]
     log_p = joint - logsumexp(joint, axis=1, keepdims=True)
     return float(logsumexp(fwd[n])), np.exp(log_p[:, 1])
+
+
+def per_step_forward(m00, m01, m10, m11, inv, start, prefixes=None):
+    """Log-likelihood of every cell by a numpy recursion rescaled every step.
+
+    Step k maps each cell's (off, on) vector v to M v with M's entries
+    [end, start] read from row ``inv[k]`` of the four (D, cells) arrays,
+    as ``m00 * v0 + m01 * v1`` and ``m10 * v0 + m11 * v1``.  The vector is
+    then scaled with ``np.ldexp`` by the power of two, read from
+    ``np.frexp`` of its sum, that brings the sum into [0.5, 1), and the
+    exponents add up per cell.  With ``prefixes`` of shape (len(inv) + 1,
+    2, cells), the scaled vector after every step is stored there, the
+    start vector in row 0.  The library's compiled recursion must give
+    these bits.
+    """
+    v = np.array(start, dtype=float)
+    exps = np.zeros(v.shape[1], dtype=np.int64)
+    if prefixes is not None:
+        prefixes[0] = v
+    for k, t in enumerate(inv, 1):
+        x0 = m00[t] * v[0]
+        x0 = x0 + m01[t] * v[1]
+        x1 = m10[t] * v[0]
+        x1 = x1 + m11[t] * v[1]
+        _, shift = np.frexp(x0 + x1)
+        exps += shift
+        v = np.stack([np.ldexp(x0, -shift), np.ldexp(x1, -shift)])
+        if prefixes is not None:
+            prefixes[k] = v
+    with np.errstate(divide="ignore"):
+        return exps * math.log(2.0) + np.log(v[0] + v[1])

@@ -1,0 +1,161 @@
+"""The compiled forward recursion: block edges and the on-demand build.
+
+The kernel takes cells in blocks of ``BLOCK`` (read from its source), so
+the block-edge tests place the corner cases at the first and last cell of
+a block and compare output and prefixes bitwise with the numpy oracle.
+The build tests each run a fresh interpreter with its own cache directory.
+"""
+
+import os
+import re
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import blinkinfer.posterior as posterior
+from oracles import per_step_forward
+
+ROOT = Path(__file__).resolve().parents[1]
+SOURCE = ROOT / "src" / "blinkinfer" / "_forward.c"
+BLOCK = int(re.search(r"#define BLOCK (\d+)", SOURCE.read_text()).group(1))
+
+
+def _block_case(cells, n, seed):
+    """Tables, rows and starts with the corner cases on block edges.
+
+    Row 0, read by the first step, sends the last cell of the first block
+    to a subnormal sum and kills every cell of the second block.  Every
+    third cell starts pinned off and every fifth pinned on.
+    """
+    rng = np.random.default_rng(seed)
+    mats = [rng.random((3, cells)) * 0.5 for _ in range(4)]
+    for m in mats:
+        m[0, min(cells, BLOCK) - 1] = 2.0**-1060
+        m[0, BLOCK : 2 * BLOCK] = 0.0
+    inv = rng.integers(0, 3, n)
+    inv[0] = 0
+    start = rng.random((2, cells))
+    start /= start.sum(axis=0)
+    start[:, ::3] = [[1.0], [0.0]]
+    start[:, ::5] = [[0.0], [1.0]]
+    return mats, inv, start
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestBlockEdges:
+    @pytest.mark.parametrize("n", [1, 6])
+    @pytest.mark.parametrize("cells", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1])
+    def test_matches_oracle(self, cells, n):
+        mats, inv, start = _block_case(cells, n, seed=cells + n)
+        want_prefixes = np.empty((n + 1, 2, cells))
+        want = per_step_forward(*mats, inv, start, want_prefixes)
+        np.testing.assert_array_equal(posterior._forward_cells(*mats, inv, start), want)
+        # prefixes in a slice of a wider buffer, as the smoother passes them
+        wide = np.full((n + 1, 2, cells + 3), np.nan)
+        got = posterior._forward_cells(*mats, inv, start, wide[:, :, :cells])
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(wide[:, :, :cells], want_prefixes)
+        assert np.isnan(wide[:, :, cells:]).all()
+        assert np.isfinite(want[min(cells, BLOCK) - 1])
+        assert np.all(want[BLOCK : 2 * BLOCK] == -np.inf)
+
+    def test_rejects_mismatched_buffers(self):
+        mats, inv, start = _block_case(4, 3, seed=0)
+        with pytest.raises(ValueError, match="prefix buffer"):
+            posterior._forward_cells(*mats, inv, start, np.empty((3, 2, 4)))
+        with pytest.raises(ValueError, match="outside the step tables"):
+            posterior._forward_cells(*mats, inv + 3, start)
+
+
+def _fresh(code, cache, **variables):
+    """Run ``code`` in a fresh interpreter with its own cache directory."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), XDG_CACHE_HOME=str(cache))
+    env.update(variables)
+    return subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(code)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=300,
+    )
+
+
+FIRST_CALL = """
+    import numpy as np
+    from blinkinfer.posterior import _forward_cells
+    mats = [np.full((1, 2), 0.25) for _ in range(4)]
+    out = _forward_cells(*mats, np.zeros(3, dtype=np.int64), np.full((2, 2), 0.5))
+    print(out.tolist())
+"""
+
+
+def _libraries(cache):
+    return sorted((cache / "blinkinfer").glob("*.so"))
+
+
+class TestBuild:
+    def test_import_builds_nothing(self, tmp_path):
+        run = _fresh("import blinkinfer.cli", tmp_path)
+        assert run.returncode == 0, run.stderr
+        assert not (tmp_path / "blinkinfer").exists()
+
+    def test_first_call_builds_one_library_reused_without_gcc(self, tmp_path):
+        run = _fresh(FIRST_CALL, tmp_path)
+        assert run.returncode == 0, run.stderr
+        built = _libraries(tmp_path)
+        assert len(built) == 1
+        assert list((tmp_path / "blinkinfer").iterdir()) == built
+        stamp = built[0].stat().st_mtime_ns
+        again = _fresh(FIRST_CALL, tmp_path, PATH=str(tmp_path / "empty"))
+        assert again.returncode == 0, again.stderr
+        assert again.stdout == run.stdout
+        assert _libraries(tmp_path) == built
+        assert built[0].stat().st_mtime_ns == stamp
+
+    def test_no_gcc_and_empty_cache_raises(self, tmp_path):
+        code = f"try:\n{textwrap.indent(textwrap.dedent(FIRST_CALL), '    ')}"
+        code += "except ImportError as err:\n    print('ImportError:', err)\n"
+        run = _fresh(code, tmp_path, PATH=str(tmp_path / "empty"))
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.startswith("ImportError:")
+        assert "gcc" in run.stdout
+
+    def test_unusable_cache_falls_back_to_temp_dir(self, tmp_path):
+        blocker = tmp_path / "not-a-directory"
+        blocker.write_text("")
+        temp = tmp_path / "temp"
+        temp.mkdir()
+        run = _fresh(FIRST_CALL, blocker, TMPDIR=str(temp))
+        assert run.returncode == 0, run.stderr
+        assert len(list(temp.glob(f"blinkinfer-{os.getuid()}/*.so"))) == 1
+
+    def test_cold_cache_workers_match_one_worker(self, tmp_path):
+        run = _fresh(
+            """
+            import numpy as np
+            import blinkinfer.posterior as posterior
+            from blinkinfer.kernels import CountTrace
+            from blinkinfer.posterior import GridAxis, GridSpec, evaluate_grid
+            posterior._BLOCK_CELL_TARGET = 4  # several blocks, so the pool runs
+            trace = CountTrace(np.random.default_rng(3).poisson(6.0, 300))
+            grid = GridSpec(
+                axes=(
+                    GridAxis("alpha", 0.1, 0.8, 4),
+                    GridAxis("beta", 0.1, 0.8, 4),
+                    GridAxis("lambda", 2.0, 9.0, 3),
+                ),
+                fixed={"mu": 1.0},
+            )
+            two = evaluate_grid(trace, "single", grid, workers=2)
+            one = evaluate_grid(trace, "single", grid, workers=1)
+            print(two.log_post.tobytes() == one.log_post.tobytes())
+            """,
+            tmp_path,
+        )
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.strip() == "True"
+        assert len(_libraries(tmp_path)) == 1

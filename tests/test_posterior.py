@@ -28,7 +28,12 @@ from blinkinfer.multistep import trace_loglik_multistep
 from blinkinfer.simulate import sim_ctmc, sim_dtmc_single
 from blinkinfer.single_step import trace_loglik_single
 from blinkinfer.state_inference import state_posterior_known
-from oracles import log_forward_backward, path_sum_loglik, substep_path_matrix
+from oracles import (
+    log_forward_backward,
+    path_sum_loglik,
+    per_step_forward,
+    substep_path_matrix,
+)
 
 EM = EmissionRates(mu=2.0, lam=20.0)
 
@@ -320,27 +325,14 @@ class TestSubnormalStepSum:
                 assert abs(pg.log_post[i, j] - want) < 0.05
 
 
-# a finite cell whose 8-step window sum underflows to exactly zero: each
-# count of 60 at rate 1 or 1.5 has probability about 2^-240
+# a finite cell whose sum over 8 steps falls by about 2^-1920: each count
+# of 60 at rate 1 or 1.5 has probability about 2^-240
 ZERO_WINDOW_COUNTS = [1, 0, 2] + [60] * 16 + [0, 1, 3]
 
 
-def _count_reruns(monkeypatch):
-    """Record the cells of every window rerun, one array per call."""
-    calls = []
-    rerun = posterior._rerun_window
-
-    def counting(mats, rows, cells, start, window_rows):
-        calls.append(cells.copy())
-        return rerun(mats, rows, cells, start, window_rows)
-
-    monkeypatch.setattr(posterior, "_rerun_window", counting)
-    return calls
-
-
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-class TestDeferredRescaling:
-    def test_zero_window_sum_is_rerun(self):
+class TestPerStepRescaling:
+    def test_zero_window_sum(self):
         grid = GridSpec(
             axes=(GridAxis("alpha", 0.3, 0.7, 3), GridAxis("beta", 0.3, 0.7, 3)),
             fixed={"lambda": 0.5, "mu": 1.0},
@@ -356,10 +348,9 @@ class TestDeferredRescaling:
                 assert pg.log_post[i, j] == pytest.approx(ll, rel=1e-9)
         assert pg.log_post[0, 0] == pytest.approx(-2667.3697, abs=1e-4)
 
-    def test_dead_cell_reruns_once(self, monkeypatch):
+    def test_dead_cell(self):
         # at lambda = mu = 0 the count 3 has probability 0, so that cell
-        # dies in the window holding it and its start is zero afterwards
-        calls = _count_reruns(monkeypatch)
+        # dies at the step holding it and stays at zero afterwards
         counts = CountTrace([0] * 20 + [3] + [0] * 30 + [3] + [0] * 9)
         grid = GridSpec(
             axes=(GridAxis("alpha", 0.2, 0.6, 2), GridAxis("lambda", 0.0, 2.0, 2)),
@@ -370,13 +361,10 @@ class TestDeferredRescaling:
         for i, a in enumerate(grid.axis("alpha").values):
             ll = trace_loglik_single(counts, SwitchProbs(a, 0.3, 1), EmissionRates(0.0, 2.0))
             assert pg.log_post[i, 1] == pytest.approx(ll, rel=1e-12)
-        rerun = np.concatenate(calls)
-        assert sorted(rerun) == [0, 2]  # the two lambda = 0 cells, once each
 
-    def test_emptied_start_state_reruns_once(self, monkeypatch):
+    def test_emptied_start_state(self):
         # at alpha = 0, beta = 1 the chain never mixes; its row started on
         # leaves the on state at once and nothing feeds it again
-        calls = _count_reruns(monkeypatch)
         counts = CountTrace([3, 1, 0, 2] * 10)
         grid = GridSpec(
             axes=(GridAxis("alpha", 0.0, 0.5, 2),),
@@ -386,13 +374,11 @@ class TestDeferredRescaling:
         for i, a in enumerate(grid.axis("alpha").values):
             ll = trace_loglik_single(counts, SwitchProbs(a, 1.0, 1), EmissionRates(1.0, 4.0))
             assert pg.log_post[i] == pytest.approx(ll, rel=1e-12)
-        assert [c.tolist() for c in calls] == [[0]]
 
-    def test_component_dip_is_rerun(self):
-        # the on state gets 2^-500 of the off state, and the window then
-        # loses 2^-552 without a rescaling, so the on state is subnormal
-        # inside it although the window sum stays above 2^-600; the next
-        # window keeps only the on state
+    def test_component_dip(self):
+        # the on state gets 2^-500 of the off state, and then loses 2^-552
+        # over six steps, so the on state turns subnormal although every
+        # sum stays above 2^-600; the last step keeps only the on state
         eye = np.eye(2)
         tables = np.array(
             [[[1.0, 1.0], [2.0**-500, 0.0]], 2.0**-92 * eye, eye, [[0.0, 0.5], [0.0, 0.5]]]
@@ -403,18 +389,17 @@ class TestDeferredRescaling:
         )
         inv = np.array([0, 1, 1, 1, 1, 1, 1, 2, 3])
         start = np.array([[1 / 3], [2 / 3]])
-        got, _ = _run(mats, inv, start, 8, 16384, False)
-        want, _ = _run(mats, inv, start, 1, 16384, False)
+        got, got_prefixes = _run(mats, inv, start)
+        want, want_prefixes = _oracle(mats, inv, start)
         np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(got_prefixes, want_prefixes)
         assert got[0] == pytest.approx(-1052 * math.log(2) - math.log(3), rel=1e-14)
 
-    def test_smoother_with_reruns_matches_log_space(self, monkeypatch):
-        calls = _count_reruns(monkeypatch)
+    def test_smoother_matches_log_space(self):
         em = EmissionRates(mu=1.0, lam=0.5)
         sp = state_posterior_known(
             CountTrace(ZERO_WINDOW_COUNTS), SwitchProbs(0.4, 0.3, 1), em
         )
-        assert calls
         _, want = log_forward_backward(ZERO_WINDOW_COUNTS, 0.4, 0.3, 1.0, 0.5, (3 / 7, 4 / 7))
         np.testing.assert_allclose(sp.p_on, want, rtol=0, atol=1e-9)
 
@@ -441,13 +426,16 @@ def _pair_tables(model, counts, a, b, lam, mu, d):
     return mats, ctx.inv, start
 
 
-def _run(mats, inv, start, window, chunk, with_prefixes):
-    prefixes = np.empty((len(inv) + 1,) + start.shape) if with_prefixes else None
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(posterior, "_WINDOW_STEPS", window)
-        mp.setattr(posterior, "_CHUNK_CELLS", chunk)
-        out = posterior._forward_cells(*mats, inv, start, prefixes)
-    return out, prefixes
+def _run(mats, inv, start):
+    """The library's log-likelihoods and prefixes."""
+    prefixes = np.empty((len(inv) + 1,) + start.shape)
+    return posterior._forward_cells(*mats, inv, start, prefixes), prefixes
+
+
+def _oracle(mats, inv, start):
+    """The per-step numpy oracle's log-likelihoods and prefixes."""
+    prefixes = np.empty((len(inv) + 1,) + start.shape)
+    return per_step_forward(*mats, inv, start, prefixes), prefixes
 
 
 _PROB = st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0))
@@ -464,23 +452,16 @@ _EMISSION = st.one_of(st.just(0.0), st.just(1e-3), st.floats(0.0, 80.0))
     mu=_EMISSION,
     d=st.sampled_from([1, 2, 4]),
 )
-def test_deferred_rescaling_matches_per_step(model, counts, pairs, lam, mu, d):
+def test_forward_matches_per_step_oracle(model, counts, pairs, lam, mu, d):
     a, b = zip(*pairs)
     if model != "single":  # switching rates rather than probabilities
         a, b = np.multiply(a, 4.0), np.multiply(b, 4.0)
     mats, inv, start = _pair_tables(model, counts, a, b, lam, mu, d)
-    want, per_step = _run(mats, inv, start, 1, 16384, True)
-    for window, chunk in ((8, 16384), (8, 7), (1, 7)):
-        got, _ = _run(mats, inv, start, window, chunk, False)
-        np.testing.assert_array_equal(got, want)
-        got, deferred = _run(mats, inv, start, window, chunk, True)
-        np.testing.assert_array_equal(got, want)
-        # stored vectors are the per-step ones times one power of two per
-        # cell and position
-        _, shift = np.frexp(deferred.sum(axis=1))
-        _, base = np.frexp(per_step.sum(axis=1))
-        scaled = np.ldexp(per_step, (shift - base)[:, None, :])
-        np.testing.assert_array_equal(deferred, scaled)
+    want, want_prefixes = _oracle(mats, inv, start)
+    np.testing.assert_array_equal(posterior._forward_cells(*mats, inv, start), want)
+    got, got_prefixes = _run(mats, inv, start)
+    np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(got_prefixes, want_prefixes)
 
 
 class TestMarginalize:

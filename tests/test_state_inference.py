@@ -466,7 +466,7 @@ def _smooth_at(counts, grid, chunk, steps=None):
         return marks(mats, inv, start, bounds, prefixes)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(posterior, "_CHUNK_CELLS", chunk)
+        mp.setattr(state_inference, "_ROW_CHUNK", chunk)
         mp.setattr(state_inference, "_forward_marks", recording)
         if steps is not None:
             rows = min(chunk, int(np.prod([ax.n for ax in grid.axes])))
@@ -492,9 +492,9 @@ def _row_tables(counts, grid):
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestCheckpointedSmoother:
     """The smoother keeps state vectors only at segment boundaries and
-    recomputes each segment's prefixes in the backward pass.  Segments are
-    whole windows of the forward recursion, so the recomputed prefixes, and
-    with them p_on, are bitwise those of a single segment."""
+    recomputes each segment's prefixes in the backward pass.  The forward
+    recursion rescales at every step, so the recomputed prefixes, and with
+    them p_on, are bitwise those of a single segment."""
 
     @settings(max_examples=60, deadline=None)
     @given(counts=_COUNTS, grid=_grids())
@@ -502,13 +502,12 @@ class TestCheckpointedSmoother:
         n = len(counts)
         whole, bounds = _smooth_at(counts, grid, 7)
         assert bounds == [0, n]
-        # segments of one and two windows, and a last segment that is the
-        # trace's last, possibly partial, window; the third budget is not a
-        # whole number of windows and rounds down
+        # segments of 8 and 16 steps, and of a length that is no multiple
+        # of 8 and can leave a short last segment
         last = 8 * ((n - 1) // 8)
-        for steps, seg in ((8, 8), (16, 16), (last + 4, max(8, last))):
+        for steps in (8, 16, last + 4):
             got, bounds = _smooth_at(counts, grid, 7, steps)
-            assert bounds == [*range(0, n, seg), n]
+            assert bounds == [*range(0, n, steps), n]
             if whole is None:
                 assert got is None
             else:
@@ -522,7 +521,7 @@ class TestCheckpointedSmoother:
             np.testing.assert_allclose(whole, want, rtol=0, atol=1e-9)
 
     @settings(max_examples=40, deadline=None)
-    @given(counts=_COUNTS, grid=_grids(), seg=st.sampled_from([8, 16, 24]))
+    @given(counts=_COUNTS, grid=_grids(), seg=st.sampled_from([5, 8, 13, 24]))
     def test_checkpoints_are_forward_prefixes(self, counts, grid, seg):
         mats, inv, start = _row_tables(counts, grid)
         bounds = [*range(0, len(counts), seg), len(counts)]
