@@ -368,13 +368,6 @@ def _forward_cells(m00, m01, m10, m11, inv, start, prefixes=None):
     after every step is stored there, the start vector in row 0; its last
     axis must be contiguous, and it may be a slice of a wider buffer.
     """
-    v, exps = _forward_run(m00, m01, m10, m11, inv, start, prefixes)
-    with np.errstate(divide="ignore"):
-        return exps * _LN2 + np.log(v[0] + v[1])
-
-
-def _forward_run(m00, m01, m10, m11, inv, start, prefixes=None):
-    """End vectors, scaled to a sum in [0.5, 1) or zero, and exponents."""
     cells = start.shape[1]
     shapes = {m.shape for m in (m00, m01, m10, m11)}
     if start.shape != (2, cells) or shapes != {(len(m00), cells)}:
@@ -392,14 +385,18 @@ def _forward_run(m00, m01, m10, m11, inv, start, prefixes=None):
         pointer, stride = prefixes.ctypes.data, stride // 8
     end = np.empty((2, cells))
     exps = np.zeros(cells, dtype=np.int64)
-    kernel = _forward_kernel()
+    kernel = _forward_kernel().forward
     kernel(len(inv), cells, m00, m01, m10, m11, inv, start, end, exps, pointer, stride)
-    return end, exps
+    with np.errstate(divide="ignore"):
+        return exps * _LN2 + np.log(end[0] + end[1])
 
 
 @functools.cache
 def _forward_kernel():
-    """The kernel of ``_forward.c``, compiled with gcc on first use.
+    """The library of ``_forward.c``, compiled with gcc on first use.
+
+    Its ``forward`` kernel runs the grid engine's recursion, and its
+    ``smooth`` kernel the state smoother's forward-backward pass.
 
     The library is cached in ``$XDG_CACHE_HOME/blinkinfer`` (by default
     ``~/.cache/blinkinfer``), or in a per-user temp directory where that is
@@ -421,12 +418,15 @@ def _forward_kernel():
         if not built:
             raise ImportError("the forward kernel needs gcc, which is not on PATH")
         path = built[0]
-    kernel = ctypes.CDLL(str(path)).forward
-    f8, i8 = (np.ctypeslib.ndpointer(t, flags="C") for t in (np.float64, np.int64))
+    lib = ctypes.CDLL(str(path))
+    f8, i8, b1 = (
+        np.ctypeslib.ndpointer(t, flags="C") for t in (np.float64, np.int64, np.bool_)
+    )
     c8, pointer = ctypes.c_int64, ctypes.c_void_p
-    kernel.argtypes = [c8, c8, f8, f8, f8, f8, i8, f8, f8, i8, pointer, c8]
-    kernel.restype = None
-    return kernel
+    lib.forward.argtypes = [c8, c8, f8, f8, f8, f8, i8, f8, f8, i8, pointer, c8]
+    lib.smooth.argtypes = [c8, c8, c8, f8, f8, f8, f8, i8, f8, f8, b1, f8, f8]
+    lib.forward.restype = lib.smooth.restype = None
+    return lib
 
 
 def _compile(gcc, source, path):

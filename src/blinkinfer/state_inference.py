@@ -3,17 +3,13 @@
 Zeroing one row of an interval matrix restricts the matrix-product
 likelihood to paths passing through that state, so the ratio of a masked
 product to the full product is the state's posterior probability given the
-whole trace.  Computed for every position by a checkpointed forward-backward
-pass over the grid engine's forward recursion.  The forward pass keeps the
-state vectors only at the boundaries of trace segments (the checkpoints)
-and gives each row's likelihood.  The backward pass walks the segments from
-last to first: it recomputes one segment's prefix vectors from its
-checkpoint into a buffer of fixed size (~64 MB), then rolls the suffix
-vectors back over them.  Prefix and suffix vectors are both rescaled by a
-power of two at every step, so the recomputed prefixes are bitwise those
-of one unbroken pass.  The scale factors of the two passes are common to
-both states at a position, so they cancel in the ratio and never need
-exponentiating.
+whole trace.  Computed for every position by a forward-backward pass on
+the grid engine's compiled kernel.  A first forward pass gives every row's
+likelihood.  Rows then go in small blocks through a forward pass that
+keeps each prefix vector and a backward pass on the transposed step
+tables.  Prefix and suffix vectors are both rescaled by a power of two at
+every step.  The scale factors of the two passes are common to both states
+at a position, so they cancel in the ratio and never need exponentiating.
 
 Exposed for the single-step model; with parameters unknown the masked
 products are averaged over a parameter grid weighted by each cell's
@@ -41,12 +37,12 @@ __all__ = [
     "state_posterior_marginal",
 ]
 
-# Prefix vectors one chunk of rows may store in the backward pass, (steps
-# + 1) x rows: 64 MB of (off, on) pairs.
+# Prefix vectors one block of rows may store, (steps + 1) x rows: 64 MB of
+# (off, on) pairs, so that a long trace takes blocks of fewer rows
 _PREFIX_BUDGET = 4_000_000
-# Rows per chunk, which bounds the checkpoints a chunk keeps
-_ROW_CHUNK = 16384
-_LEAST_POSITIVE = np.nextafter(0.0, 1.0)
+# Rows per block at most, and at most the kernel's BLOCK: at N = 1e4, 32
+# rows' prefixes take 5 MB; wider blocks leave the L2 cache and run slower
+_MAX_WIDTH = 32
 
 
 @dataclass(frozen=True)
@@ -129,19 +125,11 @@ def state_posterior_marginal(
 def _smooth(trace, grid, prior):
     """On-probability at every boundary, averaged over the grid's start rows.
 
-    Rows go in chunks of ``_ROW_CHUNK``, and the trace in segments of as
-    many steps as keep a segment's prefixes within ``_PREFIX_BUDGET``
-    vectors (~64 MB) for the chunk's width.  A first forward pass keeps
-    each row's vector only at the segment boundaries and gives its log
-    weight; a backward pass recomputes one segment's prefixes at a time
-    from its checkpoint and rolls the suffix vectors over them for the
-    row's numerators.  A running peak of the log weights combines the
-    chunks.  A start-pinned row follows one hidden path, so its prefixes
-    alone give its state; its suffix vectors stay at ones, since rolled
-    back they could underflow on that path.
+    A start-pinned row follows one hidden path, so its prefixes alone give
+    its state; its suffix vectors stay at ones, since rolled back they could
+    underflow on that path.
     """
     ctx = _EngineContext(trace, "single", grid, prior, None, None)
-    n = len(trace)
     a, b = ctx.pair_params(0, ctx.n_pairs())
     mats = ctx.tables(a, b)
     start, log_w, pinned, log_w_on = ctx.start_rows(a, b, mats)
@@ -149,101 +137,38 @@ def _smooth(trace, grid, prior):
     is_pinned[pinned] = True
     row_sets = [(mats, start, log_w, is_pinned)]
     if pinned.size:
-        pinned_mats = tuple(m[:, pinned] for m in mats)
+        pinned_mats = tuple(np.ascontiguousarray(m[:, pinned]) for m in mats)
         start_on = np.tile([[0.0], [1.0]], pinned.size)
         all_pinned = np.ones(pinned.size, dtype=bool)
         row_sets.append((pinned_mats, start_on, log_w_on, all_pinned))
-
-    chunk = _ROW_CHUNK
-    cells = min(chunk, log_w.size)
-    seg = max(1, _PREFIX_BUDGET // cells - 1)
-    bounds = [*range(0, n, seg), n]
-    fwd = np.empty((bounds[1] + 1, 2, cells))
-    peak, sum_w, sum_w_pon = -np.inf, 0.0, np.zeros(n)
-    for tables, starts, weights, split in row_sets:
-        for lo in range(0, weights.size, chunk):
-            sl = slice(lo, lo + chunk)
-            sub = tuple(np.ascontiguousarray(m[:, sl]) for m in tables)
-            first = np.ascontiguousarray(starts[:, sl])
-            prefixes = fwd[:, :, : weights[sl].size]
-            loglik, marks = _forward_marks(sub, ctx.inv, first, bounds, prefixes)
-            loglik += weights[sl]
-            top = loglik.max()
-            if top == -np.inf:
-                continue
-            if top > peak:
-                rescale = np.exp(peak - top)
-                sum_w *= rescale
-                sum_w_pon *= rescale
-                peak = top
-            w_row = np.exp(loglik - peak)
-            _accumulate_backward(
-                sub, ctx.inv, bounds, marks, prefixes, w_row, split[sl], sum_w_pon
-            )
-            # the numerators' own dot, so that rounding keeps p_on <= 1
-            sum_w += float(np.dot(w_row, np.ones(w_row.size)))
-    if sum_w == 0.0:
-        raise ValueError("trace has zero probability everywhere on the grid")
-    return sum_w_pon / sum_w
+    return _smooth_rows(ctx.inv, row_sets)
 
 
-def _forward_marks(mats, inv, start, bounds, prefixes):
-    """Log-likelihood of every row and its checkpoints, in one forward pass.
+def _smooth_rows(inv, row_sets):
+    """Weighted mean over rows of P(on at boundary k), k = 1..len(inv).
 
-    Runs the recursion one segment ``bounds[j]..bounds[j+1]`` at a time
-    from the scaled end vector of the segment before, and returns that
-    start vector of every segment but the last as ``marks[j]``.  The last
-    segment's prefixes go into ``prefixes``.  The segments' exponents add
-    up exactly, so the log-likelihood is bitwise that of ``_forward_cells``.
+    Each of ``row_sets`` is (tables, start, log_w, pinned): four (D, rows)
+    step tables, (2, rows) start vectors, log weights, and a bool mask of
+    the rows whose suffix vectors stay at ones.  A row weighs its
+    likelihood, from one ``_forward_cells`` pass per set, times exp(log_w).
+    The kernel's ``smooth`` takes the rows in blocks of as many as keep a
+    block's prefixes within ``_PREFIX_BUDGET`` vectors, at most
+    ``_MAX_WIDTH``.  Numerators and the weight total both add up row by row
+    in the sets' order, so p_on is bitwise the same at every block width,
+    and monotone rounding keeps it <= 1.
     """
     n = len(inv)
-    marks = np.empty((len(bounds) - 2, 2, start.shape[1]))
-    exps = np.zeros(start.shape[1], dtype=np.int64)
-    v = start
-    for j, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
-        part = prefixes[: hi - lo + 1] if hi == n else None
-        if part is None:
-            marks[j] = v
-        v, seg_exps = _posterior._forward_run(*mats, inv[lo:hi], v, part)
-        exps += seg_exps
-    with np.errstate(divide="ignore"):
-        return exps * _posterior._LN2 + np.log(v[0] + v[1]), marks
-
-
-def _accumulate_backward(mats, inv, bounds, marks, prefixes, w_row, pinned, sum_w_pon):
-    """Add each row's weighted P(on at boundary k) into ``sum_w_pon[k-1]``.
-
-    Walks the segments from last to first.  ``prefixes`` holds the last
-    segment's prefix vectors from the forward pass; every earlier segment's
-    are recomputed there from its checkpoint in ``marks``, bitwise as the
-    forward pass had them.  The suffix vectors roll back from the end
-    across the segments, rescaled by powers of two as in the forward pass;
-    ``pinned`` rows keep theirs at ones.
-    """
-    m00, m01, m10, m11 = mats
-    fixed = np.flatnonzero(pinned)
-    g0, g1 = np.ones((2, w_row.size))
-    num0, num1, tmp = np.empty((3, w_row.size))
-    ex = np.empty(w_row.size, dtype=np.intc)
-    for j in range(len(bounds) - 2, -1, -1):
-        lo, hi = bounds[j], bounds[j + 1]
-        rows = prefixes[: hi - lo + 1]
-        if j < len(marks):
-            _posterior._forward_run(*mats, inv[lo:hi], marks[j], rows)
-        for k in range(hi - lo, 0, -1):
-            np.multiply(g0, rows[k, 0], out=num0)
-            np.multiply(g1, rows[k, 1], out=num1)
-            num0 += num1
-            # num1 <= num0, so this floor turns 0/0 into 0 and changes nothing else
-            np.maximum(num0, _LEAST_POSITIVE, out=num0)
-            sum_w_pon[lo + k - 1] += np.dot(w_row, np.divide(num1, num0, out=num1))
-            t = inv[lo + k - 1]
-            np.multiply(g0, m00[t], out=num0)
-            num0 += np.multiply(g1, m10[t], out=tmp)
-            np.multiply(g0, m01[t], out=num1)
-            num1 += np.multiply(g1, m11[t], out=tmp)
-            np.frexp(np.add(num0, num1, out=tmp), out=(tmp, ex))
-            np.negative(ex, out=ex)
-            np.ldexp(num0, ex, out=g0)
-            np.ldexp(num1, ex, out=g1)
-            g0[fixed] = g1[fixed] = 1.0
+    logliks = [w + _posterior._forward_cells(*m, inv, s) for m, s, w, _ in row_sets]
+    peak = max(ll.max() for ll in logliks)
+    if peak == -np.inf:
+        raise ValueError("trace has zero probability everywhere on the grid")
+    weights = [np.exp(ll - peak) for ll in logliks]
+    width = min(max(_PREFIX_BUDGET // (n + 1), 1), _MAX_WIDTH)
+    prefixes = np.empty((n + 1, 2, width))
+    num = np.zeros(n)
+    smooth = _posterior._forward_kernel().smooth
+    for (mats, start, _, pinned), w in zip(row_sets, weights):
+        if pinned.shape != w.shape:
+            raise ValueError("pinned mask and start vectors disagree in shape")
+        smooth(n, w.size, width, *mats, inv, start, w, pinned, prefixes, num)
+    return num / np.cumsum(np.concatenate(weights))[-1]

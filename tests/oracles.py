@@ -149,3 +149,29 @@ def per_step_forward(m00, m01, m10, m11, inv, start, prefixes=None):
             prefixes[k] = v
     with np.errstate(divide="ignore"):
         return exps * math.log(2.0) + np.log(v[0] + v[1])
+
+
+def per_step_smooth(m00, m01, m10, m11, inv, start, log_w, pinned):
+    """Weighted mean over rows of P(on at boundary k), k = 1..len(inv).
+
+    Forward prefixes f come from :func:`per_step_forward`, and backward
+    vectors g from the same recursion on the transposed tables (m00, m10,
+    m01, m11) over the reversed ``inv``, started at ones; ``pinned`` rows
+    keep g at ones.  A row's probability is g1 f1 / (g0 f0 + g1 f1), the
+    sum floored at the least positive double, and its weight is
+    exp(log-likelihood + log_w - peak).  Rows add up one at a time with
+    ``np.cumsum``, in row order.  The library's smoother must give these
+    bits.
+    """
+    n, rows = len(inv), start.shape[1]
+    fwd = np.empty((n + 1, 2, rows))
+    loglik = log_w + per_step_forward(m00, m01, m10, m11, inv, start, fwd)
+    bwd = np.empty((n + 1, 2, rows))
+    per_step_forward(m00, m10, m01, m11, inv[::-1], np.ones((2, rows)), bwd)
+    bwd[:, :, pinned] = 1.0
+    g = bwd[::-1]  # g[k] is the backward vector at boundary k
+    x0 = g[1:, 0] * fwd[1:, 0]
+    x1 = g[1:, 1] * fwd[1:, 1]
+    x0 = np.maximum(x0 + x1, np.nextafter(0.0, 1.0))
+    w = np.exp(loglik - loglik.max())
+    return np.cumsum(w * (x1 / x0), axis=1)[:, -1] / np.cumsum(w)[-1]

@@ -1,9 +1,11 @@
-"""The compiled forward recursion: block edges and the on-demand build.
+"""The compiled kernels: block edges and the on-demand build.
 
-The kernel takes cells in blocks of ``BLOCK`` (read from its source), so
-the block-edge tests place the corner cases at the first and last cell of
-a block and compare output and prefixes bitwise with the numpy oracle.
-The build tests each run a fresh interpreter with its own cache directory.
+The forward kernel takes cells in blocks of ``BLOCK`` (read from its
+source), and the smoother kernel takes rows in blocks of at most
+``_MAX_WIDTH``.  The block-edge tests place the corner cases at the first
+and last cell of a block and compare the results bitwise with the numpy
+oracles.  The build tests each run a fresh interpreter with its own cache
+directory.
 """
 
 import os
@@ -17,11 +19,13 @@ import numpy as np
 import pytest
 
 import blinkinfer.posterior as posterior
-from oracles import per_step_forward
+import blinkinfer.state_inference as state_inference
+from oracles import per_step_forward, per_step_smooth
 
 ROOT = Path(__file__).resolve().parents[1]
 SOURCE = ROOT / "src" / "blinkinfer" / "_forward.c"
 BLOCK = int(re.search(r"#define BLOCK (\d+)", SOURCE.read_text()).group(1))
+WIDTH = state_inference._MAX_WIDTH
 
 
 def _block_case(cells, n, seed):
@@ -54,7 +58,7 @@ class TestBlockEdges:
         want_prefixes = np.empty((n + 1, 2, cells))
         want = per_step_forward(*mats, inv, start, want_prefixes)
         np.testing.assert_array_equal(posterior._forward_cells(*mats, inv, start), want)
-        # prefixes in a slice of a wider buffer, as the smoother passes them
+        # prefixes in a slice of a wider buffer
         wide = np.full((n + 1, 2, cells + 3), np.nan)
         got = posterior._forward_cells(*mats, inv, start, wide[:, :, :cells])
         np.testing.assert_array_equal(got, want)
@@ -71,17 +75,83 @@ class TestBlockEdges:
             posterior._forward_cells(*mats, inv + 3, start)
 
 
-def _fresh(code, cache, **variables):
-    """Run ``code`` in a fresh interpreter with its own cache directory."""
+def _smooth_case(rows, n, seed):
+    """Corner cases on the smoother's block edges, in two row sets:
+    ``rows`` rows, then three rows pinned to start on.
+
+    Row 0 has every table entry 1, so its columns sum to 2.  Table row 0,
+    which the first two steps read, gives row W - 3 subnormal sums forward
+    and back, and kills row W, whose weight is then 0.  Rows W - 1 and
+    2W - 1, the last slots of the first two blocks, are pinned.
+    """
+    rng = np.random.default_rng(seed)
+    cells = rows + 3
+    mats = [rng.random((3, cells)) * 0.5 for _ in range(4)]
+    start = rng.random((2, cells))
+    start /= start.sum(axis=0)
+    log_w = rng.normal(0.0, 2.0, cells)
+    pinned = np.zeros(cells, dtype=bool)
+    for m in mats:
+        m[:, 0] = 1.0
+        if WIDTH - 3 < rows:
+            m[0, WIDTH - 3] = 2.0**-1060
+        if WIDTH < rows:
+            m[0, WIDTH] = 0.0
+    for j in (WIDTH - 1, 2 * WIDTH - 1):
+        if j < rows:
+            pinned[j] = True
+            start[:, j] = [1.0, 0.0]
+    pinned[rows:] = True
+    start[:, rows:] = [[0.0], [1.0]]
+    inv = rng.integers(0, 3, n)
+    inv[:2] = 0
+    return mats, inv, start, log_w, pinned
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestSmootherBlockEdges:
+    @pytest.mark.parametrize("n", [1, 6])
+    @pytest.mark.parametrize("rows", [1, WIDTH - 1, WIDTH, WIDTH + 1, 2 * WIDTH + 1])
+    def test_matches_oracle(self, rows, n):
+        mats, inv, start, log_w, pinned = _smooth_case(rows, n, seed=rows + n)
+        row_sets = []
+        for part in (slice(None, rows), slice(rows, None)):
+            cut = [np.ascontiguousarray(x[..., part]) for x in (*mats, start, log_w, pinned)]
+            row_sets.append((tuple(cut[:4]), *cut[4:]))
+        got = state_inference._smooth_rows(inv, row_sets)
+        want = per_step_smooth(*mats, inv, start, log_w, pinned)
+        np.testing.assert_array_equal(got, want)
+        assert np.all((got >= 0.0) & (got <= 1.0))
+        loglik = per_step_forward(*mats, inv, start)
+        if WIDTH < rows:
+            assert np.isfinite(loglik[WIDTH - 3]) and loglik[WIDTH] == -np.inf
+
+
+def _start(code, cache, **variables):
+    """Start ``code`` in a fresh interpreter with its own cache directory."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), XDG_CACHE_HOME=str(cache))
     env.update(variables)
-    return subprocess.run(
+    return subprocess.Popen(
         [sys.executable, "-c", textwrap.dedent(code)],
-        capture_output=True,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
         text=True,
         env=env,
-        timeout=300,
     )
+
+
+def _finish(proc):
+    """Wait for a started interpreter; kill it if it runs past 300 s."""
+    try:
+        out, err = proc.communicate(timeout=300)
+    finally:
+        proc.kill()
+    return subprocess.CompletedProcess(proc.args, proc.returncode, out, err)
+
+
+def _fresh(code, cache, **variables):
+    """Run ``code`` in a fresh interpreter with its own cache directory."""
+    return _finish(_start(code, cache, **variables))
 
 
 FIRST_CALL = """
@@ -159,3 +229,24 @@ class TestBuild:
         assert run.returncode == 0, run.stderr
         assert run.stdout.strip() == "True"
         assert len(_libraries(tmp_path)) == 1
+
+    def test_concurrent_cold_builds_leave_one_library(self, tmp_path):
+        code = """
+            import numpy as np
+            from blinkinfer.kernels import CountTrace, EmissionRates, SwitchProbs
+            from blinkinfer.state_inference import state_posterior_known
+            trace = CountTrace(np.random.default_rng(5).poisson(4.0, 200))
+            probs, rates = SwitchProbs(0.1, 0.2, 1), EmissionRates(mu=2.0, lam=4.0)
+            print(state_posterior_known(trace, probs, rates).p_on.tobytes().hex())
+        """
+        started = [_start(code, tmp_path) for _ in range(2)]
+        try:
+            runs = [_finish(proc) for proc in started]
+        finally:
+            for proc in started:
+                proc.kill()
+        assert [run.returncode for run in runs] == [0, 0], [run.stderr for run in runs]
+        assert runs[0].stdout == runs[1].stdout
+        built = _libraries(tmp_path)
+        assert len(built) == 1
+        assert list((tmp_path / "blinkinfer").iterdir()) == built

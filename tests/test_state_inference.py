@@ -4,6 +4,7 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -426,7 +427,7 @@ def log_space_marginal(counts, grid, cells_per_pass=256):
     return sum_wp / sum_w
 
 
-# trace lengths spread evenly up to 200, so most traces span several segments
+# trace lengths spread evenly up to 200
 _COUNTS = st.integers(1, 200).flatmap(
     lambda n: st.lists(st.integers(0, 200), min_size=n, max_size=n)
 )
@@ -452,86 +453,84 @@ def _grids(draw):
     return GridSpec(axes=tuple(axes), fixed=fixed)
 
 
-def _smooth_at(counts, grid, chunk, steps=None):
-    """``_smooth`` at a cell chunk and, if given, a segment length.
+def _smooth_at(counts, grid, width):
+    """``_smooth`` with the prefix budget set to blocks of ``width`` rows.
 
     Returns p_on, None where the trace has zero probability everywhere,
-    and the segment bounds the smoother used.
+    and the block widths, weights and pinned masks the kernel was given.
     """
-    used = []
-    marks = state_inference._forward_marks
+    lib = posterior._forward_kernel()
+    widths, weights, pinned = [], [], []
 
-    def recording(mats, inv, start, bounds, prefixes):
-        used.append(bounds)
-        return marks(mats, inv, start, bounds, prefixes)
+    def smooth(n, rows, width, *args):
+        widths.append(width)
+        weights.append(args[6].copy())
+        pinned.append(args[7].copy())
+        lib.smooth(n, rows, width, *args)
 
+    kernel = SimpleNamespace(forward=lib.forward, smooth=smooth)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(state_inference, "_ROW_CHUNK", chunk)
-        mp.setattr(state_inference, "_forward_marks", recording)
-        if steps is not None:
-            rows = min(chunk, int(np.prod([ax.n for ax in grid.axes])))
-            mp.setattr(state_inference, "_PREFIX_BUDGET", (steps + 1) * rows)
+        mp.setattr(posterior, "_forward_kernel", lambda: kernel)
+        mp.setattr(state_inference, "_PREFIX_BUDGET", width * (len(counts) + 1))
         try:
             p_on = state_inference._smooth(CountTrace(counts), grid, None)
         except ValueError:
             p_on = None
-    return p_on, used[0]
+    return p_on, widths, weights, pinned
 
 
 def _row_tables(counts, grid):
-    """Step tables and start vectors of every row ``_smooth`` runs."""
+    """Step tables, start vectors, log weights and pinned masks of every
+    row ``_smooth`` runs, the start-on rows of pinned cells last."""
     ctx = _EngineContext(CountTrace(counts), "single", grid, None, None, None)
     a, b = ctx.pair_params(0, ctx.n_pairs())
     mats = ctx._entries_single(a, b)
-    start, _, pinned, _ = ctx.start_rows(a, b, mats)
+    start, log_w, pinned, log_w_on = ctx.start_rows(a, b, mats)
     mats = tuple(np.concatenate([m, m[:, pinned]], axis=1) for m in mats)
     start = np.concatenate([start, np.tile([[0.0], [1.0]], pinned.size)], axis=1)
-    return mats, ctx.inv, start
+    split = np.zeros(log_w.size + pinned.size, dtype=bool)
+    split[pinned] = split[log_w.size :] = True
+    return mats, ctx.inv, start, np.concatenate([log_w, log_w_on]), split
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-class TestCheckpointedSmoother:
-    """The smoother keeps state vectors only at segment boundaries and
-    recomputes each segment's prefixes in the backward pass.  The forward
-    recursion rescales at every step, so the recomputed prefixes, and with
-    them p_on, are bitwise those of a single segment."""
+class TestBlockedSmoother:
+    """The smoother takes rows in blocks through the kernel's forward and
+    backward passes.  Every row's numerators add up in row order, so p_on
+    is bitwise the same at every block width."""
 
     @settings(max_examples=60, deadline=None)
     @given(counts=_COUNTS, grid=_grids())
-    def test_segments_change_no_bit(self, counts, grid):
-        n = len(counts)
-        whole, bounds = _smooth_at(counts, grid, 7)
-        assert bounds == [0, n]
-        # segments of 8 and 16 steps, and of a length that is no multiple
-        # of 8 and can leave a short last segment
-        last = 8 * ((n - 1) // 8)
-        for steps in (8, 16, last + 4):
-            got, bounds = _smooth_at(counts, grid, 7, steps)
-            assert bounds == [*range(0, n, steps), n]
+    def test_block_width_changes_no_bit(self, counts, grid):
+        whole, widths, _, _ = _smooth_at(counts, grid, 32)
+        for width in (1, 7):
+            got, used, _, _ = _smooth_at(counts, grid, width)
             if whole is None:
                 assert got is None
             else:
+                assert set(used) == {width}
                 np.testing.assert_array_equal(got, whole)
         # Where counts lie far above both rates, the linear-space step
         # tables underflow and the smoother raises although the log-space
-        # likelihood is finite; that fault is not the segments' doing
+        # likelihood is finite; that fault is not the blocks' doing
         if whole is not None:
+            assert set(widths) == {32}
             assert np.all((whole >= 0.0) & (whole <= 1.0))
             want = weighted_oracle_p_on(counts, grid)
             np.testing.assert_allclose(whole, want, rtol=0, atol=1e-9)
 
     @settings(max_examples=40, deadline=None)
-    @given(counts=_COUNTS, grid=_grids(), seg=st.sampled_from([5, 8, 13, 24]))
-    def test_checkpoints_are_forward_prefixes(self, counts, grid, seg):
-        mats, inv, start = _row_tables(counts, grid)
-        bounds = [*range(0, len(counts), seg), len(counts)]
-        prefixes = np.empty((len(counts) + 1,) + start.shape)
-        want = posterior._forward_cells(*mats, inv, start, prefixes)
-        last = np.empty((bounds[-1] - bounds[-2] + 1,) + start.shape)
-        got, marks = state_inference._forward_marks(mats, inv, start, bounds, last)
-        np.testing.assert_array_equal(got, want)
-        np.testing.assert_array_equal(marks, prefixes[bounds[:-2]])
-        np.testing.assert_array_equal(last, prefixes[bounds[-2] :])
+    @given(counts=_COUNTS, grid=_grids())
+    def test_weights_are_forward_cells(self, counts, grid):
+        mats, inv, start, log_w, split = _row_tables(counts, grid)
+        loglik = log_w + posterior._forward_cells(*mats, inv, start)
+        p_on, _, weights, pinned = _smooth_at(counts, grid, 7)
+        if p_on is None:
+            assert loglik.max() == -np.inf
+        else:
+            want = np.exp(loglik - loglik.max())
+            np.testing.assert_array_equal(np.concatenate(weights), want)
+            np.testing.assert_array_equal(np.concatenate(pinned), split)
 
     def test_log_space_marginal_matches_oracle_per_cell(self):
         counts = [3, 0, 17, 9, 1, 0, 0, 12, 30, 4] * 3
@@ -547,7 +546,7 @@ class TestCheckpointedSmoother:
         )
 
     def test_long_trace_many_cells(self):
-        # 2000 cells at N = 1e4: one chunk of rows in six segments
+        # 2000 cells at N = 1e4: 63 blocks of rows
         probs = SwitchProbs(0.1, 0.15, 1)
         res = sim_dtmc_single(probs, EmissionRates(mu=4.0, lam=6.0), 10_000, seed=88)
         grid = GridSpec(
