@@ -62,12 +62,10 @@ static void rescale_tiny(int64_t w, double *q0, double *q1, int64_t *e)
 }
 
 /* Adds to exps (cells) the exponents of n steps from start (2, cells) and
- * writes the end vectors (2, cells).  With pre non-NULL, the vector after
- * step k goes to pre + (2 k + state) * stride, k = 1..n. */
+ * writes the end vectors (2, cells). */
 void forward(int64_t n, int64_t cells, const double *m00, const double *m01,
              const double *m10, const double *m11, const int64_t *inv,
-             const double *start, double *end, int64_t *exps, double *pre,
-             int64_t stride)
+             const double *start, double *end, int64_t *exps)
 {
     double buf[2][2][BLOCK];
     for (int64_t lo = 0; lo < cells; lo += BLOCK) {
@@ -75,8 +73,7 @@ void forward(int64_t n, int64_t cells, const double *m00, const double *m01,
         int64_t *e = exps + lo;
         const double *p0 = start + lo, *p1 = start + cells + lo;
         for (int64_t k = 0; k < n; k++) {
-            double *q0 = pre ? pre + 2 * (k + 1) * stride + lo : buf[k & 1][0];
-            double *q1 = pre ? q0 + stride : buf[k & 1][1];
+            double *q0 = buf[k & 1][0], *q1 = buf[k & 1][1];
             int64_t row = inv[k] * cells + lo;
             if (step(w, m00 + row, m01 + row, m10 + row, m11 + row, p0, p1, q0, q1, e))
                 rescale_tiny(w, q0, q1, e);

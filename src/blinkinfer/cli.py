@@ -105,10 +105,17 @@ def read_trace_csv(path: str) -> CountTrace:
         header = fh.readline().strip()
         if header != "t,count":
             raise ValueError(f"{path}: expected header 't,count', got {header!r}")
-        for line in fh:
+        for number, line in enumerate(fh, start=2):
             line = line.strip()
-            if line:
+            if not line:
+                continue
+            try:
                 counts.append(int(line.split(",")[1]))
+            except (IndexError, ValueError):
+                raise ValueError(
+                    f"{path}, line {number}: expected 't,count' with an "
+                    f"integer count, got {line!r}"
+                ) from None
     return CountTrace(np.asarray(counts, dtype=np.int64))
 
 

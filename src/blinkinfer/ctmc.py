@@ -32,7 +32,6 @@ from .kernels import (
     StatePrior,
     SwitchRates,
     poisson_pmf,
-    scaled_chain_loglik,
 )
 
 __all__ = [
@@ -205,18 +204,17 @@ def trace_loglik_ctmc(
 ) -> float:
     """Log-likelihood of the trace under continuous switching.
 
-    Same rescaled matrix product as the single-step model.  The interval
-    matrices are the grid engine's ctmc tables at this one cell: the
-    integrals of :func:`count_state_prob_ctmc`, summed in another order,
-    built once per distinct count value.
+    Runs the grid engine on a grid of this one cell, the same rescaled
+    matrix product as the single-step model.  Its interval matrices are
+    the integrals of :func:`count_state_prob_ctmc`, summed in another
+    order, built once per distinct count value.  The default prior is the
+    chain's stationary distribution.
     """
-    from .posterior import _cell_tables
+    from .posterior import _cell_context
 
-    if prior is None:
-        prior = StatePrior.stationary_from_rates(rates)
     switch = (rates.r_alpha, rates.r_beta)
-    tables, inv = _cell_tables(trace, "ctmc", switch, emissions, quad)
-    return scaled_chain_loglik((tables[k] for k in inv), prior)
+    ctx = _cell_context(trace, "ctmc", switch, emissions, prior, quad)
+    return float(ctx.eval_block(0, 1)[0, 0])
 
 
 def avg_count_prob(count: int, emissions: EmissionRates) -> float:
@@ -253,15 +251,18 @@ def check_quadrature_convergence(
     start, end), when it exceeds ``tol``.  Intended to run once when a
     quadrature rule is configured for an inference.
     """
-    from .posterior import _cell_tables
+    from .posterior import _cell_context
 
     counts = CountTrace(np.unique(np.asarray(counts)))
     fine = QuadratureSpec(node_count=2 * quad.node_count, scheme=quad.scheme)
     switch = (rates.r_alpha, rates.r_beta)
-    coarse_tables, _ = _cell_tables(counts, "ctmc", switch, emissions, quad)
-    fine_tables, _ = _cell_tables(counts, "ctmc", switch, emissions, fine)
-    # tables are [count, end, start]; report in count, start, end order
-    diff = np.abs(np.subtract(coarse_tables, fine_tables)).transpose(0, 2, 1)
+    coarse = _cell_context(counts, "ctmc", switch, emissions, quad=quad)
+    refined = _cell_context(counts, "ctmc", switch, emissions, quad=fine)
+    one = coarse.pair_params(0, 1)
+    # tables (m00, m01, m10, m11) hold one column, entry [end, start];
+    # report in count, start, end order
+    diff = np.abs(np.subtract(coarse.tables(*one), refined.tables(*one)))
+    diff = diff[:, :, 0].T.reshape(-1, 2, 2).transpose(0, 2, 1)
     k, a, b = np.unravel_index(np.argmax(diff), diff.shape)
     worst = float(diff[k, a, b])
     if worst > tol:

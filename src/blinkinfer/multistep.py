@@ -27,7 +27,6 @@ from .kernels import (
     SwitchRates,
     poisson_pmf,
     probs_from_rates,
-    scaled_chain_loglik,
 )
 
 __all__ = [
@@ -197,25 +196,19 @@ def trace_loglik_multistep(
     emissions: EmissionRates,
     prior: StatePrior | None = None,
     d: int | None = None,
-    c_max: int | None = None,
 ) -> float:
     """Log-likelihood of the trace under the d-sub-step model.
 
-    The interval distributions are computed once and indexed by each
-    observed count to form the step matrices of the usual rescaled product.
-    ``d`` defaults to the applicability rule for the given rates.
+    Runs the grid engine on a grid of this one cell.  Its interval
+    matrices are the exact Poisson mixtures over :func:`on_count_weights`,
+    so counts of any size are accepted; they equal the tables of
+    :func:`interval_distributions`, the paper's truncated halving
+    construction, which the tests keep as the reference.  ``d`` defaults
+    to the applicability rule for the given rates, and the prior to the
+    chain's stationary distribution.
     """
-    if prior is None:
-        prior = StatePrior.stationary_from_rates(rates)
-    if d is None:
-        d = choose_subinterval_count(rates.r_alpha, rates.r_beta)
-    if c_max is None:
-        c_max = default_c_max(trace.max_count, emissions)
-    if trace.max_count > c_max:
-        raise ValueError(
-            f"observed count {trace.max_count} exceeds c_max={c_max}"
-        )
-    dist = interval_distributions(d, rates, emissions, c_max)
-    # step matrix entry [end, start] at count c is probs[start, end, c]
-    mats = dist.probs.transpose(2, 1, 0)
-    return scaled_chain_loglik((mats[int(c)] for c in trace.counts), prior)
+    from .posterior import _cell_context
+
+    switch = (rates.r_alpha, rates.r_beta)
+    ctx = _cell_context(trace, "multistep", switch, emissions, prior, d=d)
+    return float(ctx.eval_block(0, 1)[0, 0])

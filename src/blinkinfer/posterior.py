@@ -269,17 +269,21 @@ class _EngineContext:
         weights = _multistep.on_count_weights(self.d, a, b)
         return _flat(*_mix_nodes(self.emission_nodes, weights))
 
-    def start_rows(self, a, b, mats):
-        """Forward-pass start rows of the cells of switch pairs ``a``, ``b``.
+    def row_sets(self, a, b):
+        """Forward-pass rows of the cells of switch pairs ``a``, ``b``.
 
-        Each cell's row starts from (P(off), P(on)), stationary for its pair
-        unless a prior was given, with log weight 0.  A cell whose tables
-        never send a start state to both end states follows one hidden path
-        per start state, and a rescaled mix of the two can lose one for
-        good; its row is pinned to start off with log weight log P(off), and
-        a second row, pinned to start on, gets log P(on).  Returns (start,
-        log_w, pinned, log_w_on), the last two for the split cells only.
+        Returns a list of (tables, start, log_w, pinned) sets: four (D, rows)
+        step tables, (2, rows) start vectors, log weights and a bool mask of
+        the start-pinned rows.  The first set has one row per cell, started
+        from (P(off), P(on)), stationary for its pair unless a prior was
+        given, with log weight 0.  A cell whose tables never send a start
+        state to both end states follows one hidden path per start state,
+        and a rescaled mix of the two can lose one for good; its row is
+        pinned to start off with log weight log P(off), and a second set,
+        present only if there are such cells, holds their rows pinned to
+        start on with log weight log P(on).
         """
+        mats = self.tables(a, b)
         if self.prior is None:
             total = a + b
             safe = np.where(total > 0, total, 1.0)
@@ -288,15 +292,18 @@ class _EngineContext:
             pair = np.repeat(self.prior.vector[:, None], a.size, axis=1)
         start = np.repeat(pair, self.n_em, axis=1)
         m00, m01, m10, m11 = mats
-        pinned = np.flatnonzero(
-            ~np.any(((m00 > 0) & (m10 > 0)) | ((m01 > 0) & (m11 > 0)), axis=0)
-        )
+        pinned = ~np.any(((m00 > 0) & (m10 > 0)) | ((m01 > 0) & (m11 > 0)), axis=0)
         log_w = np.zeros(start.shape[1])
         with np.errstate(divide="ignore"):
             log_w[pinned] = np.log(start[0, pinned])
             log_w_on = np.log(start[1, pinned])
         start[:, pinned] = [[1.0], [0.0]]
-        return start, log_w, pinned, log_w_on
+        sets = [(mats, start, log_w, pinned)]
+        if pinned.any():
+            sub = tuple(np.ascontiguousarray(m[:, pinned]) for m in mats)
+            start_on = np.tile([[0.0], [1.0]], log_w_on.size)
+            sets.append((sub, start_on, log_w_on, np.ones(log_w_on.size, dtype=bool)))
+        return sets
 
     def tables(self, a, b):
         """The model's step tables for switch pairs ``a``, ``b``, contiguous."""
@@ -305,30 +312,22 @@ class _EngineContext:
 
     def eval_block(self, p_start, p_end):
         a, b = self.pair_params(p_start, p_end)
-        mats = self.tables(a, b)
-        start, log_w, pinned, log_w_on = self.start_rows(a, b, mats)
-        acc = log_w + _forward_cells(*mats, self.inv, start)
-        if pinned.size:
-            sub = tuple(np.ascontiguousarray(m[:, pinned]) for m in mats)
-            start_on = np.tile([[0.0], [1.0]], pinned.size)
-            on = log_w_on + _forward_cells(*sub, self.inv, start_on)
-            acc[pinned] = np.logaddexp(acc[pinned], on)
+        sets = self.row_sets(a, b)
+        acc, *on = [w + _forward_cells(*m, self.inv, s) for m, s, w, _ in sets]
+        if on:
+            pinned = sets[0][3]
+            acc[pinned] = np.logaddexp(acc[pinned], on[0])
         return acc.reshape(a.size, self.n_em)
 
 
-def _cell_tables(trace, model, switch, emissions, quad=None):
-    """Step tables of one parameter cell and the trace's row of each interval.
+def _cell_context(trace, model, switch, emissions, prior=None, quad=None, d=None):
+    """The engine context of a grid of one parameter cell.
 
-    ``switch`` is the model's (switch-on, switch-off) pair.  Returns
-    (tables, inv): tables[k] is the 2x2 array, entry [end, start], of the
-    k-th distinct count, and interval t reads tables[inv[t]].  A list, since
-    a scalar recursion indexes it once per interval.
+    ``switch`` is the model's (switch-on, switch-off) pair.
     """
     names = ("alpha", "beta") if model == "single" else ("r_alpha", "r_beta")
     cell = {**dict(zip(names, switch)), "lambda": emissions.lam, "mu": emissions.mu}
-    ctx = _EngineContext(trace, model, GridSpec(axes=(), fixed=cell), None, quad, None)
-    a, b = ctx.pair_params(0, 1)
-    return list(np.stack(ctx.tables(a, b), axis=-1).reshape(-1, 2, 2)), ctx.inv
+    return _EngineContext(trace, model, GridSpec(axes=(), fixed=cell), prior, quad, d)
 
 
 def _flat(*entries):
@@ -353,7 +352,7 @@ _LN2 = math.log(2.0)
 _CFLAGS = ("-O3", "-ffp-contract=off", "-fPIC", "-shared")
 
 
-def _forward_cells(m00, m01, m10, m11, inv, start, prefixes=None):
+def _forward_cells(m00, m01, m10, m11, inv, start):
     """Log-likelihood of every cell by the forward recursion.
 
     Runs the kernel of ``_forward.c``: after every step the state vector
@@ -361,12 +360,7 @@ def _forward_cells(m00, m01, m10, m11, inv, start, prefixes=None):
     that exponent adds to an int64 count e.  Its bits are those of the same
     recursion in numpy with ``frexp`` and ``ldexp``.  The result e ln 2 +
     log(v0 + v1) is -inf only where some step sends the vector to exactly
-    zero.
-
-    ``start`` holds the (off, on) start vectors, shape (2, cells).  With
-    ``prefixes`` of shape (len(inv) + 1, 2, cells), the scaled state vector
-    after every step is stored there, the start vector in row 0; its last
-    axis must be contiguous, and it may be a slice of a wider buffer.
+    zero.  ``start`` holds the (off, on) start vectors, shape (2, cells).
     """
     cells = start.shape[1]
     shapes = {m.shape for m in (m00, m01, m10, m11)}
@@ -374,19 +368,10 @@ def _forward_cells(m00, m01, m10, m11, inv, start, prefixes=None):
         raise ValueError("step tables and start vectors disagree in shape")
     if len(inv) and not 0 <= inv.min() <= inv.max() < len(m00):
         raise ValueError("an interval reads a row outside the step tables")
-    pointer, stride = None, 0
-    if prefixes is not None:
-        steps, stride, width = prefixes.strides
-        if prefixes.shape != (len(inv) + 1, 2, cells) or prefixes.dtype != np.float64:
-            raise ValueError("prefix buffer has the wrong shape or dtype")
-        if width != 8 or steps != 2 * stride or not prefixes.flags.writeable:
-            raise ValueError("prefix buffer has the wrong layout")
-        prefixes[0] = start
-        pointer, stride = prefixes.ctypes.data, stride // 8
     end = np.empty((2, cells))
     exps = np.zeros(cells, dtype=np.int64)
     kernel = _forward_kernel().forward
-    kernel(len(inv), cells, m00, m01, m10, m11, inv, start, end, exps, pointer, stride)
+    kernel(len(inv), cells, m00, m01, m10, m11, inv, start, end, exps)
     with np.errstate(divide="ignore"):
         return exps * _LN2 + np.log(end[0] + end[1])
 
@@ -422,8 +407,8 @@ def _forward_kernel():
     f8, i8, b1 = (
         np.ctypeslib.ndpointer(t, flags="C") for t in (np.float64, np.int64, np.bool_)
     )
-    c8, pointer = ctypes.c_int64, ctypes.c_void_p
-    lib.forward.argtypes = [c8, c8, f8, f8, f8, f8, i8, f8, f8, i8, pointer, c8]
+    c8 = ctypes.c_int64
+    lib.forward.argtypes = [c8, c8, f8, f8, f8, f8, i8, f8, f8, i8]
     lib.smooth.argtypes = [c8, c8, c8, f8, f8, f8, f8, i8, f8, f8, b1, f8, f8]
     lib.forward.restype = lib.smooth.restype = None
     return lib

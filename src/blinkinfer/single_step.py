@@ -21,9 +21,8 @@ from .kernels import (
     StatePrior,
     SwitchProbs,
     poisson_pmf,
-    scaled_chain_loglik,
 )
-from .posterior import _cell_tables
+from .posterior import _cell_context
 
 __all__ = [
     "StepMatrix",
@@ -41,11 +40,9 @@ class StepMatrix:
 
     ``entries[b, a]`` is P(observed count, next state b | previous state a),
     so each column sums to the count's probability given the previous state.
-    ``log_scale`` carries any factored-out log magnitude.
     """
 
     entries: np.ndarray
-    log_scale: float = 0.0
 
     def __post_init__(self):
         m = np.asarray(self.entries, dtype=float)
@@ -91,18 +88,17 @@ def trace_loglik_single(
 ) -> float:
     """Log-likelihood of the whole trace by the rescaled matrix product.
 
-    Equals the log of the sum over all hidden state paths.  The interval
-    matrices are the grid engine's single-step tables at this one cell,
-    bitwise those of :func:`step_matrix_single`.  The default prior is the
-    chain's stationary distribution.  Returns -inf when no state path can
-    produce the data (for example positive counts with mu = lam = 0).
+    Equals the log of the sum over all hidden state paths.  Runs the grid
+    engine on a grid of this one cell, whose interval matrices are bitwise
+    those of :func:`step_matrix_single`.  The default prior is the chain's
+    stationary distribution.  Returns -inf when no state path can produce
+    the data (for example positive counts with mu = lam = 0).
     """
     if probs.d != 1:
         raise ValueError("single-step model requires d = 1")
-    if prior is None:
-        prior = StatePrior.stationary_from_probs(probs)
-    tables, inv = _cell_tables(trace, "single", (probs.alpha, probs.beta), emissions)
-    return scaled_chain_loglik((tables[k] for k in inv), prior)
+    switch = (probs.alpha, probs.beta)
+    ctx = _cell_context(trace, "single", switch, emissions, prior)
+    return float(ctx.eval_block(0, 1)[0, 0])
 
 
 def brute_force_loglik(

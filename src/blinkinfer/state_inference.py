@@ -27,7 +27,7 @@ import numpy as np
 
 from . import posterior as _posterior
 from .kernels import CountTrace, EmissionRates, StatePrior, SwitchProbs
-from .posterior import GridSpec, _EngineContext
+from .posterior import GridSpec, _cell_context, _EngineContext
 from .single_step import StepMatrix
 
 __all__ = [
@@ -74,10 +74,7 @@ def masked_matrices(step: StepMatrix) -> tuple[StepMatrix, StepMatrix]:
     m1 = step.entries.copy()
     m0[1, :] = 0.0
     m1[0, :] = 0.0
-    return (
-        StepMatrix(m0, log_scale=step.log_scale),
-        StepMatrix(m1, log_scale=step.log_scale),
-    )
+    return StepMatrix(m0), StepMatrix(m1)
 
 
 def state_posterior_known(
@@ -94,10 +91,9 @@ def state_posterior_known(
         raise ValueError("single-step model requires d = 1")
     if prior is None:
         prior = StatePrior.stationary_from_probs(probs)
-    cell = {"alpha": probs.alpha, "beta": probs.beta, "lambda": emissions.lam}
-    cell["mu"] = emissions.mu
+    switch = (probs.alpha, probs.beta)
     return StatePosterior(
-        p_on=_smooth(trace, GridSpec(axes=(), fixed=cell), prior),
+        p_on=_smooth(_cell_context(trace, "single", switch, emissions, prior)),
         model="single",
         context={"probs": probs, "emissions": emissions, "prior": prior},
     )
@@ -116,32 +112,21 @@ def state_posterior_marginal(
     single-step model is supported.
     """
     return StatePosterior(
-        p_on=_smooth(trace, grid, prior),
+        p_on=_smooth(_EngineContext(trace, "single", grid, prior, None, None)),
         model="single",
         context={"grid": grid, "prior": prior},
     )
 
 
-def _smooth(trace, grid, prior):
-    """On-probability at every boundary, averaged over the grid's start rows.
+def _smooth(ctx):
+    """On-probability at every boundary, averaged over the context's rows.
 
     A start-pinned row follows one hidden path, so its prefixes alone give
     its state; its suffix vectors stay at ones, since rolled back they could
     underflow on that path.
     """
-    ctx = _EngineContext(trace, "single", grid, prior, None, None)
     a, b = ctx.pair_params(0, ctx.n_pairs())
-    mats = ctx.tables(a, b)
-    start, log_w, pinned, log_w_on = ctx.start_rows(a, b, mats)
-    is_pinned = np.zeros(log_w.size, dtype=bool)
-    is_pinned[pinned] = True
-    row_sets = [(mats, start, log_w, is_pinned)]
-    if pinned.size:
-        pinned_mats = tuple(np.ascontiguousarray(m[:, pinned]) for m in mats)
-        start_on = np.tile([[0.0], [1.0]], pinned.size)
-        all_pinned = np.ones(pinned.size, dtype=bool)
-        row_sets.append((pinned_mats, start_on, log_w_on, all_pinned))
-    return _smooth_rows(ctx.inv, row_sets)
+    return _smooth_rows(ctx.inv, ctx.row_sets(a, b))
 
 
 def _smooth_rows(inv, row_sets):

@@ -2,8 +2,10 @@
 
 Everything here deliberately avoids the library's forward recursion: path
 sums are enumerated, integrals are done with locally constructed quadrature
-rules or replaced by a matrix exponential, and the per-step recursion is
-plain numpy, so agreement with the package is a two-route check.
+rules or replaced by a matrix exponential, the per-step recursion is plain
+numpy, and the reference likelihood runs the paper's per-count tables
+through ``scaled_chain_loglik``, so agreement with the package is a
+two-route check.
 """
 
 import itertools
@@ -13,6 +15,20 @@ import numpy as np
 from scipy.linalg import expm
 from scipy.special import logsumexp
 from scipy.stats import poisson
+
+from blinkinfer.ctmc import count_state_prob_ctmc
+from blinkinfer.kernels import (
+    StatePrior,
+    SwitchProbs,
+    SwitchRates,
+    scaled_chain_loglik,
+)
+from blinkinfer.multistep import (
+    choose_subinterval_count,
+    default_c_max,
+    interval_distributions,
+)
+from blinkinfer.single_step import step_matrix_single
 
 
 def path_sum_loglik(step_matrix_for_interval, n, prior_vec):
@@ -31,6 +47,44 @@ def path_sum_loglik(step_matrix_for_interval, n, prior_vec):
     for t in range(1, n + 1):
         terms = terms + log_mats[t - 1][paths[:, t], paths[:, t - 1]]
     return float(logsumexp(terms))
+
+
+def reference_loglik(model, trace, switch, emissions, prior=None, d=None):
+    """Log-likelihood by ``scaled_chain_loglik`` over per-count tables.
+
+    The tables come from the paper's constructions, one count at a time:
+    :func:`step_matrix_single` for "single", :func:`count_state_prob_ctmc`
+    with the default quadrature for "ctmc", and
+    :func:`interval_distributions` at :func:`default_c_max` for
+    "multistep".  ``switch`` is the model's (switch-on, switch-off) pair.
+    The prior defaults to the stationary one, uniform for a frozen chain,
+    and ``d`` to the applicability rule.
+    """
+    a, b = switch
+    counts = set(trace.counts.tolist())
+    if model == "single":
+        probs = SwitchProbs(a, b)
+        stationary = StatePrior.stationary_from_probs(probs)
+        table = {c: step_matrix_single(c, probs, emissions).entries for c in counts}
+    else:
+        rates = SwitchRates(a, b)
+        stationary = StatePrior.stationary_from_rates(rates)
+    if model == "ctmc":
+        table = {
+            c: [
+                [count_state_prob_ctmc(c, s, e, rates, emissions) for s in (0, 1)]
+                for e in (0, 1)
+            ]
+            for c in counts
+        }
+    elif model == "multistep":
+        d = d or choose_subinterval_count(a, b)
+        c_max = default_c_max(trace.max_count, emissions)
+        # entry [end, start] at count c is probs[start, end, c]
+        dist = interval_distributions(d, rates, emissions, c_max)
+        table = dist.probs.transpose(2, 1, 0)
+    mats = (np.asarray(table[c]) for c in trace.counts)
+    return scaled_chain_loglik(mats, stationary if prior is None else prior)
 
 
 def gauss_legendre_integral(func, lo, hi, n=96):

@@ -153,6 +153,25 @@ class TestInfer:
         )
         assert code == 1
 
+    @pytest.mark.parametrize("row", ["2", "2,1.5", "2,x"])
+    def test_malformed_row_rejected(self, tmp_path, capsys, row):
+        trace = tmp_path / "bad.csv"
+        trace.write_text(f"t,count\n1,4\n{row}\n3,0\n")
+        code = run(
+            [
+                "infer", "--in", str(trace), "--model", "single",
+                "--grid", "alpha=0:1:5", "--grid", "beta=0:1:5",
+                "--fix", "lambda=20", "--fix", "mu=2",
+                "--out", str(tmp_path / "p.json"),
+            ]
+        )
+        assert code == 1
+        assert f"bad.csv, line 3: expected 't,count' with an integer count, got {row!r}" in (
+            capsys.readouterr().err
+        )
+        with pytest.raises(ValueError, match="line 3"):
+            read_trace_csv(trace)
+
     def test_grid_model_mismatch_rejected(self, trace_file, tmp_path):
         code = run(
             [

@@ -22,7 +22,7 @@ from blinkinfer.kernels import (
     poisson_pmf,
     probs_from_rates,
 )
-from blinkinfer.posterior import _cell_tables
+from blinkinfer.posterior import _cell_context
 from blinkinfer.simulate import sim_ctmc
 from blinkinfer.single_step import trace_loglik_single
 from oracles import ctmc_expm_step_matrix, gauss_legendre_integral, path_sum_loglik
@@ -269,8 +269,9 @@ class TestEngineTablesAgainstExpm:
     def test_tables_match_matrix_exponential(self, ra, rb, mu, lam):
         counts = np.arange(61)
         em = EmissionRates(mu, lam)
-        tables, inv = _cell_tables(CountTrace(counts), "ctmc", (ra, rb), em, QUAD)
-        got = np.stack(tables)[inv]
+        ctx = _cell_context(CountTrace(counts), "ctmc", (ra, rb), em, quad=QUAD)
+        tables = np.stack(ctx.tables(*ctx.pair_params(0, 1)), axis=-1).reshape(-1, 2, 2)
+        got = tables[ctx.inv]
         ref = ctmc_expm_step_matrix(counts, ra, rb, mu, lam)
         np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-13)
         big = ref > 1e-12

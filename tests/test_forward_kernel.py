@@ -55,22 +55,15 @@ class TestBlockEdges:
     @pytest.mark.parametrize("cells", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1])
     def test_matches_oracle(self, cells, n):
         mats, inv, start = _block_case(cells, n, seed=cells + n)
-        want_prefixes = np.empty((n + 1, 2, cells))
-        want = per_step_forward(*mats, inv, start, want_prefixes)
+        want = per_step_forward(*mats, inv, start)
         np.testing.assert_array_equal(posterior._forward_cells(*mats, inv, start), want)
-        # prefixes in a slice of a wider buffer
-        wide = np.full((n + 1, 2, cells + 3), np.nan)
-        got = posterior._forward_cells(*mats, inv, start, wide[:, :, :cells])
-        np.testing.assert_array_equal(got, want)
-        np.testing.assert_array_equal(wide[:, :, :cells], want_prefixes)
-        assert np.isnan(wide[:, :, cells:]).all()
         assert np.isfinite(want[min(cells, BLOCK) - 1])
         assert np.all(want[BLOCK : 2 * BLOCK] == -np.inf)
 
     def test_rejects_mismatched_buffers(self):
         mats, inv, start = _block_case(4, 3, seed=0)
-        with pytest.raises(ValueError, match="prefix buffer"):
-            posterior._forward_cells(*mats, inv, start, np.empty((3, 2, 4)))
+        with pytest.raises(ValueError, match="disagree in shape"):
+            posterior._forward_cells(*mats, inv, start[:, :3])
         with pytest.raises(ValueError, match="outside the step tables"):
             posterior._forward_cells(*mats, inv + 3, start)
 

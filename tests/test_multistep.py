@@ -21,8 +21,7 @@ from blinkinfer.multistep import (
     on_count_weights,
     trace_loglik_multistep,
 )
-from blinkinfer.single_step import trace_loglik_single
-from oracles import path_sum_loglik, substep_path_matrix
+from oracles import path_sum_loglik, reference_loglik, substep_path_matrix
 
 EM = EmissionRates(mu=2.0, lam=20.0)
 
@@ -230,9 +229,8 @@ class TestTraceLoglik:
         rates = SwitchRates(0.8, 1.2)
         probs = probs_from_rates(rates, 1)
         prior = StatePrior(0.5, 0.5)
-        c_max = default_c_max(trace.max_count, EM)
-        a = trace_loglik_multistep(trace, rates, EM, prior, d=1, c_max=c_max)
-        b = trace_loglik_single(trace, probs, EM, prior)
+        a = trace_loglik_multistep(trace, rates, EM, prior, d=1)
+        b = reference_loglik("single", trace, (probs.alpha, probs.beta), EM, prior)
         assert a == pytest.approx(b, rel=1e-12)
 
     def test_matches_boundary_path_sum(self):
@@ -248,7 +246,7 @@ class TestTraceLoglik:
             return [[dist.probs[a, b, c] for a in (0, 1)] for b in (0, 1)]
 
         slow = path_sum_loglik(mat, 8, prior.vector)
-        fast = trace_loglik_multistep(trace, rates, EM, prior, d=8, c_max=c_max)
+        fast = trace_loglik_multistep(trace, rates, EM, prior, d=8)
         assert fast == pytest.approx(slow, rel=1e-12)
 
     @pytest.mark.parametrize("ra,rb", [(1.5, 1.5), (1.0, 0.5)])
@@ -263,10 +261,16 @@ class TestTraceLoglik:
         lc = trace_loglik_ctmc(res.trace, rates, EM)
         assert abs(lm - lc) / len(res.trace) < 1e-3
 
-    def test_count_beyond_c_max_rejected(self):
-        trace = CountTrace([5, 80])
-        with pytest.raises(ValueError, match="exceeds c_max"):
-            trace_loglik_multistep(trace, SwitchRates(1, 1), EM, d=2, c_max=40)
+    def test_counts_far_beyond_default_c_max(self):
+        # the tables are exact mixtures, so no count bound applies
+        counts = [5, 160, 0, 230, 3]
+        em = EmissionRates(1.0, 4.0)
+        assert min(counts[1], counts[3]) > 3 * default_c_max(5, em)
+        for d in (1, 2, 4):
+            mats = {c: substep_path_matrix(c, d, 1.0, 1.5, 1.0, 4.0) for c in counts}
+            slow = path_sum_loglik(lambda t: mats[counts[t - 1]], 5, (0.6, 0.4))
+            fast = trace_loglik_multistep(CountTrace(counts), SwitchRates(1.0, 1.5), em, d=d)
+            assert fast == pytest.approx(slow, rel=1e-12)
 
     def test_auto_d_follows_rule(self):
         rng = np.random.default_rng(1)

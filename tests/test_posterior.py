@@ -26,12 +26,12 @@ from blinkinfer.posterior import (
 )
 from blinkinfer.multistep import trace_loglik_multistep
 from blinkinfer.simulate import sim_ctmc, sim_dtmc_single
-from blinkinfer.single_step import trace_loglik_single
 from blinkinfer.state_inference import state_posterior_known
 from oracles import (
     log_forward_backward,
     path_sum_loglik,
     per_step_forward,
+    reference_loglik,
     substep_path_matrix,
 )
 
@@ -85,7 +85,7 @@ class TestEvaluateGrid:
         res, grid, pg = small_single_posterior()
         for i, a in enumerate(grid.axis("alpha").values):
             for j, b in enumerate(grid.axis("beta").values):
-                ll = trace_loglik_single(res.trace, SwitchProbs(a, b, 1), EM)
+                ll = reference_loglik("single", res.trace, (a, b), EM)
                 assert pg.log_post[i, j] == pytest.approx(ll, rel=1e-12)
 
     def test_log_post_equals_scalar_loglik_ctmc(self):
@@ -97,7 +97,7 @@ class TestEvaluateGrid:
         pg = evaluate_grid(res.trace, "ctmc", grid)
         for i, a in enumerate(grid.axis("r_alpha").values):
             for j, b in enumerate(grid.axis("r_beta").values):
-                ll = trace_loglik_ctmc(res.trace, SwitchRates(a, b), EM)
+                ll = reference_loglik("ctmc", res.trace, (a, b), EM)
                 assert pg.log_post[i, j] == pytest.approx(ll, rel=1e-9)
 
     def test_log_post_equals_scalar_loglik_multistep(self):
@@ -118,9 +118,8 @@ class TestEvaluateGrid:
             for i, a in enumerate(grid.axis("r_alpha").values):
                 for j, b in enumerate(grid.axis("r_beta").values):
                     for k, lam in enumerate(grid.axis("lambda").values):
-                        ll = trace_loglik_multistep(
-                            res.trace, SwitchRates(a, b), EmissionRates(0.001, lam), d=d
-                        )
+                        em = EmissionRates(0.001, lam)
+                        ll = reference_loglik("multistep", res.trace, (a, b), em, d=d)
                         assert np.isfinite(ll)
                         assert pg.log_post[i, j, k] == pytest.approx(ll, rel=1e-12)
 
@@ -167,9 +166,8 @@ class TestEvaluateGrid:
         pg = evaluate_grid(res.trace, "single", grid)
         for i, a in enumerate(grid.axis("alpha").values):
             for j, b in enumerate(grid.axis("beta").values):
-                ll = trace_loglik_single(
-                    res.trace, SwitchProbs(a, b, 1), EmissionRates(0.001, 0.001)
-                )
+                em = EmissionRates(0.001, 0.001)
+                ll = reference_loglik("single", res.trace, (a, b), em)
                 assert pg.log_post[i, j] == pytest.approx(ll, rel=1e-12)
         assert pg.log_post[0, 3] == pytest.approx(-27936.93, abs=0.01)
 
@@ -189,9 +187,8 @@ class TestEvaluateGrid:
         assert pg.log_post[1, 1] == pytest.approx(expected, rel=1e-12)
         for i, a in enumerate((0.5, 1.0)):
             for j, b in enumerate((0.5, 1.0)):
-                ll = trace_loglik_single(
-                    CountTrace(counts), SwitchProbs(a, b, 1), EmissionRates(1.0, 39.0)
-                )
+                em = EmissionRates(1.0, 39.0)
+                ll = reference_loglik("single", CountTrace(counts), (a, b), em)
                 assert pg.log_post[i, j] == pytest.approx(ll, rel=1e-12)
 
     @pytest.mark.parametrize("model", ["ctmc", "multistep"])
@@ -222,9 +219,7 @@ class TestEvaluateGrid:
             fixed={"beta": 1.0, "lambda": 39.0, "mu": 1.0},
         )
         pg = evaluate_grid(counts, "single", grid)
-        ll = trace_loglik_single(
-            counts, SwitchProbs(1e-30, 1.0, 1), EmissionRates(1.0, 39.0)
-        )
+        ll = reference_loglik("single", counts, (1e-30, 1.0), EmissionRates(1.0, 39.0))
         assert pg.log_post[0] == pytest.approx(ll, rel=1e-12)
 
     def test_posterior_normalised(self):
@@ -340,10 +335,8 @@ class TestPerStepRescaling:
         pg = evaluate_grid(CountTrace(ZERO_WINDOW_COUNTS), "single", grid)
         for i, a in enumerate(grid.axis("alpha").values):
             for j, b in enumerate(grid.axis("beta").values):
-                ll = trace_loglik_single(
-                    CountTrace(ZERO_WINDOW_COUNTS),
-                    SwitchProbs(a, b, 1),
-                    EmissionRates(1.0, 0.5),
+                ll = reference_loglik(
+                    "single", CountTrace(ZERO_WINDOW_COUNTS), (a, b), EmissionRates(1.0, 0.5)
                 )
                 assert pg.log_post[i, j] == pytest.approx(ll, rel=1e-9)
         assert pg.log_post[0, 0] == pytest.approx(-2667.3697, abs=1e-4)
@@ -359,7 +352,7 @@ class TestPerStepRescaling:
         pg = evaluate_grid(counts, "single", grid)
         assert np.all(pg.log_post[:, 0] == -np.inf)
         for i, a in enumerate(grid.axis("alpha").values):
-            ll = trace_loglik_single(counts, SwitchProbs(a, 0.3, 1), EmissionRates(0.0, 2.0))
+            ll = reference_loglik("single", counts, (a, 0.3), EmissionRates(0.0, 2.0))
             assert pg.log_post[i, 1] == pytest.approx(ll, rel=1e-12)
 
     def test_emptied_start_state(self):
@@ -372,7 +365,7 @@ class TestPerStepRescaling:
         )
         pg = evaluate_grid(counts, "single", grid)
         for i, a in enumerate(grid.axis("alpha").values):
-            ll = trace_loglik_single(counts, SwitchProbs(a, 1.0, 1), EmissionRates(1.0, 4.0))
+            ll = reference_loglik("single", counts, (a, 1.0), EmissionRates(1.0, 4.0))
             assert pg.log_post[i] == pytest.approx(ll, rel=1e-12)
 
     def test_component_dip(self):
@@ -389,10 +382,8 @@ class TestPerStepRescaling:
         )
         inv = np.array([0, 1, 1, 1, 1, 1, 1, 2, 3])
         start = np.array([[1 / 3], [2 / 3]])
-        got, got_prefixes = _run(mats, inv, start)
-        want, want_prefixes = _oracle(mats, inv, start)
-        np.testing.assert_array_equal(got, want)
-        np.testing.assert_array_equal(got_prefixes, want_prefixes)
+        got = posterior._forward_cells(*mats, inv, start)
+        np.testing.assert_array_equal(got, per_step_forward(*mats, inv, start))
         assert got[0] == pytest.approx(-1052 * math.log(2) - math.log(3), rel=1e-14)
 
     def test_smoother_matches_log_space(self):
@@ -406,36 +397,19 @@ class TestPerStepRescaling:
 
 def _pair_tables(model, counts, a, b, lam, mu, d):
     """Step tables and start vectors of switch pairs ``a``, ``b`` at one emission."""
-    names = ("alpha", "beta") if model == "single" else ("r_alpha", "r_beta")
-    fixed = {names[0]: 0.0, names[1]: 0.0, "lambda": lam, "mu": mu}
-    ctx = posterior._EngineContext(
+    ctx = posterior._cell_context(
         CountTrace(counts),
         model,
-        GridSpec(axes=(), fixed=fixed),
-        None,
-        QuadratureSpec() if model == "ctmc" else None,
-        d if model == "multistep" else None,
+        (0.0, 0.0),
+        EmissionRates(mu, lam),
+        quad=QuadratureSpec() if model == "ctmc" else None,
+        d=d if model == "multistep" else None,
     )
-    a, b = np.asarray(a), np.asarray(b)
-    entries = getattr(ctx, f"_entries_{model}")(a, b)
-    mats = tuple(np.ascontiguousarray(m) for m in entries)
-    start, _, pinned, _ = ctx.start_rows(a, b, mats)
+    sets = ctx.row_sets(np.asarray(a), np.asarray(b))
     # cells that never mix run a second time, started on
-    mats = tuple(np.concatenate([m, m[:, pinned]], axis=1) for m in mats)
-    start = np.concatenate([start, np.tile([[0.0], [1.0]], pinned.size)], axis=1)
+    mats = tuple(np.concatenate(ms, axis=1) for ms in zip(*(s[0] for s in sets)))
+    start = np.concatenate([s[1] for s in sets], axis=1)
     return mats, ctx.inv, start
-
-
-def _run(mats, inv, start):
-    """The library's log-likelihoods and prefixes."""
-    prefixes = np.empty((len(inv) + 1,) + start.shape)
-    return posterior._forward_cells(*mats, inv, start, prefixes), prefixes
-
-
-def _oracle(mats, inv, start):
-    """The per-step numpy oracle's log-likelihoods and prefixes."""
-    prefixes = np.empty((len(inv) + 1,) + start.shape)
-    return per_step_forward(*mats, inv, start, prefixes), prefixes
 
 
 _PROB = st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0))
@@ -457,11 +431,8 @@ def test_forward_matches_per_step_oracle(model, counts, pairs, lam, mu, d):
     if model != "single":  # switching rates rather than probabilities
         a, b = np.multiply(a, 4.0), np.multiply(b, 4.0)
     mats, inv, start = _pair_tables(model, counts, a, b, lam, mu, d)
-    want, want_prefixes = _oracle(mats, inv, start)
+    want = per_step_forward(*mats, inv, start)
     np.testing.assert_array_equal(posterior._forward_cells(*mats, inv, start), want)
-    got, got_prefixes = _run(mats, inv, start)
-    np.testing.assert_array_equal(got, want)
-    np.testing.assert_array_equal(got_prefixes, want_prefixes)
 
 
 class TestMarginalize:

@@ -12,13 +12,14 @@ from blinkinfer.kernels import (
     poisson_pmf,
     scaled_chain_loglik,
 )
-from blinkinfer.posterior import _cell_tables
+from blinkinfer.posterior import _cell_context
 from blinkinfer.single_step import (
     StepMatrix,
     brute_force_loglik,
     step_matrix_single,
     trace_loglik_single,
 )
+from oracles import reference_loglik
 
 EM = EmissionRates(mu=2.0, lam=20.0)
 
@@ -148,13 +149,14 @@ class TestEngineTablesBitwise:
         rng = np.random.default_rng(19)
         trace = CountTrace(np.concatenate([[0, 0, 140], rng.poisson(9.0, 300)]))
         probs, em = SwitchProbs(alpha, beta), EmissionRates(mu, 12.0)
-        tables, inv = _cell_tables(trace, "single", (alpha, beta), em)
+        ctx = _cell_context(trace, "single", (alpha, beta), em)
+        tables = np.stack(ctx.tables(*ctx.pair_params(0, 1)), axis=-1).reshape(-1, 2, 2)
         mats = [step_matrix_single(int(c), probs, em).entries for c in trace.counts]
         for t, m in enumerate(mats):
-            assert np.array_equal(tables[inv[t]], m)
+            assert np.array_equal(tables[ctx.inv[t]], m)
         got = trace_loglik_single(trace, probs, em)
-        prior = StatePrior.stationary_from_probs(probs)
-        assert got == scaled_chain_loglik(mats, prior)
+        want = reference_loglik("single", trace, (alpha, beta), em)
+        assert got == pytest.approx(want, rel=1e-14)
 
 
 class TestBruteForce:

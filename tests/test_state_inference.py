@@ -473,7 +473,8 @@ def _smooth_at(counts, grid, width):
         mp.setattr(posterior, "_forward_kernel", lambda: kernel)
         mp.setattr(state_inference, "_PREFIX_BUDGET", width * (len(counts) + 1))
         try:
-            p_on = state_inference._smooth(CountTrace(counts), grid, None)
+            ctx = _EngineContext(CountTrace(counts), "single", grid, None, None, None)
+            p_on = state_inference._smooth(ctx)
         except ValueError:
             p_on = None
     return p_on, widths, weights, pinned
@@ -483,14 +484,10 @@ def _row_tables(counts, grid):
     """Step tables, start vectors, log weights and pinned masks of every
     row ``_smooth`` runs, the start-on rows of pinned cells last."""
     ctx = _EngineContext(CountTrace(counts), "single", grid, None, None, None)
-    a, b = ctx.pair_params(0, ctx.n_pairs())
-    mats = ctx._entries_single(a, b)
-    start, log_w, pinned, log_w_on = ctx.start_rows(a, b, mats)
-    mats = tuple(np.concatenate([m, m[:, pinned]], axis=1) for m in mats)
-    start = np.concatenate([start, np.tile([[0.0], [1.0]], pinned.size)], axis=1)
-    split = np.zeros(log_w.size + pinned.size, dtype=bool)
-    split[pinned] = split[log_w.size :] = True
-    return mats, ctx.inv, start, np.concatenate([log_w, log_w_on]), split
+    sets = ctx.row_sets(*ctx.pair_params(0, ctx.n_pairs()))
+    mats = tuple(np.concatenate(ms, axis=1) for ms in zip(*(s[0] for s in sets)))
+    start, log_w, split = (np.concatenate([s[i] for s in sets], axis=-1) for i in (1, 2, 3))
+    return mats, ctx.inv, start, log_w, split
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
