@@ -100,22 +100,34 @@ def write_trace_csv(path: str, trace: CountTrace) -> None:
 
 
 def read_trace_csv(path: str) -> CountTrace:
-    counts = []
+    """Counts of a trace CSV.
+
+    After the header ``t,count``, every non-blank row holds exactly two
+    integers ``t,count``, with t = 1, 2, ... in order.  Raises
+    ``ValueError`` naming the file and the first line that breaks this.
+    """
     with open(path) as fh:
         header = fh.readline().strip()
         if header != "t,count":
             raise ValueError(f"{path}: expected header 't,count', got {header!r}")
+        counts = []
         for number, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
+            if line.isspace():
                 continue
             try:
-                counts.append(int(line.split(",")[1]))
-            except (IndexError, ValueError):
+                t, count = map(int, line.split(","))
+            except ValueError:
+                count = None
+            if count is None or not -(2**63) <= count < 2**63:
                 raise ValueError(
                     f"{path}, line {number}: expected 't,count' with an "
-                    f"integer count, got {line!r}"
-                ) from None
+                    f"integer count, got {line.strip()!r}"
+                )
+            if t != len(counts) + 1:
+                raise ValueError(
+                    f"{path}, line {number}: expected t = {len(counts) + 1}, got {line.strip()!r}"
+                )
+            counts.append(count)
     return CountTrace(np.asarray(counts, dtype=np.int64))
 
 

@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import poisson as _poisson_dist
 
 from .kernels import (
     CountTrace,
@@ -102,6 +101,9 @@ def base_distributions(
     crossing terms then factor into the switch probability times the count
     law of the starting state.
     """
+    # imported here: scipy.stats takes longer to import than the package
+    from scipy.stats import poisson as _poisson_dist
+
     if d != probs.d:
         raise ValueError(f"probs built for d={probs.d}, requested d={d}")
     tail = float(_poisson_dist.sf(c_max, emissions.on_rate / d))

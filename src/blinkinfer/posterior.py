@@ -57,7 +57,11 @@ __all__ = [
 
 _AXIS_ORDER = {"alpha": 0, "r_alpha": 0, "beta": 1, "r_beta": 1, "lambda": 2, "mu": 3}
 _PROB_AXES = {"alpha", "beta"}
-_BLOCK_CELL_TARGET = 65536
+# Cells per block: 129 x 512, not 2^16.  The forward kernel reads one row of
+# each step table per step, and a block's table rows lie a block of cells
+# apart; rows a large power of two apart fall into the same cache sets and
+# evict each other, which made the kernel half as fast on ctmc blocks.
+_BLOCK_CELL_TARGET = 129 * 512
 
 
 @dataclass(frozen=True)
@@ -255,19 +259,19 @@ class _EngineContext:
         e10 = np.einsum("p,dm->dpm", a, self.p_off)
         e01 = np.einsum("p,dm->dpm", b, self.p_on)
         e11 = np.einsum("p,dm->dpm", 1.0 - b, self.p_on)
-        return _flat(e00, e01, e10, e11)
+        return e00, e01, e10, e11
 
     def _entries_ctmc(self, a, b):
         smooth = _ctmc._smooth_densities(a[:, None], b[:, None], self.nodes[None, :])
-        e00, e01, e10, e11 = _mix_nodes(self.emission_nodes, smooth * self.quad_w)
+        mixed = _mix_nodes(self.emission_nodes, smooth * self.quad_w)
         # switch-free histories: point masses at on-fraction 0 and 1
-        e00 = e00 + np.einsum("p,dm->dpm", np.exp(-a), self.p_off)
-        e11 = e11 + np.einsum("p,dm->dpm", np.exp(-b), self.p_on)
-        return _flat(e00, e01, e10, e11)
+        mixed[0] += np.einsum("p,dm->dpm", np.exp(-a), self.p_off)
+        mixed[3] += np.einsum("p,dm->dpm", np.exp(-b), self.p_on)
+        return mixed
 
     def _entries_multistep(self, a, b):
         weights = _multistep.on_count_weights(self.d, a, b)
-        return _flat(*_mix_nodes(self.emission_nodes, weights))
+        return _mix_nodes(self.emission_nodes, weights)
 
     def row_sets(self, a, b):
         """Forward-pass rows of the cells of switch pairs ``a``, ``b``.
@@ -306,9 +310,10 @@ class _EngineContext:
         return sets
 
     def tables(self, a, b):
-        """The model's step tables for switch pairs ``a``, ``b``, contiguous."""
+        """The model's step tables for switch pairs ``a``, ``b``: four
+        contiguous (D, cells) arrays, cells pair-major."""
         entries = getattr(self, f"_entries_{self.model}")(a, b)
-        return tuple(np.ascontiguousarray(m) for m in entries)
+        return tuple(m.reshape(len(m), -1) for m in entries)
 
     def eval_block(self, p_start, p_end):
         a, b = self.pair_params(p_start, p_end)
@@ -330,20 +335,21 @@ def _cell_context(trace, model, switch, emissions, prior=None, quad=None, d=None
     return _EngineContext(trace, model, GridSpec(axes=(), fixed=cell), prior, quad, d)
 
 
-def _flat(*entries):
-    """Step-matrix entries (D, pairs, emission cells) as (D, cells) arrays."""
-    return tuple(e.reshape(e.shape[0], -1) for e in entries)
-
-
 def _mix_nodes(emission, weights):
     """Entries of sum_k weights[start, end, p, k] * emission[D, m, k].
 
-    Returns (D, pairs, emission cells) arrays in step-matrix order
-    [end, start]: 00, 01, 10, 11.
+    One batched matmul, of the (end, start)-ordered weights (4, 1, p, K)
+    with the emission (D, K, m), writes the four tables straight into one
+    contiguous (4, D, p, m) array, its first axis in step-matrix order
+    [end, start]: 00, 01, 10, 11.  The order in which BLAS sums over k is
+    its own choice.  With OpenBLAS 0.3.31 on an AVX-512 Xeon, blocks as
+    large as the engine's gave the same bits as a single tensordot of the
+    (D m, K) emission with the weights, and small blocks could differ in
+    the last bit; another BLAS or CPU may differ on any block.
     """
-    joint = np.tensordot(emission, weights, axes=([2], [3]))
-    joint = joint.transpose(0, 4, 1, 2, 3)  # (D, p, m, start, end)
-    return joint[..., 0, 0], joint[..., 1, 0], joint[..., 0, 1], joint[..., 1, 1]
+    p, k = weights.shape[2:]
+    by_end = weights.transpose(1, 0, 2, 3).reshape(4, 1, p, k)
+    return np.matmul(by_end, emission.transpose(0, 2, 1))
 
 
 _LN2 = math.log(2.0)

@@ -87,6 +87,18 @@ def reference_loglik(model, trace, switch, emissions, prior=None, d=None):
     return scaled_chain_loglik(mats, stationary if prior is None else prior)
 
 
+def tensordot_mix(emission, weights):
+    """Entries of sum_k weights[start, end, p, k] * emission[D, m, k].
+
+    One ``np.tensordot`` over k, then a transpose: the engine's mixing as it
+    was before it became one batched matmul.  Returns four (D, p, m) arrays
+    in step-matrix order [end, start]: 00, 01, 10, 11.
+    """
+    joint = np.tensordot(emission, weights, axes=([2], [3]))
+    joint = joint.transpose(0, 4, 1, 2, 3)  # (D, p, m, start, end)
+    return joint[..., 0, 0], joint[..., 1, 0], joint[..., 0, 1], joint[..., 1, 1]
+
+
 def gauss_legendre_integral(func, lo, hi, n=96):
     """Definite integral with a dedicated Gauss-Legendre rule on [lo, hi]."""
     x, w = np.polynomial.legendre.leggauss(n)

@@ -172,6 +172,41 @@ class TestInfer:
         with pytest.raises(ValueError, match="line 3"):
             read_trace_csv(trace)
 
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ("1,4\n2,1,9\n3,0\n", "expected 't,count' with an integer count, got '2,1,9'"),
+            ("1,4\n3,1\n4,0\n", "expected t = 2, got '3,1'"),
+            ("1,4\n1,1\n2,0\n", "expected t = 2, got '1,1'"),
+            (
+                "1,4\n2,99999999999999999999\n",
+                "expected 't,count' with an integer count, got '2,99999999999999999999'",
+            ),
+        ],
+        ids=["three-fields", "t-skips", "t-repeats", "beyond-int64"],
+    )
+    def test_bad_row_named(self, tmp_path, capsys, body, message):
+        trace = tmp_path / "bad.csv"
+        trace.write_text(f"t,count\n{body}")
+        with pytest.raises(ValueError) as err:
+            read_trace_csv(trace)
+        assert str(err.value) == f"{trace}, line 3: {message}"
+        code = run(
+            [
+                "infer", "--in", str(trace), "--model", "single",
+                "--grid", "alpha=0:1:5", "--grid", "beta=0:1:5",
+                "--fix", "lambda=20", "--fix", "mu=2",
+                "--out", str(tmp_path / "p.json"),
+            ]
+        )
+        assert code == 1
+        assert f"bad.csv, line 3: {message}" in capsys.readouterr().err
+
+    def test_blank_lines_and_spaces_accepted(self, tmp_path):
+        trace = tmp_path / "loose.csv"
+        trace.write_text("t,count\n1,4\n\n  \n2 , 7\r\n3,0\n\n")
+        assert read_trace_csv(trace).counts.tolist() == [4, 7, 0]
+
     def test_grid_model_mismatch_rejected(self, trace_file, tmp_path):
         code = run(
             [

@@ -1,15 +1,18 @@
-"""The compiled kernels: block edges and the on-demand build.
+"""The compiled kernels: block edges, tall tables and the build.
 
 The forward kernel takes cells in blocks of ``BLOCK`` (read from its
 source), and the smoother kernel takes rows in blocks of at most
 ``_MAX_WIDTH``.  The block-edge tests place the corner cases at the first
 and last cell of a block and compare the results bitwise with the numpy
-oracles.  The build tests each run a fresh interpreter with its own cache
-directory.
+oracles; the tall-table tests do the same for tables of many rows, and
+of more rows than the steps read.  The build tests each run a fresh
+interpreter with its own cache directory, and the source must compile
+with every gcc warning on and no flag that loosens IEEE arithmetic.
 """
 
 import os
 import re
+import shutil
 import subprocess
 import sys
 import textwrap
@@ -118,6 +121,41 @@ class TestSmootherBlockEdges:
         loglik = per_step_forward(*mats, inv, start)
         if WIDTH < rows:
             assert np.isfinite(loglik[WIDTH - 3]) and loglik[WIDTH] == -np.inf
+
+
+class TestTallTables:
+    """Tables of many rows, over more than two blocks of cells; the rows
+    past max(inv) are never read."""
+
+    CELLS = 2 * BLOCK + 1
+
+    def _case(self, rows, read, n, seed):
+        """Tables of ``rows`` rows, NaN past row ``read`` - 1, and steps
+        that read rows 0 to ``read`` - 1, the last of them at least once."""
+        rng = np.random.default_rng(seed)
+        mats = [rng.random((rows, self.CELLS)) * 0.5 for _ in range(4)]
+        for m in mats:
+            m[read:] = np.nan
+        inv = rng.integers(0, read, n)
+        inv[n // 2] = read - 1
+        start = rng.random((2, self.CELLS))
+        return mats, inv, start / start.sum(axis=0)
+
+    @pytest.mark.parametrize("read", [300, 7])
+    def test_forward_matches_oracle(self, read):
+        mats, inv, start = self._case(300, read, 400, seed=read)
+        got = posterior._forward_cells(*mats, inv, start)
+        np.testing.assert_array_equal(got, per_step_forward(*mats, inv, start))
+        assert np.all(np.isfinite(got))
+
+    @pytest.mark.parametrize("read", [300, 7])
+    def test_smooth_matches_oracle(self, read):
+        mats, inv, start = self._case(300, read, 60, seed=read + 1)
+        log_w = np.zeros(self.CELLS)
+        pinned = np.zeros(self.CELLS, dtype=bool)
+        got = state_inference._smooth_rows(inv, [(tuple(mats), start, log_w, pinned)])
+        np.testing.assert_array_equal(got, per_step_smooth(*mats, inv, start, log_w, pinned))
+        assert np.all((got >= 0.0) & (got <= 1.0))
 
 
 def _start(code, cache, **variables):
@@ -243,3 +281,17 @@ class TestBuild:
         built = _libraries(tmp_path)
         assert len(built) == 1
         assert list((tmp_path / "blinkinfer").iterdir()) == built
+
+
+class TestSourceBuild:
+    def test_flags_keep_ieee_arithmetic(self):
+        # bit-exactness rests on every product and sum rounding on its own
+        for flag in ("-ffast-math", "-Ofast", "-ffp-contract=fast"):
+            assert flag not in posterior._CFLAGS
+
+    @pytest.mark.skipif(shutil.which("gcc") is None, reason="needs gcc")
+    def test_compiles_without_warnings(self, tmp_path):
+        flags = [*posterior._CFLAGS, "-Wall", "-Wextra", "-Werror"]
+        cmd = ["gcc", *flags, "-o", str(tmp_path / "forward.so"), str(SOURCE), "-lm"]
+        built = subprocess.run(cmd, capture_output=True, text=True)
+        assert built.returncode == 0, built.stderr

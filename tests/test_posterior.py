@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import poisson
 
+import blinkinfer.ctmc as ctmc
 import blinkinfer.multistep as multistep
 import blinkinfer.posterior as posterior
 from blinkinfer.ctmc import QuadratureSpec, trace_loglik_ctmc
@@ -33,6 +34,7 @@ from oracles import (
     per_step_forward,
     reference_loglik,
     substep_path_matrix,
+    tensordot_mix,
 )
 
 EM = EmissionRates(mu=2.0, lam=20.0)
@@ -298,6 +300,72 @@ class TestEvaluateGrid:
             region = credible_regions(pg.switch_marginal(), [0.99])[0]
             areas.append(int(region.mask.sum()))
         assert all(a > b for a, b in zip(areas, areas[1:])), areas
+
+
+_RATE = st.sampled_from([0.0, 1.0, 30.0]) | st.floats(0.0, 30.0)
+_MIXED_MODELS = [("ctmc", None), ("multistep", 1), ("multistep", 4), ("multistep", 16)]
+
+
+def _mixed_case(model, d, a, b, counts, n_lambda, n_mu):
+    """The engine's tables for switch pairs ``a``, ``b`` and the tensordot
+    oracle's, as two lists of four (D, cells) arrays, and the node count."""
+    grid = GridSpec(
+        axes=(GridAxis("lambda", 0.0, 40.0, n_lambda), GridAxis("mu", 0.0, 6.0, n_mu)),
+        fixed={"r_alpha": 1.0, "r_beta": 1.0},
+    )
+    quad = QuadratureSpec() if model == "ctmc" else None
+    ctx = posterior._EngineContext(CountTrace(counts), model, grid, None, quad, d)
+    if model == "ctmc":
+        smooth = ctmc._smooth_densities(a[:, None], b[:, None], ctx.nodes[None, :])
+        e00, e01, e10, e11 = tensordot_mix(ctx.emission_nodes, smooth * ctx.quad_w)
+        e00 = e00 + np.einsum("p,dm->dpm", np.exp(-a), ctx.p_off)
+        e11 = e11 + np.einsum("p,dm->dpm", np.exp(-b), ctx.p_on)
+    else:
+        e00, e01, e10, e11 = tensordot_mix(ctx.emission_nodes, multistep.on_count_weights(d, a, b))
+    want = [e.reshape(len(e), -1) for e in (e00, e01, e10, e11)]
+    got = ctx.tables(a, b)
+    assert all(table.flags.c_contiguous for table in got)
+    return got, want, ctx.nodes.size
+
+
+def _assert_within_rounding(got, want, k):
+    # k products and k - 1 additions per entry, one more for a delta term
+    for table, ref in zip(got, want):
+        np.testing.assert_allclose(table, ref, rtol=(2 * k + 2) * 2.0**-53, atol=2 * k * 2.0**-1074)
+
+
+class TestMixedTablesAgainstTensordot:
+    """The ctmc and multistep tables, built by one batched matmul straight
+    into the kernels' layout, against the former tensordot formulation.
+
+    Both sum the same non-negative terms over the nodes, but BLAS may pick
+    a different kernel, and so a different order of summation, for the two
+    shapes.  The tables therefore agree within the rounding of a sum of
+    that many terms.  Whether they agree bit for bit depends on the BLAS
+    build and the CPU, so byte identity of posteriors is checked on the
+    benchmark's grids, not here.
+    """
+
+    @pytest.mark.parametrize("model, d", _MIXED_MODELS)
+    def test_large_block(self, model, d):
+        rng = np.random.default_rng(11)
+        a, b = rng.uniform(0.0, 8.0, (2, 128))
+        a[:3], b[1:4] = 0.0, 0.0
+        got, want, k = _mixed_case(model, d, a, b, [0, 1, 7, 20, 41, 90, 200], 32, 16)
+        _assert_within_rounding(got, want, k)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        model_d=st.sampled_from(_MIXED_MODELS),
+        pairs=st.lists(st.tuples(_RATE, _RATE), min_size=2, max_size=5),
+        n_lambda=st.integers(2, 4),
+        n_mu=st.integers(2, 3),
+        counts=st.lists(st.integers(0, 200), min_size=1, max_size=30),
+    )
+    def test_small_blocks(self, model_d, pairs, n_lambda, n_mu, counts):
+        a, b = (np.array(r) for r in zip(*pairs))
+        got, want, k = _mixed_case(*model_d, a, b, counts, n_lambda, n_mu)
+        _assert_within_rounding(got, want, k)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
