@@ -48,11 +48,7 @@ __all__ = [
 
 POSTERIOR_FORMAT_VERSION = 1
 
-_MODEL_PARAMS = {
-    "single": ("alpha", "beta"),
-    "ctmc": ("r_alpha", "r_beta"),
-    "multistep": ("r_alpha", "r_beta"),
-}
+_MODELS = ("single", "ctmc", "multistep")
 
 
 @dataclass
@@ -77,7 +73,7 @@ class RunConfig:
     summary_range: tuple[float, float] | None = None
 
     def __post_init__(self):
-        if self.model is not None and self.model not in _MODEL_PARAMS:
+        if self.model is not None and self.model not in _MODELS:
             raise ValueError(f"unknown model {self.model!r}")
         if self.d is not None and self.model != "multistep":
             raise ValueError("--d applies only to the multistep model")
@@ -259,7 +255,7 @@ def cmd_simulate(cfg: RunConfig) -> None:
         r_alpha, r_beta = _require_fixed(cfg, ("r_alpha", "r_beta"))
         from .multistep import choose_subinterval_count
 
-        d = cfg.d or choose_subinterval_count(r_alpha, r_beta)
+        d = cfg.d if cfg.d is not None else choose_subinterval_count(r_alpha, r_beta)
         probs = probs_from_rates(SwitchRates(r_alpha, r_beta), d)
         result = sim_dtmc_multi(probs, emissions, cfg.n, seed=cfg.seed)
         print(f"d: {d}")
@@ -281,7 +277,7 @@ def cmd_infer(cfg: RunConfig) -> None:
     if cfg.in_path is None or cfg.out_path is None:
         raise ValueError("infer needs --in and --out")
     trace = read_trace_csv(cfg.in_path)
-    quad = QuadratureSpec(cfg.quad_nodes) if cfg.quad_nodes else None
+    quad = QuadratureSpec(cfg.quad_nodes) if cfg.quad_nodes is not None else None
     posterior = evaluate_grid(
         trace,
         cfg.model,
@@ -377,7 +373,7 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p, need_model=True):
         if need_model:
             p.add_argument(
-                "--model", required=True, choices=("single", "ctmc", "multistep")
+                "--model", required=True, choices=_MODELS
             )
         p.add_argument("--grid", action="append", type=_parse_grid, default=[],
                        metavar="NAME=LO:HI:N")

@@ -176,8 +176,7 @@ def on_count_weights(d: int, r_alpha, r_beta) -> np.ndarray:
     over this law gives :func:`interval_distributions` exactly, with no
     count truncation.
     """
-    if d < 1 or d & (d - 1):
-        raise ValueError("d must be a power of two >= 1")
+    _check_subinterval_count(d)
     ra, rb = np.broadcast_arrays(np.asarray(r_alpha, float), np.asarray(r_beta, float))
     a = -np.expm1(-ra / d)[..., None]
     b = -np.expm1(-rb / d)[..., None]
@@ -190,6 +189,11 @@ def on_count_weights(d: int, r_alpha, r_beta) -> np.ndarray:
         on_counted[..., 1:] = on[..., :-1]
         off, on = (1.0 - a) * off + b * on_counted, a * off + (1.0 - b) * on_counted
     return np.stack([off, on], axis=1)
+
+
+def _check_subinterval_count(d: int) -> None:
+    if d < 1 or d & (d - 1):
+        raise ValueError("d must be a power of two >= 1")
 
 
 def trace_loglik_multistep(

@@ -183,7 +183,17 @@ class CredibleRegion:
 
 
 class _EngineContext:
-    """Everything a worker needs, built once and inherited through fork."""
+    """Everything a worker needs, built once and inherited through fork.
+
+    Every model's step tables come from one builder.  An interval's entry
+    [end, start] is the Poisson count law at rate mu + x*lam mixed over the
+    law of the on-fraction x, so the context holds one emission table at
+    the model's on-fraction nodes, and ``tables`` mixes it over the
+    model's weight law w[start, end, pair, node]: the start state's node
+    for single, the smooth ctmc density on quadrature nodes plus the
+    switch-free point masses at 0 and 1, or the multistep on-count law at
+    n/d.
+    """
 
     def __init__(self, trace, model, grid, prior, quad, d):
         self.model = model
@@ -205,11 +215,7 @@ class _EngineContext:
             )
         self.avals = roles[switch_a]
         self.bvals = roles[switch_b]
-        lvals = roles["lambda"]
-        mvals = roles["mu"]
-        self.n_lambda = lvals.size
-        self.n_mu = mvals.size
-        lam_grid, mu_grid = np.meshgrid(lvals, mvals, indexing="ij")
+        lam_grid, mu_grid = np.meshgrid(roles["lambda"], roles["mu"], indexing="ij")
         self.lam_flat = lam_grid.ravel()
         self.mu_flat = mu_grid.ravel()
         self.n_em = self.lam_flat.size
@@ -220,21 +226,19 @@ class _EngineContext:
             )
         self.d = d
 
+        # the on-fraction nodes x of the emission table, at rate mu + x*lam
+        if model == "single":
+            nodes = np.array([0.0, 1.0])
+        elif model == "ctmc":
+            self.quad = quad
+            nodes = np.concatenate([[0.0], quad.nodes_weights()[0], [1.0]])
+        else:
+            _multistep._check_subinterval_count(d)
+            nodes = np.arange(d + 1) / d
         counts = np.asarray(trace.counts)
         self.distinct, self.inv = np.unique(counts, return_inverse=True)
-        dcol = self.distinct[:, None].astype(float)
-        self.p_off = poisson_pmf(self.mu_flat[None, :], dcol)
-        self.p_on = poisson_pmf((self.mu_flat + self.lam_flat)[None, :], dcol)
-
-        # ctmc and multistep tables mix Poisson laws at on-fractions x:
-        # quadrature nodes, or the on-sub-step fractions n/d
-        if model == "ctmc":
-            self.nodes, self.quad_w = quad.nodes_weights()
-        elif model == "multistep":
-            self.nodes = np.arange(d + 1) / d
-        if model != "single":
-            rate = self.mu_flat[:, None] + self.lam_flat[:, None] * self.nodes[None, :]
-            self.emission_nodes = poisson_pmf(rate, dcol[:, :, None])
+        rate = self.mu_flat[:, None] + self.lam_flat[:, None] * nodes
+        self.emission_nodes = poisson_pmf(rate, self.distinct[:, None, None])
 
     def pairs_per_block(self) -> int:
         return max(1, _BLOCK_CELL_TARGET // self.n_em)
@@ -252,26 +256,24 @@ class _EngineContext:
         idx = np.arange(p_start, p_end)
         return self.avals[idx // nb], self.bvals[idx % nb]
 
-    # -- step matrix builders: four arrays (D, cells), entry [end, start] --
+    # -- on-fraction laws w[start, end, pair, node] of the step tables --
 
-    def _entries_single(self, a, b):
-        e00 = np.einsum("p,dm->dpm", 1.0 - a, self.p_off)
-        e10 = np.einsum("p,dm->dpm", a, self.p_off)
-        e01 = np.einsum("p,dm->dpm", b, self.p_on)
-        e11 = np.einsum("p,dm->dpm", 1.0 - b, self.p_on)
-        return e00, e01, e10, e11
+    def _weights_single(self, a, b):
+        # all weight on the start state's node, split over the end states
+        stay_go = np.stack([[1.0 - a, a], [b, 1.0 - b]])
+        return stay_go[..., None] * np.eye(2)[:, None, None, :]
 
-    def _entries_ctmc(self, a, b):
-        smooth = _ctmc._smooth_densities(a[:, None], b[:, None], self.nodes[None, :])
-        mixed = _mix_nodes(self.emission_nodes, smooth * self.quad_w)
+    def _weights_ctmc(self, a, b):
+        x, w = self.quad.nodes_weights()
+        law = np.zeros((2, 2, a.size, x.size + 2))
+        law[..., 1:-1] = _ctmc._smooth_densities(a[:, None], b[:, None], x) * w
         # switch-free histories: point masses at on-fraction 0 and 1
-        mixed[0] += np.einsum("p,dm->dpm", np.exp(-a), self.p_off)
-        mixed[3] += np.einsum("p,dm->dpm", np.exp(-b), self.p_on)
-        return mixed
+        law[0, 0, :, 0] = np.exp(-a)
+        law[1, 1, :, -1] = np.exp(-b)
+        return law
 
-    def _entries_multistep(self, a, b):
-        weights = _multistep.on_count_weights(self.d, a, b)
-        return _mix_nodes(self.emission_nodes, weights)
+    def _weights_multistep(self, a, b):
+        return _multistep.on_count_weights(self.d, a, b)
 
     def row_sets(self, a, b):
         """Forward-pass rows of the cells of switch pairs ``a``, ``b``.
@@ -312,8 +314,9 @@ class _EngineContext:
     def tables(self, a, b):
         """The model's step tables for switch pairs ``a``, ``b``: four
         contiguous (D, cells) arrays, cells pair-major."""
-        entries = getattr(self, f"_entries_{self.model}")(a, b)
-        return tuple(m.reshape(len(m), -1) for m in entries)
+        weights = getattr(self, f"_weights_{self.model}")(a, b)
+        mixed = _mix_nodes(self.emission_nodes, weights)
+        return tuple(m.reshape(len(m), -1) for m in mixed)
 
     def eval_block(self, p_start, p_end):
         a, b = self.pair_params(p_start, p_end)
@@ -338,14 +341,15 @@ def _cell_context(trace, model, switch, emissions, prior=None, quad=None, d=None
 def _mix_nodes(emission, weights):
     """Entries of sum_k weights[start, end, p, k] * emission[D, m, k].
 
-    One batched matmul, of the (end, start)-ordered weights (4, 1, p, K)
-    with the emission (D, K, m), writes the four tables straight into one
-    contiguous (4, D, p, m) array, its first axis in step-matrix order
-    [end, start]: 00, 01, 10, 11.  The order in which BLAS sums over k is
-    its own choice.  With OpenBLAS 0.3.31 on an AVX-512 Xeon, blocks as
-    large as the engine's gave the same bits as a single tensordot of the
-    (D m, K) emission with the weights, and small blocks could differ in
-    the last bit; another BLAS or CPU may differ on any block.
+    The step tables of all three models: the emission at on-fraction node
+    k mixed over the weight law of the nodes.  One batched matmul, of the
+    (end, start)-ordered weights (4, 1, p, K) with the emission (D, K, m),
+    writes the four tables straight into one contiguous (4, D, p, m)
+    array, its first axis in step-matrix order [end, start]: 00, 01, 10,
+    11.  The order in which BLAS sums over k is its own choice, so ctmc
+    and multistep entries can move in the last bit with the block's
+    shape.  Single-step entries cannot: with K = 2 and one weight exactly
+    zero, every entry is one rounded product.
     """
     p, k = weights.shape[2:]
     by_end = weights.transpose(1, 0, 2, 3).reshape(4, 1, p, k)
@@ -508,7 +512,6 @@ def evaluate_grid(
         )
 
     blocks = probe.block_ranges()
-    n_a, n_b = probe.avals.size, probe.bvals.size
     flat = np.empty((probe.n_pairs(), probe.n_em))
 
     _forward_kernel()  # built before any fork, so that workers share it
@@ -526,18 +529,9 @@ def evaluate_grid(
         finally:
             _WORKER_CTX = None
 
-    full = flat.reshape(n_a, n_b, probe.n_lambda, probe.n_mu)
-    free = set(grid.free_names)
-    role_is_free = (
-        bool(free & {"alpha", "r_alpha"}),
-        bool(free & {"beta", "r_beta"}),
-        "lambda" in free,
-        "mu" in free,
-    )
-    log_post = full
-    for axis_i in reversed(range(4)):
-        if not role_is_free[axis_i]:
-            log_post = np.squeeze(log_post, axis=axis_i)
+    # fixed parameters hold one value each, so the flat (pair, emission)
+    # order is the row-major order of the free axes
+    log_post = flat.reshape(grid.shape)
 
     return _finalize(grid, model, log_post, probe.d)
 

@@ -67,6 +67,21 @@ class TestSimulate:
         )
         assert code == 1
 
+    def test_zero_d_rejected(self, tmp_path, capsys):
+        # d = 0 is a value, not "unset": no d is chosen in its place
+        out = tmp_path / "x.csv"
+        code = run(
+            [
+                "simulate", "--model", "multistep",
+                "--fix", "r_alpha=1", "--fix", "r_beta=1",
+                "--fix", "lambda=20", "--fix", "mu=2",
+                "--d", "0", "--n", "10", "--out", str(out),
+            ]
+        )
+        assert code == 1
+        assert "error: d must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestInfer:
     def test_known_emissions_two_free_axes(self, trace_file, tmp_path):
@@ -332,6 +347,34 @@ class TestCtmcCli:
             ]
         )
         assert code == 1
+
+    def test_zero_quad_nodes_rejected(self, trace_file, tmp_path, capsys):
+        out = tmp_path / "p.json"
+        code = run(
+            [
+                "infer", "--in", str(trace_file), "--model", "ctmc",
+                "--grid", "r_alpha=0:4:5", "--grid", "r_beta=0:4:5",
+                "--fix", "lambda=20", "--fix", "mu=2",
+                "--quad-nodes", "0", "--out", str(out),
+            ]
+        )
+        assert code == 1
+        assert "error: node_count must be >= 8" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_zero_d_rejected_for_multistep(self, trace_file, tmp_path, capsys):
+        out = tmp_path / "p.json"
+        code = run(
+            [
+                "infer", "--in", str(trace_file), "--model", "multistep",
+                "--grid", "r_alpha=0:4:5", "--grid", "r_beta=0:4:5",
+                "--fix", "lambda=20", "--fix", "mu=2",
+                "--d", "0", "--out", str(out),
+            ]
+        )
+        assert code == 1
+        assert "error: d must be a power of two >= 1" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_d_rejected_for_ctmc(self, trace_file, tmp_path):
         code = run(

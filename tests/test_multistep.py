@@ -279,3 +279,12 @@ class TestTraceLoglik:
         auto = trace_loglik_multistep(trace, rates, EM)
         explicit = trace_loglik_multistep(trace, rates, EM, d=8)
         assert auto == explicit
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("d", [0, 3, -2])
+    def test_rejects_bad_d_before_dividing(self, d):
+        # the on-fractions n/d are built only once d is known to be valid,
+        # so d = 0 raises ValueError, not a division warning
+        trace = CountTrace([3, 0, 7])
+        with pytest.raises(ValueError, match="d must be a power of two >= 1"):
+            trace_loglik_multistep(trace, SwitchRates(1.0, 1.0), EM, d=d)

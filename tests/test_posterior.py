@@ -15,6 +15,7 @@ from blinkinfer.kernels import (
     EmissionRates,
     SwitchProbs,
     SwitchRates,
+    poisson_pmf,
 )
 from blinkinfer.posterior import (
     GridAxis,
@@ -275,6 +276,27 @@ class TestEvaluateGrid:
         two = evaluate_grid(res.trace, "ctmc", grid, workers=2)
         assert np.array_equal(one.log_post, two.log_post)
 
+    def test_single_step_bits_do_not_depend_on_block_size(self, monkeypatch):
+        # each single-step table entry is one rounded product, so a cell's
+        # log-likelihood cannot depend on which switch pairs share its
+        # block; ctmc and multistep entries are BLAS sums, which may
+        res = sim_dtmc_single(SwitchProbs(0.3, 0.6, 1), EM, 400, seed=21)
+        grid = GridSpec(
+            axes=(
+                GridAxis("alpha", 0.0, 1.0, 6),
+                GridAxis("beta", 0.0, 1.0, 5),
+                GridAxis("lambda", 0.0, 30.0, 3),
+                GridAxis("mu", 0.0, 4.0, 2),
+            )
+        )
+        assert posterior._BLOCK_CELL_TARGET == 129 * 512
+        whole = evaluate_grid(res.trace, "single", grid)
+        # 6 emission cells: blocks of 7 switch pairs, the last one of 2
+        monkeypatch.setattr(posterior, "_BLOCK_CELL_TARGET", 43)
+        split = evaluate_grid(res.trace, "single", grid)
+        assert np.isneginf(whole.log_post).any()
+        assert np.array_equal(whole.log_post, split.log_post)
+
     def test_mode_near_truth_high_switching(self):
         res = sim_dtmc_single(SwitchProbs(0.8, 0.9, 1), EM, 10_000, seed=12)
         grid = GridSpec(
@@ -308,42 +330,56 @@ _MIXED_MODELS = [("ctmc", None), ("multistep", 1), ("multistep", 4), ("multistep
 
 def _mixed_case(model, d, a, b, counts, n_lambda, n_mu):
     """The engine's tables for switch pairs ``a``, ``b`` and the tensordot
-    oracle's, as two lists of four (D, cells) arrays, and the node count."""
+    oracle's, as two lists of four (D, cells) arrays, and the number of
+    terms the engine sums per entry.
+
+    The oracle is built from public pieces only: the quadrature rule or
+    ``on_count_weights``, ``poisson_pmf`` and the smooth ctmc densities,
+    with the ctmc point masses at on-fractions 0 and 1 added apart.
+    """
+    lam, mu = np.linspace(0.0, 40.0, n_lambda), np.linspace(0.0, 6.0, n_mu)
     grid = GridSpec(
         axes=(GridAxis("lambda", 0.0, 40.0, n_lambda), GridAxis("mu", 0.0, 6.0, n_mu)),
         fixed={"r_alpha": 1.0, "r_beta": 1.0},
     )
     quad = QuadratureSpec() if model == "ctmc" else None
     ctx = posterior._EngineContext(CountTrace(counts), model, grid, None, quad, d)
+    lam_c, mu_c = (v.ravel() for v in np.meshgrid(lam, mu, indexing="ij"))
+    dcol = np.unique(counts)[:, None]
     if model == "ctmc":
-        smooth = ctmc._smooth_densities(a[:, None], b[:, None], ctx.nodes[None, :])
-        e00, e01, e10, e11 = tensordot_mix(ctx.emission_nodes, smooth * ctx.quad_w)
-        e00 = e00 + np.einsum("p,dm->dpm", np.exp(-a), ctx.p_off)
-        e11 = e11 + np.einsum("p,dm->dpm", np.exp(-b), ctx.p_on)
+        x, w = quad.nodes_weights()
+        weights = ctmc._smooth_densities(a[:, None], b[:, None], x) * w
     else:
-        e00, e01, e10, e11 = tensordot_mix(ctx.emission_nodes, multistep.on_count_weights(d, a, b))
+        x = np.arange(d + 1) / d
+        weights = multistep.on_count_weights(d, a, b)
+    emission = poisson_pmf(mu_c[:, None] + lam_c[:, None] * x, dcol[:, :, None])
+    e00, e01, e10, e11 = tensordot_mix(emission, weights)
+    if model == "ctmc":
+        e00 = e00 + np.einsum("p,dm->dpm", np.exp(-a), poisson_pmf(mu_c, dcol))
+        e11 = e11 + np.einsum("p,dm->dpm", np.exp(-b), poisson_pmf(mu_c + lam_c, dcol))
     want = [e.reshape(len(e), -1) for e in (e00, e01, e10, e11)]
     got = ctx.tables(a, b)
     assert all(table.flags.c_contiguous for table in got)
-    return got, want, ctx.nodes.size
+    return got, want, x.size + 2 if model == "ctmc" else x.size
 
 
 def _assert_within_rounding(got, want, k):
-    # k products and k - 1 additions per entry, one more for a delta term
+    # k products and k - 1 additions per entry on either side
     for table, ref in zip(got, want):
         np.testing.assert_allclose(table, ref, rtol=(2 * k + 2) * 2.0**-53, atol=2 * k * 2.0**-1074)
 
 
 class TestMixedTablesAgainstTensordot:
-    """The ctmc and multistep tables, built by one batched matmul straight
-    into the kernels' layout, against the former tensordot formulation.
+    """The ctmc and multistep tables, one batched matmul over the on-fraction
+    nodes straight into the kernels' layout, against a tensordot over the
+    inner nodes with the ctmc point masses added after it.
 
-    Both sum the same non-negative terms over the nodes, but BLAS may pick
-    a different kernel, and so a different order of summation, for the two
-    shapes.  The tables therefore agree within the rounding of a sum of
-    that many terms.  Whether they agree bit for bit depends on the BLAS
-    build and the CPU, so byte identity of posteriors is checked on the
-    benchmark's grids, not here.
+    Both sum the same non-negative terms, but in different orders, and
+    BLAS may pick a different kernel for the two shapes.  The tables
+    therefore agree within the rounding of a sum of that many terms.
+    Whether they agree bit for bit depends on the BLAS build and the CPU,
+    so byte identity of posteriors is checked on the benchmark's grids, not
+    here.
     """
 
     @pytest.mark.parametrize("model, d", _MIXED_MODELS)
