@@ -28,7 +28,8 @@ from .kernels import (
     SwitchRates,
     probs_from_rates,
 )
-from .posterior import GridAxis, GridSpec, credible_regions, evaluate_grid
+from .multistep import choose_subinterval_count
+from .posterior import _MODELS, GridAxis, GridSpec, credible_regions, evaluate_grid
 from .simulate import sim_ctmc, sim_dtmc_multi, sim_dtmc_single
 from .state_inference import state_posterior_marginal
 from .threshold import literature_thresholds, threshold_sweep
@@ -47,8 +48,6 @@ __all__ = [
 ]
 
 POSTERIOR_FORMAT_VERSION = 1
-
-_MODELS = ("single", "ctmc", "multistep")
 
 
 @dataclass
@@ -81,6 +80,8 @@ class RunConfig:
             raise ValueError("--quad-nodes applies only to the ctmc model")
         if self.workers < 1:
             raise ValueError("--workers must be >= 1")
+        if not all(0.0 < level < 1.0 for level in self.levels):
+            raise ValueError("credible levels must be inside (0, 1)")
 
 
 # ---------------------------------------------------------------------------
@@ -243,20 +244,14 @@ def cmd_simulate(cfg: RunConfig) -> None:
         raise ValueError("simulate needs --out")
     mu, lam = _require_fixed(cfg, ("mu", "lambda"))
     emissions = EmissionRates(mu=mu, lam=lam)
+    a, b = _require_fixed(cfg, _MODELS[cfg.model])
     if cfg.model == "single":
-        alpha, beta = _require_fixed(cfg, ("alpha", "beta"))
-        result = sim_dtmc_single(
-            SwitchProbs(alpha, beta, 1), emissions, cfg.n, seed=cfg.seed
-        )
+        result = sim_dtmc_single(SwitchProbs(a, b, 1), emissions, cfg.n, seed=cfg.seed)
     elif cfg.model == "ctmc":
-        r_alpha, r_beta = _require_fixed(cfg, ("r_alpha", "r_beta"))
-        result = sim_ctmc(SwitchRates(r_alpha, r_beta), emissions, cfg.n, seed=cfg.seed)
+        result = sim_ctmc(SwitchRates(a, b), emissions, cfg.n, seed=cfg.seed)
     else:
-        r_alpha, r_beta = _require_fixed(cfg, ("r_alpha", "r_beta"))
-        from .multistep import choose_subinterval_count
-
-        d = cfg.d if cfg.d is not None else choose_subinterval_count(r_alpha, r_beta)
-        probs = probs_from_rates(SwitchRates(r_alpha, r_beta), d)
+        d = cfg.d if cfg.d is not None else choose_subinterval_count(a, b)
+        probs = probs_from_rates(SwitchRates(a, b), d)
         result = sim_dtmc_multi(probs, emissions, cfg.n, seed=cfg.seed)
         print(f"d: {d}")
     write_trace_csv(cfg.out_path, result.trace)
@@ -272,19 +267,23 @@ def _default_truth_path(out_path: str) -> str:
     return f"{stem}.truth.{ext}" if dot else f"{out_path}.truth"
 
 
+def _read_input(cfg: RunConfig) -> CountTrace:
+    if cfg.in_path is None or cfg.out_path is None:
+        raise ValueError(f"{cfg.command} needs --in and --out")
+    return read_trace_csv(cfg.in_path)
+
+
+def _model_options(cfg: RunConfig) -> dict:
+    """The ``quad`` and ``d`` keywords of the engine, from the options."""
+    quad = QuadratureSpec(cfg.quad_nodes) if cfg.quad_nodes is not None else None
+    return {"quad": quad, "d": cfg.d}
+
+
 def cmd_infer(cfg: RunConfig) -> None:
     """Run the grid posterior on a trace file and write the posterior JSON."""
-    if cfg.in_path is None or cfg.out_path is None:
-        raise ValueError("infer needs --in and --out")
-    trace = read_trace_csv(cfg.in_path)
-    quad = QuadratureSpec(cfg.quad_nodes) if cfg.quad_nodes is not None else None
+    trace = _read_input(cfg)
     posterior = evaluate_grid(
-        trace,
-        cfg.model,
-        cfg.grid,
-        quad=quad,
-        d=cfg.d,
-        workers=cfg.workers,
+        trace, cfg.model, cfg.grid, workers=cfg.workers, **_model_options(cfg)
     )
     if cfg.model == "multistep":
         print(f"d: {posterior.d}")
@@ -298,24 +297,23 @@ def cmd_infer(cfg: RunConfig) -> None:
 
 
 def cmd_infer_state(cfg: RunConfig) -> None:
-    """Per-interval on-state probabilities from the whole trace (single model)."""
-    if cfg.model != "single":
-        raise ValueError("state inference supports only --model single")
-    if cfg.in_path is None or cfg.out_path is None:
-        raise ValueError("infer-state needs --in and --out")
-    trace = read_trace_csv(cfg.in_path)
-    state_post = state_posterior_marginal(trace, cfg.grid)
+    """Per-interval on-state probabilities from the whole trace, under any
+    model; a grid of fixed values gives known-parameter smoothing."""
+    trace = _read_input(cfg)
+    state_post = state_posterior_marginal(
+        trace, cfg.grid, model=cfg.model, **_model_options(cfg)
+    )
+    if cfg.model == "multistep":
+        print(f"d: {state_post.context['d']}")
     write_state_csv(cfg.out_path, state_post.p_on)
     print(f"states: {cfg.out_path}")
 
 
 def cmd_threshold(cfg: RunConfig) -> None:
     """Threshold sweep plus the four standard threshold rules, as CSV."""
-    if cfg.in_path is None or cfg.out_path is None:
-        raise ValueError("threshold needs --in and --out")
     if not cfg.thresholds or not cfg.bins:
         raise ValueError("threshold needs --thresholds and --bins")
-    trace = read_trace_csv(cfg.in_path)
+    trace = _read_input(cfg)
     rules = literature_thresholds(trace)
     sweep = threshold_sweep(
         trace, cfg.thresholds, cfg.bins, summary_range=cfg.summary_range
@@ -372,9 +370,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(p, need_model=True):
         if need_model:
-            p.add_argument(
-                "--model", required=True, choices=_MODELS
-            )
+            p.add_argument("--model", required=True, choices=tuple(_MODELS))
         p.add_argument("--grid", action="append", type=_parse_grid, default=[],
                        metavar="NAME=LO:HI:N")
         p.add_argument("--fix", action="append", type=_parse_fix, default=[],

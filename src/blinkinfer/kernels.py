@@ -172,10 +172,7 @@ def poisson_pmf(rate, count):
     Computes rate**count * exp(-rate) / count!.  A zero rate gives a point
     mass at zero counts.  Accepts scalars or arrays and broadcasts.
     """
-    rate_arr = np.asarray(rate, dtype=float)
-    if np.any(rate_arr < 0):
-        raise ValueError("Poisson rate must be non-negative")
-    out = np.exp(log_poisson_pmf(rate_arr, count))
+    out = np.exp(log_poisson_pmf(rate, count))
     if np.isscalar(rate) and np.isscalar(count):
         return float(out)
     return out

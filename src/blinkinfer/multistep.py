@@ -157,8 +157,7 @@ def interval_distributions(
     sub-step base case, and doubles m times.  Approximates the
     continuous-time kernel with error decreasing in d.
     """
-    if d < 1 or d & (d - 1):
-        raise ValueError("d must be a power of two >= 1")
+    _check_subinterval_count(d)
     probs = probs_from_rates(rates, d)
     dist = base_distributions(d, probs, emissions, c_max, tail_tol=tail_tol)
     for _ in range(d.bit_length() - 1):

@@ -55,6 +55,9 @@ __all__ = [
     "inference_error",
 ]
 
+# Every model, with the names of its (switch-on, switch-off) parameters
+_RATES = ("r_alpha", "r_beta")
+_MODELS = {"single": ("alpha", "beta"), "ctmc": _RATES, "multistep": _RATES}
 _AXIS_ORDER = {"alpha": 0, "r_alpha": 0, "beta": 1, "r_beta": 1, "lambda": 2, "mu": 3}
 _PROB_AXES = {"alpha", "beta"}
 # Cells per block: 129 x 512, not 2^16.  The forward kernel reads one row of
@@ -199,19 +202,14 @@ class _EngineContext:
         self.model = model
         self.prior = prior
 
-        roles = {}
-        for ax in grid.axes:
-            roles[ax.name] = ax.values
-        for name, value in grid.fixed.items():
-            roles[name] = np.array([float(value)])
-        names = set(roles)
-        switch_a = "alpha" if model == "single" else "r_alpha"
-        switch_b = "beta" if model == "single" else "r_beta"
+        roles = {ax.name: ax.values for ax in grid.axes}
+        roles.update({n: np.array([float(v)]) for n, v in grid.fixed.items()})
+        switch_a, switch_b = _MODELS[model]
         expected = {switch_a, switch_b, "lambda", "mu"}
-        if names != expected:
+        if set(roles) != expected:
             raise ValueError(
                 f"model {model!r} needs parameters {sorted(expected)}, "
-                f"got {sorted(names)}"
+                f"got {sorted(roles)}"
             )
         self.avals = roles[switch_a]
         self.bvals = roles[switch_b]
@@ -333,9 +331,30 @@ def _cell_context(trace, model, switch, emissions, prior=None, quad=None, d=None
 
     ``switch`` is the model's (switch-on, switch-off) pair.
     """
-    names = ("alpha", "beta") if model == "single" else ("r_alpha", "r_beta")
-    cell = {**dict(zip(names, switch)), "lambda": emissions.lam, "mu": emissions.mu}
+    cell = {**dict(zip(_MODELS[model], switch)), "lambda": emissions.lam, "mu": emissions.mu}
     return _EngineContext(trace, model, GridSpec(axes=(), fixed=cell), prior, quad, d)
+
+
+def _grid_context(trace, model, grid, prior, quad, d):
+    """The engine context of ``grid`` under ``model``, checked for use.
+
+    ``quad`` applies only to ctmc, where it defaults to QuadratureSpec()
+    and must converge at the grid's corner, and ``d`` only to multistep.
+    """
+    if model not in _MODELS:
+        raise ValueError(f"unknown model {model!r}")
+    if quad is not None and model != "ctmc":
+        raise ValueError("quadrature spec applies only to the ctmc model")
+    if d is not None and model != "multistep":
+        raise ValueError("subinterval count d applies only to the multistep model")
+    if model == "ctmc" and quad is None:
+        quad = _ctmc.QuadratureSpec()
+    ctx = _EngineContext(trace, model, grid, prior, quad, d)
+    if model == "ctmc":
+        corner = SwitchRates(float(ctx.avals.max()), float(ctx.bvals.max()))
+        corner_em = EmissionRates(float(ctx.mu_flat.max()), float(ctx.lam_flat.max()))
+        _ctmc.check_quadrature_convergence(corner, corner_em, quad, ctx.distinct)
+    return ctx
 
 
 def _mix_nodes(emission, weights):
@@ -492,24 +511,9 @@ def evaluate_grid(
     the multistep model ``d`` defaults to the applicability rule evaluated
     at the largest grid rates.  Results do not depend on ``workers``.
     """
-    if model not in ("single", "ctmc", "multistep"):
-        raise ValueError(f"unknown model {model!r}")
     if len(grid.axes) == 0:
         raise ValueError("grid has no free axes")
-    if quad is not None and model != "ctmc":
-        raise ValueError("quadrature spec applies only to the ctmc model")
-    if d is not None and model != "multistep":
-        raise ValueError("subinterval count d applies only to the multistep model")
-    if model == "ctmc" and quad is None:
-        quad = _ctmc.QuadratureSpec()
-
-    probe = _EngineContext(trace, model, grid, prior, quad, d)
-    if model == "ctmc":
-        corner = SwitchRates(float(probe.avals.max()), float(probe.bvals.max()))
-        corner_em = EmissionRates(float(probe.mu_flat.max()), float(probe.lam_flat.max()))
-        _ctmc.check_quadrature_convergence(
-            corner, corner_em, quad, probe.distinct, tol=1e-9
-        )
+    probe = _grid_context(trace, model, grid, prior, quad, d)
 
     blocks = probe.block_ranges()
     flat = np.empty((probe.n_pairs(), probe.n_em))

@@ -11,9 +11,10 @@ tables.  Prefix and suffix vectors are both rescaled by a power of two at
 every step.  The scale factors of the two passes are common to both states
 at a position, so they cancel in the ratio and never need exponentiating.
 
-Exposed for the single-step model; with parameters unknown the masked
+Exposed for all three models.  With parameters unknown the masked
 products are averaged over a parameter grid weighted by each cell's
-likelihood (flat priors).  A cell whose chain never mixes is split into
+likelihood (flat priors); a grid of fixed values gives known-parameter
+smoothing under any model.  A cell whose chain never mixes is split into
 two start-pinned rows, as in the grid engine, so that no hidden path is
 lost to the rescaling.
 """
@@ -26,8 +27,9 @@ from typing import Any
 import numpy as np
 
 from . import posterior as _posterior
+from .ctmc import QuadratureSpec
 from .kernels import CountTrace, EmissionRates, StatePrior, SwitchProbs
-from .posterior import GridSpec, _cell_context, _EngineContext
+from .posterior import GridSpec, _grid_context
 from .single_step import StepMatrix
 
 __all__ = [
@@ -91,31 +93,32 @@ def state_posterior_known(
         raise ValueError("single-step model requires d = 1")
     if prior is None:
         prior = StatePrior.stationary_from_probs(probs)
-    switch = (probs.alpha, probs.beta)
-    return StatePosterior(
-        p_on=_smooth(_cell_context(trace, "single", switch, emissions, prior)),
-        model="single",
-        context={"probs": probs, "emissions": emissions, "prior": prior},
-    )
+    cell = dict(alpha=probs.alpha, beta=probs.beta, mu=emissions.mu)
+    cell["lambda"] = emissions.lam
+    p_on = state_posterior_marginal(trace, GridSpec(axes=(), fixed=cell), prior).p_on
+    context = {"probs": probs, "emissions": emissions, "prior": prior}
+    return StatePosterior(p_on=p_on, context=context)
 
 
 def state_posterior_marginal(
     trace: CountTrace,
     grid: GridSpec,
     prior: StatePrior | None = None,
+    model: str = "single",
+    quad: QuadratureSpec | None = None,
+    d: int | None = None,
 ) -> StatePosterior:
     """State posterior with unknown parameters marginalised over a grid.
 
     Averages each grid cell's masked-product numerators with weights
     proportional to the cell's likelihood (flat priors on the box), the
-    grid realisation of integrating the parameters out.  Only the
-    single-step model is supported.
+    grid realisation of integrating the parameters out.  ``model``,
+    ``quad`` and ``d`` are those of :func:`evaluate_grid`, under any of the
+    three models; a grid of fixed values gives known-parameter smoothing.
     """
-    return StatePosterior(
-        p_on=_smooth(_EngineContext(trace, "single", grid, prior, None, None)),
-        model="single",
-        context={"grid": grid, "prior": prior},
-    )
+    ctx = _grid_context(trace, model, grid, prior, quad, d)
+    context = {"grid": grid, "prior": prior, "d": ctx.d}
+    return StatePosterior(p_on=_smooth(ctx), model=model, context=context)
 
 
 def _smooth(ctx):

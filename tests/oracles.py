@@ -8,7 +8,6 @@ through ``scaled_chain_loglik``, so agreement with the package is a
 two-route check.
 """
 
-import itertools
 import math
 
 import numpy as np
@@ -113,20 +112,25 @@ def substep_path_matrix(count, d, r_alpha, r_beta, mu, lam):
     Sums over all 2**d sub-step state sequences that follow the start state:
     the product of the sub-step switching probabilities along the sequence
     times the Poisson probability of ``count`` at rate mu + lam * k / d,
-    where k is the number of sub-steps that start on.  ``count`` may be an
-    array; the result then has shape (2, 2) + count.shape.
+    where k is the number of sub-steps that start on.  The sequences are
+    enumerated as rows of one array, and their products are added up per
+    (end state, k) before the Poisson factor multiplies them.  ``count``
+    may be an array; the result then has shape (2, 2) + count.shape.
     """
     p_on = -math.expm1(-r_alpha / d)
     p_off = -math.expm1(-r_beta / d)
-    trans = ((1.0 - p_on, p_on), (p_off, 1.0 - p_off))  # [from][to]
+    trans = np.array([[1.0 - p_on, p_on], [p_off, 1.0 - p_off]])  # [from, to]
+    later = (np.arange(2**d)[:, None] >> np.arange(d)) & 1  # every sequence
     count = np.asarray(count)
     out = np.zeros((2, 2) + count.shape)
     for start in (0, 1):
-        for later in itertools.product((0, 1), repeat=d):
-            states = (start,) + later
-            weight = math.prod(trans[s][t] for s, t in zip(states, states[1:]))
-            k = sum(states[:-1])
-            out[states[-1], start] += weight * poisson.pmf(count, mu + lam * k / d)
+        states = np.hstack([np.full((len(later), 1), start), later])
+        weight = np.prod(trans[states[:, :-1], states[:, 1:]], axis=1)
+        k = states[:, :-1].sum(axis=1)
+        for end in (0, 1):
+            for n in range(d + 1):
+                w = weight[(states[:, -1] == end) & (k == n)].sum()
+                out[end, start] += w * poisson.pmf(count, mu + lam * n / d)
     return out
 
 
@@ -155,25 +159,19 @@ def ctmc_expm_step_matrix(counts, r_alpha, r_beta, mu, lam):
     return rows[:, counts, :].transpose(1, 2, 0)
 
 
-def log_forward_backward(counts, alpha, beta, mu, lam, prior_vec):
-    """Single-step log-likelihood and on-state posteriors in log space.
+def log_forward_backward_mats(log_mats, prior_vec):
+    """Log-likelihood and on-state posteriors from log step matrices.
 
-    Runs the forward and backward passes on log step matrices built here
-    from scipy's Poisson log-pmf, combining terms with logsumexp, so no
-    hidden path is lost to rescaling however far it falls behind.
-    ``prior_vec`` is (P(off), P(on)) at the start.  Returns (log-likelihood,
-    p_on) with ``p_on[k-1]`` = P(on at boundary k | all counts), k = 1..N.
+    ``log_mats[t, end, start]`` is the log step matrix of interval t + 1,
+    for any model.  Runs the forward and backward passes in log space,
+    combining terms with logsumexp, so no hidden path is lost to rescaling
+    however far it falls behind.  ``prior_vec`` is (P(off), P(on)) at the
+    start.  Returns (log-likelihood, p_on) with ``p_on[k-1]`` = P(on at
+    boundary k | all counts), k = 1..N.
     """
-    counts = np.asarray(counts)
-    n = counts.size
+    n = len(log_mats)
     with np.errstate(divide="ignore"):
-        log_trans = np.log(np.array([[1.0 - alpha, alpha], [beta, 1.0 - beta]]))
         log_prior = np.log(np.asarray(prior_vec, dtype=float))
-    # log_mats[t, end, start]; the emission depends on the start state
-    emit = np.stack(
-        [poisson.logpmf(counts, mu), poisson.logpmf(counts, mu + lam)], axis=1
-    )
-    log_mats = log_trans.T[None, :, :] + emit[:, None, :]
     fwd = np.empty((n + 1, 2))
     bwd = np.zeros((n + 1, 2))
     fwd[0] = log_prior
@@ -184,6 +182,21 @@ def log_forward_backward(counts, alpha, beta, mu, lam, prior_vec):
     joint = fwd[1:] + bwd[1:]
     log_p = joint - logsumexp(joint, axis=1, keepdims=True)
     return float(logsumexp(fwd[n])), np.exp(log_p[:, 1])
+
+
+def log_forward_backward(counts, alpha, beta, mu, lam, prior_vec):
+    """Single-step :func:`log_forward_backward_mats`.
+
+    The log step matrices are built here from scipy's Poisson log-pmf, the
+    emission at the start state's rate.
+    """
+    counts = np.asarray(counts)
+    with np.errstate(divide="ignore"):
+        log_trans = np.log(np.array([[1.0 - alpha, alpha], [beta, 1.0 - beta]]))
+    emit = np.stack(
+        [poisson.logpmf(counts, mu), poisson.logpmf(counts, mu + lam)], axis=1
+    )
+    return log_forward_backward_mats(log_trans.T[None] + emit[:, None, :], prior_vec)
 
 
 def per_step_forward(m00, m01, m10, m11, inv, start, prefixes=None):

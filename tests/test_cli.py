@@ -3,7 +3,12 @@ import json
 import numpy as np
 import pytest
 
+import blinkinfer.cli as cli
 from blinkinfer.cli import main, read_posterior_json, read_trace_csv
+from blinkinfer.ctmc import QuadratureSpec
+from blinkinfer.multistep import choose_subinterval_count
+from blinkinfer.posterior import GridAxis, GridSpec
+from blinkinfer.state_inference import state_posterior_marginal
 
 
 def run(argv):
@@ -222,6 +227,34 @@ class TestInfer:
         trace.write_text("t,count\n1,4\n\n  \n2 , 7\r\n3,0\n\n")
         assert read_trace_csv(trace).counts.tolist() == [4, 7, 0]
 
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            ["--grid", "alpha=0.4:1:4", "--fix", "beta=0.9"],
+            ["--grid", "alpha=0.4:1:4", "--grid", "beta=0.5:1:4"],
+        ],
+        ids=["one-switch-axis", "both-switch-axes"],
+    )
+    def test_level_outside_unit_interval_rejected(
+        self, trace_file, tmp_path, monkeypatch, capsys, grid
+    ):
+        # refused from the options alone, before any grid cell is evaluated
+        def evaluated(*args, **kwargs):
+            raise AssertionError("the grid was evaluated")
+
+        monkeypatch.setattr(cli, "evaluate_grid", evaluated)
+        out = tmp_path / "p.json"
+        code = run(
+            [
+                "infer", "--in", str(trace_file), "--model", "single", *grid,
+                "--fix", "lambda=20", "--fix", "mu=2",
+                "--levels", "0.5,1.5", "--out", str(out),
+            ]
+        )
+        assert code == 1
+        assert "credible levels must be inside (0, 1)" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_grid_model_mismatch_rejected(self, trace_file, tmp_path):
         code = run(
             [
@@ -263,16 +296,63 @@ class TestInferState:
         run(args + ["--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
 
-    def test_non_single_model_rejected(self, trace_file, tmp_path):
+    RATE_GRID = [
+        "--grid", "r_alpha=0:4:5", "--grid", "r_beta=0:4:5",
+        "--fix", "lambda=20", "--fix", "mu=2",
+    ]
+
+    @staticmethod
+    def _p_on(path):
+        return [float(line.split(",")[1]) for line in path.read_text().splitlines()[1:]]
+
+    @pytest.mark.parametrize(
+        "model, extra, options, d",
+        [
+            ("ctmc", [], {}, None),
+            ("ctmc", ["--quad-nodes", "32"], {"quad": QuadratureSpec(32)}, None),
+            ("multistep", [], {}, choose_subinterval_count(4.0, 4.0)),
+            ("multistep", ["--d", "2"], {"d": 2}, 2),
+        ],
+    )
+    def test_rate_model_round_trip(
+        self, trace_file, tmp_path, capsys, model, extra, options, d
+    ):
+        args = ["infer-state", "--in", str(trace_file), "--model", model,
+                *self.RATE_GRID, *extra]
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert run(args + ["--out", str(a)]) == 0
+        first = capsys.readouterr().out
+        assert run(args + ["--out", str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes()
+        assert ("d: " in first) == (model == "multistep")
+        if d is not None:
+            assert f"d: {d}\n" in first
+        # the CSV holds the library's p_on under the same options
+        grid = GridSpec(
+            axes=(GridAxis("r_alpha", 0, 4, 5), GridAxis("r_beta", 0, 4, 5)),
+            fixed={"lambda": 20.0, "mu": 2.0},
+        )
+        trace = read_trace_csv(trace_file)
+        want = state_posterior_marginal(trace, grid, model=model, **options)
+        assert self._p_on(a) == want.p_on.tolist()
+        assert want.model == model and want.context["d"] == d
+
+    def test_quad_nodes_honoured(self, trace_file, tmp_path):
+        args = ["infer-state", "--in", str(trace_file), "--model", "ctmc", *self.RATE_GRID]
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        run(args + ["--out", str(a)])
+        run(args + ["--quad-nodes", "32", "--out", str(b)])
+        assert self._p_on(a) != self._p_on(b)
+        np.testing.assert_allclose(self._p_on(a), self._p_on(b), rtol=0, atol=1e-9)
+
+    def test_d_with_ctmc_rejected(self, trace_file, tmp_path):
+        out = tmp_path / "s.csv"
         code = run(
-            [
-                "infer-state", "--in", str(trace_file), "--model", "ctmc",
-                "--grid", "r_alpha=0:4:5", "--grid", "r_beta=0:4:5",
-                "--fix", "lambda=20", "--fix", "mu=2",
-                "--out", str(tmp_path / "s.csv"),
-            ]
+            ["infer-state", "--in", str(trace_file), "--model", "ctmc",
+             *self.RATE_GRID, "--d", "4", "--out", str(out)]
         )
         assert code == 1
+        assert not out.exists()
 
 
 class TestThreshold:

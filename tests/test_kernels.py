@@ -33,9 +33,11 @@ class TestPoissonPmf:
             4.5**3 * math.exp(-4.5) / 6.0, rel=1e-13
         )
 
-    def test_negative_rate_rejected(self):
-        with pytest.raises(ValueError):
-            poisson_pmf(-0.1, 0)
+    @pytest.mark.parametrize("rate", [-0.1, np.array([1.0, -0.1])])
+    def test_negative_rate_rejected(self, rate):
+        for pmf in (poisson_pmf, log_poisson_pmf):
+            with pytest.raises(ValueError, match=r"^Poisson rate must be non-negative$"):
+                pmf(rate, 0)
 
     @pytest.mark.parametrize("rate", [0.05, 0.7, 2.0, 13.5, 40.0])
     def test_normalises_over_counts(self, rate):

@@ -140,9 +140,10 @@ class TestIntervalDistributions:
         dist = interval_distributions(16, rates, EM, c_max)
         assert dist.mass_deficit() < 1e-10
 
-    def test_rejects_non_power_of_two(self):
-        with pytest.raises(ValueError):
-            interval_distributions(3, SwitchRates(1, 1), EM, 60)
+    @pytest.mark.parametrize("d", [0, 3, 6, -4])
+    def test_rejects_non_power_of_two(self, d):
+        with pytest.raises(ValueError, match=r"^d must be a power of two >= 1$"):
+            interval_distributions(d, SwitchRates(1, 1), EM, 60)
 
 
 MIX_RATES = [(0.0, 0.0), (0.0, 2.5), (3.0, 0.0), (0.7, 5.0), (20.0, 30.0)]

@@ -14,13 +14,14 @@ from scipy.stats import poisson
 
 import blinkinfer.posterior as posterior
 import blinkinfer.state_inference as state_inference
+from blinkinfer.ctmc import QuadratureConvergenceError, QuadratureSpec
 from blinkinfer.kernels import (
     CountTrace,
     EmissionRates,
     StatePrior,
     SwitchProbs,
 )
-from blinkinfer.posterior import GridAxis, GridSpec, _EngineContext
+from blinkinfer.posterior import GridAxis, GridSpec, _EngineContext, evaluate_grid
 from blinkinfer.simulate import sim_dtmc_single
 from blinkinfer.single_step import StepMatrix, step_matrix_single
 from blinkinfer.state_inference import (
@@ -29,7 +30,13 @@ from blinkinfer.state_inference import (
     state_posterior_marginal,
 )
 from blinkinfer.threshold import assign_states
-from oracles import log_forward_backward, path_sum_loglik
+from oracles import (
+    ctmc_expm_step_matrix,
+    log_forward_backward,
+    log_forward_backward_mats,
+    path_sum_loglik,
+    substep_path_matrix,
+)
 
 EM = EmissionRates(mu=2.0, lam=20.0)
 
@@ -342,6 +349,103 @@ def test_known_matches_log_space_oracle(counts, alpha, beta, mu, lam):
     sp = state_posterior_known(CountTrace(counts), SwitchProbs(alpha, beta, 1), em)
     _, want = oracle_p_on(counts, alpha, beta, em)
     np.testing.assert_allclose(sp.p_on, want, rtol=0, atol=1e-9)
+
+
+def rate_oracle(model, counts, ra, rb, mu, lam, d=None):
+    """(log-likelihood, p_on) of one ctmc or multistep cell in log space.
+
+    The step matrices come from the matrix exponential for ctmc and from
+    sub-step path enumeration for multistep; the start is the rates'
+    stationary law, uniform for a frozen chain.
+    """
+    counts = np.asarray(counts)
+    if model == "ctmc":
+        mats = ctmc_expm_step_matrix(counts, ra, rb, mu, lam)
+    else:
+        mats = substep_path_matrix(counts, d, ra, rb, mu, lam).transpose(2, 0, 1)
+    total = ra + rb
+    prior = (rb / total, ra / total) if total > 0 else (0.5, 0.5)
+    with np.errstate(divide="ignore"):
+        return log_forward_backward_mats(np.log(mats), prior)
+
+
+_RATE_MODELS = [("ctmc", None), ("multistep", 1), ("multistep", 4), ("multistep", 16)]
+# a rate of exactly zero freezes the chain or makes it one-way
+_SWITCH_RATE = st.one_of(st.just(0.0), st.floats(0.0, 8.0))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=60, deadline=None)
+@given(
+    model_d=st.sampled_from(_RATE_MODELS),
+    counts=st.lists(st.integers(0, 60), min_size=1, max_size=60),
+    ra=_SWITCH_RATE,
+    rb=_SWITCH_RATE,
+    mu=st.floats(0.5, 10.0),
+    lam=st.floats(0.0, 40.0),
+)
+def test_rate_models_match_log_space_oracle(model_d, counts, ra, rb, mu, lam):
+    model, d = model_d
+    grid = GridSpec(axes=(), fixed={"r_alpha": ra, "r_beta": rb, "lambda": lam, "mu": mu})
+    sp = state_posterior_marginal(CountTrace(counts), grid, model=model, d=d)
+    assert sp.model == model and sp.context["d"] == d
+    _, want = rate_oracle(model, counts, ra, rb, mu, lam, d)
+    np.testing.assert_allclose(sp.p_on, want, rtol=0, atol=1e-7)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("model, d", _RATE_MODELS[:3])
+def test_rate_model_grid_matches_weighted_oracle(model, d):
+    # r_alpha = 0 makes one-way cells, and the cell (0, 0) is frozen
+    counts = [3, 0, 17, 9, 1, 0, 0, 12, 30, 4] * 3
+    grid = GridSpec(
+        axes=(GridAxis("r_alpha", 0.0, 3.0, 3), GridAxis("r_beta", 0.0, 2.0, 2)),
+        fixed={"lambda": 12.0, "mu": 1.0},
+    )
+    sp = state_posterior_marginal(CountTrace(counts), grid, model=model, d=d)
+    cells = [
+        rate_oracle(model, counts, ra, rb, 1.0, 12.0, d)
+        for ra in grid.axis("r_alpha").values
+        for rb in grid.axis("r_beta").values
+    ]
+    logliks = np.array([ll for ll, _ in cells])
+    weights = np.exp(logliks - logliks.max())
+    want = sum(w * p for w, (_, p) in zip(weights, cells)) / weights.sum()
+    np.testing.assert_allclose(sp.p_on, want, rtol=0, atol=1e-7)
+
+
+@pytest.mark.parametrize("nodes", [8, 16, 64])
+def test_ctmc_quadrature_check_as_in_engine(nodes):
+    # counts up to 80 at rates up to 8: 8 nodes do not converge, 64 do
+    trace = CountTrace(np.arange(81))
+    grid = GridSpec(
+        axes=(GridAxis("r_alpha", 0.5, 8.0, 2), GridAxis("r_beta", 0.5, 8.0, 2)),
+        fixed={"lambda": 36.0, "mu": 7.5},
+    )
+    quad = QuadratureSpec(nodes)
+    try:
+        evaluate_grid(trace, "ctmc", grid, quad=quad)
+    except QuadratureConvergenceError as err:
+        with pytest.raises(QuadratureConvergenceError) as got:
+            state_posterior_marginal(trace, grid, model="ctmc", quad=quad)
+        assert str(got.value) == str(err)
+    else:
+        assert nodes > 8
+        state_posterior_marginal(trace, grid, model="ctmc", quad=quad)
+
+
+@pytest.mark.parametrize(
+    "model, options, message",
+    [
+        ("bogus", {}, "unknown model"),
+        ("single", {"d": 4}, "applies only to the multistep model"),
+        ("multistep", {"quad": QuadratureSpec()}, "applies only to the ctmc model"),
+    ],
+)
+def test_engine_entry_rules_apply(model, options, message):
+    grid = GridSpec(axes=(), fixed={"r_alpha": 1.0, "r_beta": 1.0, "lambda": 5.0, "mu": 1.0})
+    with pytest.raises(ValueError, match=message):
+        state_posterior_marginal(CountTrace([1, 2]), grid, model=model, **options)
 
 
 def _grid_values(grid):
