@@ -362,70 +362,49 @@ def _parse_levels(value: str) -> tuple[float, ...]:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    """Each subcommand takes only the flags it reads; any other exits 2."""
     parser = argparse.ArgumentParser(
         prog="blinkinfer",
         description="Bayesian switching-rate inference for blinking emitters",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, need_model=True):
-        if need_model:
-            p.add_argument("--model", required=True, choices=tuple(_MODELS))
-        p.add_argument("--grid", action="append", type=_parse_grid, default=[],
-                       metavar="NAME=LO:HI:N")
-        p.add_argument("--fix", action="append", type=_parse_fix, default=[],
-                       metavar="NAME=VALUE")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--d", type=int, default=None)
-        p.add_argument("--quad-nodes", type=int, default=None)
-        p.add_argument("--workers", type=int, default=1)
-        p.add_argument("--levels", type=_parse_levels, default=(0.5, 0.9, 0.99))
-        p.add_argument("--in", dest="in_path", default=None)
-        p.add_argument("--out", dest="out_path", default=None)
-
     p_sim = sub.add_parser("simulate", help="generate a trace and its ground truth")
-    common(p_sim)
+    p_inf = sub.add_parser("infer", help="grid posterior over switching parameters")
+    p_st = sub.add_parser("infer-state", help="per-interval state probabilities")
+    p_th = sub.add_parser("threshold", help="threshold-analysis baseline sweep")
+
+    def flag(parsers, *names, **options):
+        for p in parsers:
+            p.add_argument(*names, **options)
+
+    modelled, inferring = (p_sim, p_inf, p_st), (p_inf, p_st)
+    flag(modelled, "--model", required=True, choices=tuple(_MODELS))
+    flag(inferring, "--grid", action="append", type=_parse_grid, default=[],
+         metavar="NAME=LO:HI:N")
+    flag(modelled, "--fix", action="append", type=_parse_fix, default=[],
+         metavar="NAME=VALUE")
+    flag(modelled, "--d", type=int, default=None)
+    flag(inferring, "--quad-nodes", type=int, default=None)
+    flag((p_inf, p_st, p_th), "--in", dest="in_path", default=None)
+    flag((p_sim, p_inf, p_st, p_th), "--out", dest="out_path", default=None)
+    p_sim.add_argument("--seed", type=int, default=0)
     p_sim.add_argument("--n", type=int, required=True)
     p_sim.add_argument("--truth-out", dest="truth_path", default=None)
-
-    p_inf = sub.add_parser("infer", help="grid posterior over switching parameters")
-    common(p_inf)
-
-    p_st = sub.add_parser("infer-state", help="per-interval state probabilities")
-    common(p_st)
-
-    p_th = sub.add_parser("threshold", help="threshold-analysis baseline sweep")
-    common(p_th, need_model=False)
+    p_inf.add_argument("--workers", type=int, default=1)
+    p_inf.add_argument("--levels", type=_parse_levels, default=(0.5, 0.9, 0.99))
     p_th.add_argument("--thresholds", type=_parse_int_range, default=())
     p_th.add_argument("--bins", type=_parse_int_range, default=())
     p_th.add_argument("--summary", type=_parse_float_pair, default=None,
                       dest="summary_range", metavar="LO:HI")
-
     return parser
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    grid = None
-    if args.command in ("infer", "infer-state"):
-        grid = GridSpec(axes=tuple(args.grid), fixed=dict(args.fix))
-    return RunConfig(
-        command=args.command,
-        model=getattr(args, "model", None),
-        grid=grid,
-        fixed=dict(args.fix),
-        d=args.d,
-        quad_nodes=args.quad_nodes,
-        seed=args.seed,
-        n=getattr(args, "n", None),
-        workers=args.workers,
-        levels=tuple(args.levels),
-        in_path=args.in_path,
-        out_path=args.out_path,
-        truth_path=getattr(args, "truth_path", None),
-        thresholds=getattr(args, "thresholds", ()),
-        bins=getattr(args, "bins", ()),
-        summary_range=getattr(args, "summary_range", None),
-    )
+    options = dict(vars(args))
+    axes = options.pop("grid", None)
+    fixed = dict(options.pop("fix", []))
+    grid = None if axes is None else GridSpec(axes=tuple(axes), fixed=fixed)
+    return RunConfig(grid=grid, fixed=fixed, **options)
 
 
 _COMMANDS = {

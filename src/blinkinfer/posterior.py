@@ -438,7 +438,7 @@ def _forward_kernel():
     )
     c8 = ctypes.c_int64
     lib.forward.argtypes = [c8, c8, f8, f8, f8, f8, i8, f8, f8, i8]
-    lib.smooth.argtypes = [c8, c8, c8, f8, f8, f8, f8, i8, f8, f8, b1, f8, f8]
+    lib.smooth.argtypes = [c8, c8, c8, c8, f8, f8, f8, f8, i8, f8, f8, b1, f8, f8]
     lib.forward.restype = lib.smooth.restype = None
     return lib
 

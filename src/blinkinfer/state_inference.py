@@ -5,11 +5,14 @@ likelihood to paths passing through that state, so the ratio of a masked
 product to the full product is the state's posterior probability given the
 whole trace.  Computed for every position by a forward-backward pass on
 the grid engine's compiled kernel.  A first forward pass gives every row's
-likelihood.  Rows then go in small blocks through a forward pass that
-keeps each prefix vector and a backward pass on the transposed step
-tables.  Prefix and suffix vectors are both rescaled by a power of two at
-every step.  The scale factors of the two passes are common to both states
-at a position, so they cancel in the ratio and never need exponentiating.
+likelihood.  The rows of nonzero weight then go in small blocks through a
+forward pass that keeps each prefix vector and a backward pass on the
+transposed step tables; a row of weight exactly 0 would add exactly 0, so
+it is left out.  Each block reads its rows' table columns from one
+contiguous piece of a block-major copy.  Prefix and suffix vectors are
+both rescaled by a power of two at every step.  The scale factors of the
+two passes are common to both states at a position, so they cancel in the
+ratio and never need exponentiating.
 
 Exposed for all three models.  With parameters unknown the masked
 products are averaged over a parameter grid weighted by each cell's
@@ -42,9 +45,14 @@ __all__ = [
 # Prefix vectors one block of rows may store, (steps + 1) x rows: 64 MB of
 # (off, on) pairs, so that a long trace takes blocks of fewer rows
 _PREFIX_BUDGET = 4_000_000
-# Rows per block at most, and at most the kernel's BLOCK: at N = 1e4, 32
-# rows' prefixes take 5 MB; wider blocks leave the L2 cache and run slower
+# Rows per block at most, and at most the kernel's BLOCK.  On block-major
+# tables at N = 1e4 (2-CPU Xeon, AVX-512, shared host), blocks of 16 and 32
+# rows tied at 5.5-9 ns per cell-step, and 64, whose prefixes take 10 MB,
+# ran 20-30% slower
 _MAX_WIDTH = 32
+# BLOCK of _forward.c: smooth keeps a block's backward vectors in stack
+# arrays of this many rows
+_KERNEL_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -139,24 +147,59 @@ def _smooth_rows(inv, row_sets):
     step tables, (2, rows) start vectors, log weights, and a bool mask of
     the rows whose suffix vectors stay at ones.  A row weighs its
     likelihood, from one ``_forward_cells`` pass per set, times exp(log_w).
-    The kernel's ``smooth`` takes the rows in blocks of as many as keep a
-    block's prefixes within ``_PREFIX_BUDGET`` vectors, at most
-    ``_MAX_WIDTH``.  Numerators and the weight total both add up row by row
-    in the sets' order, so p_on is bitwise the same at every block width,
-    and monotone rounding keeps it <= 1.
+    Only the rows of nonzero weight go on to the kernel's ``smooth``, in
+    row order, and a set with none left is skipped: a dropped row would add
+    exactly +0.0 to every numerator and to the weight total.  The kept rows'
+    table columns are gathered from the full tables, never rebuilt, into
+    block-major copies (:func:`_block_major`).  ``smooth`` takes the rows in
+    blocks of as many as keep a block's prefixes within ``_PREFIX_BUDGET``
+    vectors, at most ``_MAX_WIDTH``.  Numerators and the weight total both
+    add up row by row in the sets' order, so p_on is bitwise the same at
+    every block width and with or without the zero-weight rows, and
+    monotone rounding keeps it <= 1.
     """
     n = len(inv)
+    width = min(max(_PREFIX_BUDGET // (n + 1), 1), _MAX_WIDTH)
+    if width > _KERNEL_BLOCK:
+        raise ValueError("block width and the kernel's row buffers disagree in shape")
+    for mats, start, log_w, pinned in row_sets:
+        depth, rows = len(mats[0]), start.shape[-1]
+        if (
+            {m.shape for m in mats} != {(depth, rows)}
+            or start.shape != (2, rows)
+            or not log_w.shape == pinned.shape == (rows,)
+        ):
+            raise ValueError("step tables, starts, weights and pinned mask disagree in shape")
+        if n and not 0 <= inv.min() <= inv.max() < depth:
+            raise ValueError("an interval reads a row outside the step tables")
     logliks = [w + _posterior._forward_cells(*m, inv, s) for m, s, w, _ in row_sets]
     peak = max(ll.max() for ll in logliks)
     if peak == -np.inf:
         raise ValueError("trace has zero probability everywhere on the grid")
     weights = [np.exp(ll - peak) for ll in logliks]
-    width = min(max(_PREFIX_BUDGET // (n + 1), 1), _MAX_WIDTH)
     prefixes = np.empty((n + 1, 2, width))
     num = np.zeros(n)
     smooth = _posterior._forward_kernel().smooth
     for (mats, start, _, pinned), w in zip(row_sets, weights):
-        if pinned.shape != w.shape:
-            raise ValueError("pinned mask and start vectors disagree in shape")
-        smooth(n, w.size, width, *mats, inv, start, w, pinned, prefixes, num)
+        keep = np.flatnonzero(w)
+        if keep.size:
+            tables = _block_major(mats, keep, width)
+            kept_start = np.ascontiguousarray(start[:, keep])
+            smooth(n, keep.size, width, len(mats[0]), *tables, inv, kept_start, w[keep],
+                   pinned[keep], prefixes, num)
     return num / np.cumsum(np.concatenate(weights))[-1]
+
+
+def _block_major(mats, keep, width):
+    """Columns ``keep`` of four (D, rows) tables, each as (blocks, D, width).
+
+    A block of ``width`` kept rows then finds its entries of a table in one
+    contiguous (D, width) piece; the last block is padded with copies of
+    its last column, which the kernel never reads.
+    """
+    blocks = -(-keep.size // width)
+    cols = np.pad(keep, (0, blocks * width - keep.size), mode="edge")
+    return tuple(
+        np.ascontiguousarray(m[:, cols].reshape(len(m), blocks, width).transpose(1, 0, 2))
+        for m in mats
+    )

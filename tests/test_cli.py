@@ -488,3 +488,45 @@ class TestThresholdDeterminism:
         run(args + ["--out", str(a)])
         run(args + ["--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
+
+
+class TestUnreadFlags:
+    """A subcommand takes only the flags it reads: any other is a usage
+    error (exit 2), never silently ignored."""
+
+    @pytest.mark.parametrize(
+        "command, extra",
+        [
+            ("infer-state", ["--workers", "8"]),
+            ("infer-state", ["--seed", "5"]),
+            ("infer-state", ["--levels", "0.5,0.9"]),
+            ("infer", ["--seed", "5"]),
+            ("threshold", ["--grid", "alpha=0:1:3"]),
+            ("threshold", ["--fix", "mu=2"]),
+            ("threshold", ["--workers", "7"]),
+            ("simulate", ["--grid", "alpha=0:1:3"]),
+            ("simulate", ["--in", "trace.csv"]),
+            ("simulate", ["--quad-nodes", "32"]),
+        ],
+    )
+    def test_unread_flag_exits_2(self, trace_file, tmp_path, capsys, command, extra):
+        out = tmp_path / "out.csv"
+        argv = {
+            "simulate": ["simulate", "--model", "single", "--fix", "alpha=0.1",
+                         "--fix", "beta=0.1", "--fix", "lambda=20", "--fix", "mu=2",
+                         "--n", "10"],
+            "infer": ["infer", "--in", str(trace_file), "--model", "single",
+                      "--grid", "alpha=0.4:1:3", "--grid", "beta=0.5:1:3",
+                      "--fix", "lambda=20", "--fix", "mu=2"],
+            "threshold": ["threshold", "--in", str(trace_file),
+                          "--thresholds", "15:16", "--bins", "8:9"],
+        }
+        argv["infer-state"] = ["infer-state", *argv["infer"][1:]]
+        # without the flag the command runs
+        assert run(argv[command] + ["--out", str(out)]) == 0
+        out.unlink()
+        with pytest.raises(SystemExit) as exc:
+            run(argv[command] + extra + ["--out", str(out)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not out.exists()

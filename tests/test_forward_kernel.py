@@ -5,9 +5,11 @@ source), and the smoother kernel takes rows in blocks of at most
 ``_MAX_WIDTH``.  The block-edge tests place the corner cases at the first
 and last cell of a block and compare the results bitwise with the numpy
 oracles; the tall-table tests do the same for tables of many rows, and
-of more rows than the steps read.  The build tests each run a fresh
-interpreter with its own cache directory, and the source must compile
-with every gcc warning on and no flag that loosens IEEE arithmetic.
+of more rows than the steps read, and the zero-weight tests for row sets
+whose rows mostly never reach the smoother kernel.  The build tests each
+run a fresh interpreter with its own cache directory, and the source must
+compile with every gcc warning on and no flag that loosens IEEE
+arithmetic.
 """
 
 import os
@@ -17,6 +19,7 @@ import subprocess
 import sys
 import textwrap
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -121,6 +124,78 @@ class TestSmootherBlockEdges:
         loglik = per_step_forward(*mats, inv, start)
         if WIDTH < rows:
             assert np.isfinite(loglik[WIDTH - 3]) and loglik[WIDTH] == -np.inf
+
+    def test_rejects_mismatched_buffers(self, monkeypatch):
+        # checked before any kernel runs: a wrong shape would make the
+        # kernel's block-major offsets read out of bounds
+        mats, inv, start, log_w, pinned = _smooth_case(4, 3, seed=0)
+        monkeypatch.setattr(posterior, "_forward_kernel", _no_kernel)
+        good = dict(mats=tuple(mats), start=start, log_w=log_w, pinned=pinned)
+        for name, bad in [
+            ("mats", (*mats[:3], mats[3][:, :-1])),
+            ("mats", (*mats[:3], mats[3][:2])),
+            ("start", start[:, :-1]),
+            ("start", start[:1]),
+            ("log_w", log_w[:-1]),
+            ("pinned", pinned[:-1]),
+        ]:
+            parts = {**good, name: bad}
+            with pytest.raises(ValueError, match="disagree in shape"):
+                state_inference._smooth_rows(inv, [tuple(parts.values())])
+        with pytest.raises(ValueError, match="outside the step tables"):
+            state_inference._smooth_rows(inv + 3, [tuple(good.values())])
+        monkeypatch.setattr(state_inference, "_MAX_WIDTH", BLOCK + 1)
+        with pytest.raises(ValueError, match="disagree in shape"):
+            state_inference._smooth_rows(inv, [tuple(good.values())])
+
+    def test_kernel_block_matches_source(self):
+        assert state_inference._KERNEL_BLOCK == BLOCK
+
+
+def _no_kernel():
+    raise AssertionError("the kernel ran on buffers that disagree in shape")
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestZeroWeightRows:
+    """Rows of weight exactly 0 never reach the smoother kernel, yet p_on
+    keeps every bit of the oracle that runs every row."""
+
+    @pytest.mark.parametrize("width", [1, 7, 32])
+    @pytest.mark.parametrize("rows", [WIDTH + 1, 2 * WIDTH + 1])
+    def test_matches_oracle_that_runs_every_row(self, monkeypatch, rows, width):
+        n = 6
+        mats, inv, start, log_w, pinned = _smooth_case(rows, n, seed=rows + width)
+        # every fifth row, the subnormal row, a pinned row and the last
+        # carry weight; the rest, and the whole pinned start-on set, lie
+        # more than 745 nats below the peak
+        heavy = np.zeros(rows + 3, dtype=bool)
+        heavy[:rows:5] = True
+        heavy[[WIDTH - 3, WIDTH - 1, rows - 1]] = True
+        log_w[~heavy] = -1000.0
+        log_w[-1] = -np.inf
+        lib = posterior._forward_kernel()
+        calls = []
+
+        def smooth(n, rows, width, *args):
+            calls.append((rows, width))
+            lib.smooth(n, rows, width, *args)
+
+        kernel = SimpleNamespace(forward=lib.forward, smooth=smooth)
+        monkeypatch.setattr(posterior, "_forward_kernel", lambda: kernel)
+        monkeypatch.setattr(state_inference, "_PREFIX_BUDGET", width * (n + 1))
+        row_sets = []
+        for part in (slice(None, rows), slice(rows, None)):
+            cut = [np.ascontiguousarray(x[..., part]) for x in (*mats, start, log_w, pinned)]
+            row_sets.append((tuple(cut[:4]), *cut[4:]))
+        got = state_inference._smooth_rows(inv, row_sets)
+        want = per_step_smooth(*mats, inv, start, log_w, pinned)
+        np.testing.assert_array_equal(got, want)
+        # one call, on the rows that weigh: the start-on set is skipped
+        loglik = log_w + per_step_forward(*mats, inv, start)
+        weighs = np.exp(loglik - loglik.max()) != 0.0
+        assert not weighs[rows:].any() and weighs.sum() < rows // 2
+        assert calls == [(int(weighs.sum()), width)]
 
 
 class TestTallTables:
