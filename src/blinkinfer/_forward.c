@@ -9,9 +9,7 @@
  * steps, so that a block's table columns stay in cache.  smooth runs the same
  * step forward over a block of rows, keeping every prefix, then backward on
  * the transposed tables, and adds each row's weighted on-probability at
- * every position into one sum per position.  Its tables are block-major, a
- * block's (D, width) piece of each table contiguous, so that a step reads
- * the block's entries from one place, not from rows a grid of cells apart.
+ * every position into one sum per position.
  */
 #include <math.h>
 #include <stdint.h>
@@ -88,17 +86,16 @@ void forward(int64_t n, int64_t cells, const double *m00, const double *m01,
 }
 
 /* Adds to num[k - 1], k = 1..n, each row's weight times P(on at boundary k),
- * rows in order.  Rows go in blocks of width <= BLOCK.  Each table is
- * (blocks, depth, width), the last block padded, so block lo's entries for
- * step k start at lo * depth + inv[k] * width.  The forward pass stores a
- * block's prefixes in pre (n + 1, 2, width), then the backward vectors g roll
- * back from ones over the transposed tables, and a row's probability is
+ * rows in order, from (D, rows) tables read as forward reads them.  Rows go
+ * in blocks of width <= BLOCK.  The forward pass stores a block's prefixes
+ * in pre (n + 1, 2, width), then the backward vectors g roll back from ones
+ * over the transposed tables, and a row's probability is
  * g1 f1 / (g0 f0 + g1 f1), the sum floored at the least positive double.  A
  * pinned row keeps g at ones. */
-void smooth(int64_t n, int64_t rows, int64_t width, int64_t depth,
-            const double *m00, const double *m01, const double *m10,
-            const double *m11, const int64_t *inv, const double *start,
-            const double *weight, const _Bool *pinned, double *pre, double *num)
+void smooth(int64_t n, int64_t rows, int64_t width, const double *m00,
+            const double *m01, const double *m10, const double *m11,
+            const int64_t *inv, const double *start, const double *weight,
+            const _Bool *pinned, double *pre, double *num)
 {
     double g[2][2][BLOCK];
     int64_t e[BLOCK] = {0}; /* exponents, which cancel in the ratio */
@@ -109,7 +106,7 @@ void smooth(int64_t n, int64_t rows, int64_t width, int64_t depth,
         for (int64_t k = 0; k < n; k++) {
             const double *p0 = pre + 2 * k * width;
             double *q0 = pre + 2 * (k + 1) * width;
-            int64_t row = lo * depth + inv[k] * width;
+            int64_t row = inv[k] * rows + lo;
             if (step(w, m00 + row, m01 + row, m10 + row, m11 + row, p0, p0 + width,
                      q0, q0 + width, e))
                 rescale_tiny(w, q0, q0 + width, e);
@@ -131,7 +128,7 @@ void smooth(int64_t n, int64_t rows, int64_t width, int64_t depth,
             if (k == 1)
                 break;
             double *h0 = g[cur ^ 1][0], *h1 = g[cur ^ 1][1];
-            int64_t row = lo * depth + inv[k - 1] * width;
+            int64_t row = inv[k - 1] * rows + lo;
             if (step(w, m00 + row, m10 + row, m01 + row, m11 + row, g0, g1, h0, h1, e))
                 rescale_tiny(w, h0, h1, e);
             for (int64_t i = 0; i < w; i++)

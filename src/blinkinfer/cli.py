@@ -78,8 +78,6 @@ class RunConfig:
             raise ValueError("--d applies only to the multistep model")
         if self.quad_nodes is not None and self.model != "ctmc":
             raise ValueError("--quad-nodes applies only to the ctmc model")
-        if self.workers < 1:
-            raise ValueError("--workers must be >= 1")
         if not all(0.0 < level < 1.0 for level in self.levels):
             raise ValueError("credible levels must be inside (0, 1)")
 

@@ -89,11 +89,7 @@ def choose_subinterval_count(r_alpha: float, r_beta: float) -> int:
 
 
 def base_distributions(
-    d: int,
-    probs: SwitchProbs,
-    emissions: EmissionRates,
-    c_max: int,
-    tail_tol: float = DEFAULT_TAIL_TOL,
+    d: int, probs: SwitchProbs, emissions: EmissionRates, c_max: int
 ) -> JointCountDist:
     """Sub-step distributions: weighted Poissonians at the sub-step rates.
 
@@ -107,8 +103,8 @@ def base_distributions(
     if d != probs.d:
         raise ValueError(f"probs built for d={probs.d}, requested d={d}")
     tail = float(_poisson_dist.sf(c_max, emissions.on_rate / d))
-    if tail >= tail_tol:
-        needed = int(_poisson_dist.isf(tail_tol, emissions.on_rate / d))
+    if tail >= DEFAULT_TAIL_TOL:
+        needed = int(_poisson_dist.isf(DEFAULT_TAIL_TOL, emissions.on_rate / d))
         raise ValueError(
             f"c_max={c_max} leaves tail mass {tail:.2e} at sub-step rate "
             f"{emissions.on_rate / d:.4g}; need c_max >= {needed}"
@@ -145,11 +141,7 @@ def convolve_halving(half: JointCountDist) -> JointCountDist:
 
 
 def interval_distributions(
-    d: int,
-    rates: SwitchRates,
-    emissions: EmissionRates,
-    c_max: int,
-    tail_tol: float = DEFAULT_TAIL_TOL,
+    d: int, rates: SwitchRates, emissions: EmissionRates, c_max: int
 ) -> JointCountDist:
     """Full-interval joint distributions for d = 2**m sub-steps.
 
@@ -159,7 +151,7 @@ def interval_distributions(
     """
     _check_subinterval_count(d)
     probs = probs_from_rates(rates, d)
-    dist = base_distributions(d, probs, emissions, c_max, tail_tol=tail_tol)
+    dist = base_distributions(d, probs, emissions, c_max)
     for _ in range(d.bit_length() - 1):
         dist = convolve_halving(dist)
     return dist

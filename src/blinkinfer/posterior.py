@@ -114,6 +114,8 @@ class GridSpec:
         for name, value in self.fixed.items():
             if name not in _AXIS_ORDER:
                 raise ValueError(f"unknown fixed parameter {name!r}")
+            if not math.isfinite(value):
+                raise ValueError(f"fixed {name} must be finite")
             if value < 0:
                 raise ValueError(f"fixed {name} must be non-negative")
             if name in _PROB_AXES and value > 1.0:
@@ -438,7 +440,7 @@ def _forward_kernel():
     )
     c8 = ctypes.c_int64
     lib.forward.argtypes = [c8, c8, f8, f8, f8, f8, i8, f8, f8, i8]
-    lib.smooth.argtypes = [c8, c8, c8, c8, f8, f8, f8, f8, i8, f8, f8, b1, f8, f8]
+    lib.smooth.argtypes = [c8, c8, c8, f8, f8, f8, f8, i8, f8, f8, b1, f8, f8]
     lib.forward.restype = lib.smooth.restype = None
     return lib
 
@@ -511,6 +513,8 @@ def evaluate_grid(
     the multistep model ``d`` defaults to the applicability rule evaluated
     at the largest grid rates.  Results do not depend on ``workers``.
     """
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
     if len(grid.axes) == 0:
         raise ValueError("grid has no free axes")
     probe = _grid_context(trace, model, grid, prior, quad, d)

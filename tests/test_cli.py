@@ -255,6 +255,50 @@ class TestInfer:
         assert "credible levels must be inside (0, 1)" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "command, model, name, options",
+        [
+            ("infer", "multistep", "r_alpha",
+             ["--grid", "lambda=1:9:3", "--fix", "r_alpha=inf", "--fix", "r_beta=0.5",
+              "--fix", "mu=1"]),
+            ("infer", "single", "lambda",
+             ["--grid", "alpha=0:1:3", "--fix", "beta=0.5", "--fix", "lambda=nan",
+              "--fix", "mu=1"]),
+            ("infer", "ctmc", "mu",
+             ["--grid", "r_alpha=0:4:3", "--fix", "r_beta=0.5", "--fix", "lambda=20",
+              "--fix", "mu=-inf"]),
+            ("infer-state", "single", "beta",
+             ["--grid", "alpha=0:1:3", "--fix", "beta=inf", "--fix", "lambda=20",
+              "--fix", "mu=1"]),
+        ],
+        ids=["multistep-inf", "single-nan", "ctmc-minus-inf", "infer-state-inf"],
+    )
+    def test_non_finite_fixed_value_rejected(
+        self, trace_file, tmp_path, capsys, command, model, name, options
+    ):
+        out = tmp_path / "out"
+        code = run(
+            [command, "--in", str(trace_file), "--model", model, *options, "--out", str(out)]
+        )
+        assert code == 1
+        assert f"error: fixed {name} must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_rejected(self, trace_file, tmp_path, capsys, workers):
+        out = tmp_path / "p.json"
+        code = run(
+            [
+                "infer", "--in", str(trace_file), "--model", "single",
+                "--grid", "alpha=0:1:3", "--grid", "beta=0:1:3",
+                "--fix", "lambda=20", "--fix", "mu=2",
+                "--workers", workers, "--out", str(out),
+            ]
+        )
+        assert code == 1
+        assert "error: workers must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_grid_model_mismatch_rejected(self, trace_file, tmp_path):
         code = run(
             [

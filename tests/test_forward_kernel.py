@@ -127,7 +127,7 @@ class TestSmootherBlockEdges:
 
     def test_rejects_mismatched_buffers(self, monkeypatch):
         # checked before any kernel runs: a wrong shape would make the
-        # kernel's block-major offsets read out of bounds
+        # kernel's offsets read out of bounds
         mats, inv, start, log_w, pinned = _smooth_case(4, 3, seed=0)
         monkeypatch.setattr(posterior, "_forward_kernel", _no_kernel)
         good = dict(mats=tuple(mats), start=start, log_w=log_w, pinned=pinned)
@@ -291,6 +291,29 @@ class TestBuild:
         assert again.stdout == run.stdout
         assert _libraries(tmp_path) == built
         assert built[0].stat().st_mtime_ns == stamp
+
+    @pytest.mark.skipif(shutil.which("gcc") is None, reason="needs gcc")
+    def test_build_falls_back_without_native_flag(self, tmp_path):
+        # a gcc that refuses -march=native and passes everything else on
+        shims, log = tmp_path / "bin", tmp_path / "gcc.log"
+        shims.mkdir()
+        shim = shims / "gcc"
+        shim.write_text(
+            "#!/bin/sh\n"
+            f"echo \"$*\" >> '{log}'\n"
+            'for arg; do [ "$arg" = -march=native ] && exit 1; done\n'
+            f"exec '{shutil.which('gcc')}' \"$@\"\n"
+        )
+        shim.chmod(0o755)
+        native = _fresh(FIRST_CALL, tmp_path / "native")
+        assert native.returncode == 0, native.stderr
+        path = f"{shims}{os.pathsep}{os.environ.get('PATH', '')}"
+        run = _fresh(FIRST_CALL, tmp_path / "fallback", PATH=path)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout == native.stdout
+        assert len(_libraries(tmp_path / "fallback")) == 1
+        builds = [ln for ln in log.read_text().splitlines() if "-shared" in ln]
+        assert ["-march=native" in ln for ln in builds] == [True, False]
 
     def test_no_gcc_and_empty_cache_raises(self, tmp_path):
         code = f"try:\n{textwrap.indent(textwrap.dedent(FIRST_CALL), '    ')}"

@@ -70,6 +70,18 @@ class TestGridSpec:
                 fixed={"alpha": 0.3, "beta": 0.1, "lambda": 20, "mu": 2},
             )
 
+    @pytest.mark.parametrize("model", ["single", "ctmc", "multistep"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_fixed_value_rejected(self, model, value):
+        names = (*posterior._MODELS[model], "lambda", "mu")
+        for name in names:
+            free = names[1] if name == names[0] else names[0]
+            fixed = {n: 0.2 for n in names if n != free}
+            fixed[name] = value
+            with pytest.raises(ValueError, match=f"fixed {name} must be finite"):
+                grid = GridSpec(axes=(GridAxis(free, 0.1, 0.5, 3),), fixed=fixed)
+                evaluate_grid(CountTrace([1, 2]), model, grid)
+
     def test_axes_sorted_canonically(self):
         grid = GridSpec(
             axes=(
@@ -261,6 +273,15 @@ class TestEvaluateGrid:
         )
         with pytest.raises(ValueError):
             evaluate_grid(CountTrace([1]), "single", grid, quad=QuadratureSpec())
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_workers_below_one_rejected(self, workers):
+        grid = GridSpec(
+            axes=(GridAxis("alpha", 0.1, 0.5, 3), GridAxis("beta", 0.1, 0.5, 3)),
+            fixed={"lambda": 20.0, "mu": 2.0},
+        )
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            evaluate_grid(CountTrace([1, 2]), "single", grid, workers=workers)
 
     def test_worker_count_invariance(self):
         res = sim_ctmc(SwitchRates(1.0, 0.5), EM, 80, seed=3)

@@ -568,8 +568,8 @@ def _smooth_at(counts, grid, width):
 
     def smooth(n, rows, width, *args):
         widths.append(width)
-        weights.append(args[7].copy())
-        pinned.append(args[8].copy())
+        weights.append(args[6].copy())
+        pinned.append(args[7].copy())
         lib.smooth(n, rows, width, *args)
 
     kernel = SimpleNamespace(forward=lib.forward, smooth=smooth)
