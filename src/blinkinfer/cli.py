@@ -401,7 +401,8 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     options = dict(vars(args))
     axes = options.pop("grid", None)
     fixed = dict(options.pop("fix", []))
-    grid = None if axes is None else GridSpec(axes=tuple(axes), fixed=fixed)
+    # simulate has no --grid, but its --fix values pass the same checks
+    grid = GridSpec(axes=tuple(axes or ()), fixed=fixed)
     return RunConfig(grid=grid, fixed=fixed, **options)
 
 

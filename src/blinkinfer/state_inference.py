@@ -5,14 +5,15 @@ likelihood to paths passing through that state, so the ratio of a masked
 product to the full product is the state's posterior probability given the
 whole trace.  Computed for every position by a forward-backward pass on
 the grid engine's compiled kernel.  A first forward pass gives every row's
-likelihood.  The rows of nonzero weight then go in small blocks through a
+likelihood.  The rows then go heaviest first, in small blocks, through a
 forward pass that keeps each prefix vector and a backward pass on the
-transposed step tables; a row of weight exactly 0 would add exactly 0, so
-it is left out, and the kept rows' table columns are gathered in the
-engine's (D, rows) layout.  Prefix and suffix vectors are both rescaled
-by a power of two at every step.  The scale factors of the two passes
-are common to both states at a position, so they cancel in the ratio and
-never need exponentiating.
+transposed step tables, each block's table columns gathered in the
+engine's (D, rows) layout.  The run stops once no row left is heavy
+enough to change a bit of any sum, which leaves out every row of weight
+exactly 0 and, on long traces, most of the rest.  Prefix and suffix
+vectors are both rescaled by a power of two at every step.  The scale
+factors of the two passes are common to both states at a position, so
+they cancel in the ratio and never need exponentiating.
 
 Exposed for all three models.  With parameters unknown the masked
 products are averaged over a parameter grid weighted by each cell's
@@ -147,17 +148,26 @@ def _smooth_rows(inv, row_sets):
     step tables, (2, rows) start vectors, log weights, and a bool mask of
     the rows whose suffix vectors stay at ones.  A row weighs its
     likelihood, from one ``_forward_cells`` pass per set, times exp(log_w).
-    Only the rows of nonzero weight go on to the kernel's ``smooth``, in
-    row order, and a set with none left is skipped: a dropped row would add
-    exactly +0.0 to every numerator and to the weight total.  The kept rows'
-    table columns are gathered from the full tables, never rebuilt, in the
-    same (D, rows) layout.  ``smooth`` takes the rows in blocks of as many
-    as keep a block's prefixes within ``_PREFIX_BUDGET`` vectors, at most
-    ``_MAX_WIDTH``.  The weight pass checks each set's tables, starts and
-    ``inv`` before any ``smooth`` call.  Numerators and the weight total
-    both add up row by row in the sets' order, so p_on is bitwise the same
-    at every block width and with or without the zero-weight rows, and
-    monotone rounding keeps it <= 1.
+    The sets become one row list, in their order, and the rows of nonzero
+    weight go to the kernel's ``smooth`` heaviest first (a stable sort, so
+    equal weights keep that order), in blocks of as many as keep a block's
+    prefixes within ``_PREFIX_BUDGET`` vectors, at most ``_MAX_WIDTH``.
+    Each block's table columns are gathered from the full tables, never
+    rebuilt.  The weight pass checks each set's tables, starts and ``inv``
+    before any ``smooth`` call.
+
+    Numerators add up row by row in that order, so p_on is bitwise the same
+    at every block width, and the run stops before the first block whose
+    heaviest weight w satisfies 2 w < spacing(num[k]) at every k; spacing
+    grows with the value, so the least numerator's is the one to test.  No
+    bit is lost: every row from there on adds fl(w' r) <= w' <= w, its
+    on-probability r being <= 1, which is below half the gap from num[k]
+    to the next double, so round-to-nearest leaves num[k] as it was.  A
+    numerator still at 0 has spacing 2^-1074 and so never lets the run
+    stop.  The weight total is the cumsum of all nonzero weights in the
+    same order.  Each numerator term is at most its row's weight, and
+    rounding is monotone, so every numerator is at most the total and p_on
+    is at most 1.
     """
     n = len(inv)
     width = min(max(_PREFIX_BUDGET // (n + 1), 1), _MAX_WIDTH)
@@ -170,15 +180,19 @@ def _smooth_rows(inv, row_sets):
     peak = max(ll.max() for ll in logliks)
     if peak == -np.inf:
         raise ValueError("trace has zero probability everywhere on the grid")
-    weights = [np.exp(ll - peak) for ll in logliks]
+    tables = [np.concatenate(ms, axis=1) for ms in zip(*(s[0] for s in row_sets))]
+    start, pinned = (np.concatenate([s[i] for s in row_sets], axis=-1) for i in (1, 3))
+    w = np.exp(np.concatenate(logliks) - peak)
+    order = np.argsort(-w, kind="stable")[: np.count_nonzero(w)]
+    w = w[order]
     prefixes = np.empty((n + 1, 2, width))
     num = np.zeros(n)
     smooth = _posterior._forward_kernel().smooth
-    for (mats, start, _, pinned), w in zip(row_sets, weights):
-        keep = np.flatnonzero(w)
-        if keep.size:
-            tables = [np.ascontiguousarray(m[:, keep]) for m in mats]
-            kept_start = np.ascontiguousarray(start[:, keep])
-            smooth(n, keep.size, width, *tables, inv, kept_start, w[keep], pinned[keep],
-                   prefixes, num)
-    return num / np.cumsum(np.concatenate(weights))[-1]
+    for lo in range(0, w.size, width):
+        if 2.0 * w[lo] < np.spacing(num.min()):
+            break
+        rows = order[lo : lo + width]
+        block = [m.take(rows, axis=1) for m in tables]
+        smooth(n, rows.size, width, *block, inv, start.take(rows, axis=1),
+               w[lo : lo + width], pinned[rows], prefixes, num)
+    return num / np.cumsum(w)[-1]

@@ -8,10 +8,10 @@ through ``scaled_chain_loglik``, so agreement with the package is a
 two-route check.
 """
 
+import itertools
 import math
 
 import numpy as np
-from scipy.linalg import expm
 from scipy.special import logsumexp
 from scipy.stats import poisson
 
@@ -137,17 +137,25 @@ def substep_path_matrix(count, d, r_alpha, r_beta, mu, lam):
 def ctmc_expm_step_matrix(counts, r_alpha, r_beta, mu, lam):
     """Continuous-time step matrices by the matrix exponential.
 
-    Exponentiates the generator of the Markov-modulated Poisson process on
-    (count, state), states 2 * count + state, counts 0..max(counts).  Mass
-    leaving the largest count is dropped; counts only rise within an
+    Exponentiates the generator Q of the Markov-modulated Poisson process
+    on (count, state), states 2 * count + state, counts 0..max(counts).
+    Mass leaving the largest count is dropped; counts only rise within an
     interval, so that changes no entry returned.  No Bessel function and no
-    quadrature.  Returns shape (len(counts), 2, 2), entry [k, end, start].
+    quadrature.  The exponential is summed by uniformisation,
+    exp(Q) = sum_n Pois(n; L) P^n with P = I + Q / L and L the largest exit
+    rate: every term is nonnegative, so every entry keeps its relative
+    accuracy however far in the count tail, where ``scipy.linalg.expm`` is
+    accurate only relative to the whole matrix.  The sum stops past the
+    Poisson mode once its tail bound, Pois(n) (n + 1) / (n + 1 - L), is
+    below 2^-60 of the least positive entry.  Returns shape
+    (len(counts), 2, 2), entry [k, end, start].
     """
     counts = np.asarray(counts)
     k_max = int(counts.max())
     leave = (r_alpha, r_beta)
     emit = (mu, mu + lam)
-    q = np.zeros((2 * (k_max + 1), 2 * (k_max + 1)))
+    size = 2 * (k_max + 1)
+    q = np.zeros((size, size))
     for c in range(k_max + 1):
         for s in (0, 1):
             i = 2 * c + s
@@ -155,7 +163,23 @@ def ctmc_expm_step_matrix(counts, r_alpha, r_beta, mu, lam):
             q[i, 2 * c + 1 - s] = leave[s]
             if c < k_max:
                 q[i, i + 2] = emit[s]
-    rows = expm(q)[:2].reshape(2, k_max + 1, 2)  # [start, count, end]
+    rate = max(-q.diagonal().min(), 1.0)
+    if rate > 700.0:
+        raise ValueError("exp(-rate) would underflow")
+    jump = np.eye(size) + q / rate
+    v = np.eye(size)[:2]  # rows of P^n from count 0, states off and on
+    term = math.exp(-rate)
+    rows = term * v
+    for n in itertools.count(1):
+        v = v @ jump
+        term *= rate / n
+        rows += term * v
+        # every entry reachable at all is positive once n > k_max + 1
+        if n > max(rate, k_max + 1):
+            tail = term * (n + 1) / (n + 1 - rate)
+            if tail <= 2.0**-60 * rows[rows > 0].min():
+                break
+    rows = rows.reshape(2, k_max + 1, 2)  # [start, count, end]
     return rows[:, counts, :].transpose(1, 2, 0)
 
 
@@ -238,9 +262,11 @@ def per_step_smooth(m00, m01, m10, m11, inv, start, log_w, pinned):
     m01, m11) over the reversed ``inv``, started at ones; ``pinned`` rows
     keep g at ones.  A row's probability is g1 f1 / (g0 f0 + g1 f1), the
     sum floored at the least positive double, and its weight is
-    exp(log-likelihood + log_w - peak).  Rows add up one at a time with
-    ``np.cumsum``, in row order.  The library's smoother must give these
-    bits.
+    exp(log-likelihood + log_w - peak).  Every row runs, and the rows add
+    up one at a time with ``np.cumsum``, heaviest first: a stable sort by
+    decreasing weight, so equal weights keep row order.  The library's
+    smoother, which stops once no lighter row can change a bit, must give
+    these bits.
     """
     n, rows = len(inv), start.shape[1]
     fwd = np.empty((n + 1, 2, rows))
@@ -253,4 +279,25 @@ def per_step_smooth(m00, m01, m10, m11, inv, start, log_w, pinned):
     x1 = g[1:, 1] * fwd[1:, 1]
     x0 = np.maximum(x0 + x1, np.nextafter(0.0, 1.0))
     w = np.exp(loglik - loglik.max())
-    return np.cumsum(w * (x1 / x0), axis=1)[:, -1] / np.cumsum(w)[-1]
+    order = np.argsort(-w, kind="stable")
+    terms = (w * (x1 / x0))[:, order]
+    return np.cumsum(terms, axis=1)[:, -1] / np.cumsum(w[order])[-1]
+
+
+def assert_heaviest_prefix(weight, pinned, sent_weight, sent_pinned, num):
+    """Assert the smoother's stop rule on what its kernel was sent.
+
+    ``weight`` and ``pinned`` are every row's weight and pinned flag, and
+    ``sent_weight`` and ``sent_pinned`` what the kernel received, in call
+    order.  The kernel must receive a prefix of the rows of nonzero weight
+    in stable decreasing-weight order, and every such row it did not
+    receive must weigh w with 2 w < spacing(num[k]) at every k, where
+    ``num`` holds the final numerators.
+    """
+    order = np.argsort(-weight, kind="stable")[: np.count_nonzero(weight)]
+    sent = sent_weight.size
+    assert sent <= order.size
+    np.testing.assert_array_equal(sent_weight, weight[order[:sent]])
+    np.testing.assert_array_equal(sent_pinned, pinned[order[:sent]])
+    if sent < order.size:
+        assert 2.0 * weight[order[sent]] < np.spacing(num).min()

@@ -87,6 +87,25 @@ class TestSimulate:
         assert "error: d must be >= 1" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "model, fixed, message",
+        [
+            ("multistep", "r_alpha=inf r_beta=0.5 lambda=5 mu=1", "fixed r_alpha must be finite"),
+            ("ctmc", "r_alpha=1 r_beta=nan lambda=5 mu=1", "fixed r_beta must be finite"),
+            ("single", "alpha=0.1 beta=1.5 lambda=5 mu=1", "fixed beta must lie in [0, 1]"),
+            ("single", "alpha=0.1 beta=0.1 lambda=-2 mu=1", "fixed lambda must be non-negative"),
+        ],
+        ids=["multistep-inf", "ctmc-nan", "single-above-one", "single-negative"],
+    )
+    def test_bad_fixed_value_rejected(self, tmp_path, capsys, model, fixed, message):
+        # the checks of GridSpec, as for infer, before anything is drawn
+        out = tmp_path / "x.csv"
+        options = [f"--fix={value}" for value in fixed.split()]
+        code = run(["simulate", "--model", model, *options, "--n", "10", "--out", str(out)])
+        assert code == 1
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestInfer:
     def test_known_emissions_two_free_axes(self, trace_file, tmp_path):

@@ -277,6 +277,18 @@ class TestEngineTablesAgainstExpm:
         big = ref > 1e-12
         np.testing.assert_allclose(got[big], ref[big], rtol=1e-10, atol=0.0)
 
+    @pytest.mark.parametrize("mu, lam", [(1.0, 0.125), (1e-3, 1e-3), (2.0, 40.0)])
+    def test_expm_oracle_keeps_tail_accuracy(self, mu, lam):
+        # a frozen chain emits at one rate: the entries are Poisson pmfs,
+        # down to 1e-190 at count 60, and the oracle keeps their digits
+        counts = np.arange(61)
+        ref = ctmc_expm_step_matrix(counts, 0.0, 0.0, mu, lam)
+        want = np.zeros((counts.size, 2, 2))
+        want[:, 0, 0] = [math.exp(c * math.log(mu) - mu - math.lgamma(c + 1)) for c in counts]
+        want[:, 1, 1] = [math.exp(c * math.log(mu + lam) - mu - lam - math.lgamma(c + 1))
+                         for c in counts]
+        np.testing.assert_allclose(ref, want, rtol=1e-12, atol=0.0)
+
     @pytest.mark.parametrize(
         "ra, rb, mu, lam",
         [(0.7, 0.5, 2.0, 20.0), (8.0, 8.0, 0.0, 40.0), (1e-3, 0.5, 1e-3, 1e-3)],

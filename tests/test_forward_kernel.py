@@ -26,7 +26,7 @@ import pytest
 
 import blinkinfer.posterior as posterior
 import blinkinfer.state_inference as state_inference
-from oracles import per_step_forward, per_step_smooth
+from oracles import assert_heaviest_prefix, per_step_forward, per_step_smooth
 
 ROOT = Path(__file__).resolve().parents[1]
 SOURCE = ROOT / "src" / "blinkinfer" / "_forward.c"
@@ -158,8 +158,9 @@ def _no_kernel():
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestZeroWeightRows:
-    """Rows of weight exactly 0 never reach the smoother kernel, yet p_on
-    keeps every bit of the oracle that runs every row."""
+    """Rows of weight exactly 0 never reach the smoother kernel, nor do
+    rows too light to change a bit, yet p_on keeps every bit of the oracle
+    that runs every row in the same order."""
 
     @pytest.mark.parametrize("width", [1, 7, 32])
     @pytest.mark.parametrize("rows", [WIDTH + 1, 2 * WIDTH + 1])
@@ -175,10 +176,12 @@ class TestZeroWeightRows:
         log_w[~heavy] = -1000.0
         log_w[-1] = -np.inf
         lib = posterior._forward_kernel()
-        calls = []
+        calls, sent = [], []
 
         def smooth(n, rows, width, *args):
+            # args[6:8] are the weights and pinned flags, args[9] the sums
             calls.append((rows, width))
+            sent.append((args[6].copy(), args[7].copy(), args[9]))
             lib.smooth(n, rows, width, *args)
 
         kernel = SimpleNamespace(forward=lib.forward, smooth=smooth)
@@ -191,11 +194,83 @@ class TestZeroWeightRows:
         got = state_inference._smooth_rows(inv, row_sets)
         want = per_step_smooth(*mats, inv, start, log_w, pinned)
         np.testing.assert_array_equal(got, want)
-        # one call, on the rows that weigh: the start-on set is skipped
+        # the kernel gets the heaviest rows first, in blocks of the width,
+        # and none of weight 0: the start-on set is skipped
         loglik = log_w + per_step_forward(*mats, inv, start)
-        weighs = np.exp(loglik - loglik.max()) != 0.0
-        assert not weighs[rows:].any() and weighs.sum() < rows // 2
-        assert calls == [(int(weighs.sum()), width)]
+        weight = np.exp(loglik - loglik.max())
+        assert not weight[rows:].any() and np.count_nonzero(weight) < rows // 2
+        assert {used for _, used in calls} == {width}
+        assert all(size <= width for size, _ in calls)
+        sent_w, sent_pinned, nums = zip(*sent)
+        assert_heaviest_prefix(
+            weight, pinned, np.concatenate(sent_w), np.concatenate(sent_pinned), nums[-1]
+        )
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestHeaviestFirst:
+    """Hand-built rows whose terms are known exactly, at block width 1: the
+    smoother stops only where no bit can change, tests the least
+    numerator, and sums equal weights in row order, as the oracle does."""
+
+    def _smooth(self, monkeypatch, mats, inv, start, log_w):
+        """p_on of one row set, checked bitwise against the oracle, and
+        the number of rows the kernel ran."""
+        pinned = np.zeros(start.shape[1], dtype=bool)
+        lib = posterior._forward_kernel()
+        sent = []
+
+        def smooth(n, rows, width, *args):
+            sent.append(rows)
+            lib.smooth(n, rows, width, *args)
+
+        kernel = SimpleNamespace(forward=lib.forward, smooth=smooth)
+        monkeypatch.setattr(posterior, "_forward_kernel", lambda: kernel)
+        monkeypatch.setattr(state_inference, "_PREFIX_BUDGET", len(inv) + 1)
+        got = state_inference._smooth_rows(inv, [(tuple(mats), start, log_w, pinned)])
+        np.testing.assert_array_equal(got, per_step_smooth(*mats, inv, start, log_w, pinned))
+        return got, sum(sent)
+
+    @pytest.mark.parametrize("light, runs", [(0.75, 3), (0.4, 1)])
+    def test_stop_needs_half_a_spacing(self, monkeypatch, light, runs):
+        # every row stays on, so each term is its weight and num[k] is the
+        # running weight sum, 1 after the first row: a row of weight
+        # 0.75 * spacing(1) rounds num up and must run, one of 0.4 * spacing(1)
+        # is rounded away and must not
+        n, rows = 3, 3
+        on = np.full((1, rows), 0.5)
+        mats = [np.zeros((1, rows)), np.zeros((1, rows)), np.zeros((1, rows)), on]
+        inv = np.zeros(n, dtype=np.int64)
+        start = np.tile([[0.0], [1.0]], rows)
+        log_w = np.log([1.0, light * 2.0**-52, light * 2.0**-52])
+        _, ran = self._smooth(monkeypatch, mats, inv, start, log_w)
+        assert ran == runs
+
+    def test_stop_tests_the_least_numerator(self, monkeypatch):
+        # row 0 is on at boundary 1 and leaves at the second step but for a
+        # 2^-30 chance, so num = (1, ~2^-30); row 1 stays on and weighs
+        # 0.75 * 2^-82, too little to move num[0] but not num[1]
+        m00, m01, m10, m11 = (np.zeros((2, 2)) for _ in range(4))
+        m11[0] = 1.0
+        m01[1, 0], m11[1] = 1.0, (2.0**-30, 1.0)
+        start = np.array([[0.0, 0.0], [1.0, 1.0]])
+        log_w = np.log([1.0, 0.75 * 2.0**-82])
+        got, ran = self._smooth(monkeypatch, [m00, m01, m10, m11], np.arange(2), start, log_w)
+        assert ran == 2 and got[0] == 1.0 and 0.0 < got[1] < 2.0**-29
+
+    def test_equal_weights_keep_row_order(self, monkeypatch):
+        # rows of two weights, 1 and 1/2, that never switch and are on with
+        # probability e in [0.5, 1): every likelihood is exactly 1/2 and
+        # every term is w * e, so the sum's bits depend on the order
+        rng = np.random.default_rng(3)
+        rows = 40
+        e = 0.5 + 0.5 * rng.random((1, rows))
+        zero = np.zeros((1, rows))
+        start = np.full((2, rows), 0.5)
+        log_w = np.where(rng.random(rows) < 0.5, 0.0, np.log(0.5))
+        _, ran = self._smooth(monkeypatch, [1.0 - e, zero, zero, e], np.zeros(1, np.int64),
+                              start, log_w)
+        assert ran == rows
 
 
 class TestTallTables:

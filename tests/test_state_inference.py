@@ -8,7 +8,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import poisson
 
@@ -31,10 +31,12 @@ from blinkinfer.state_inference import (
 )
 from blinkinfer.threshold import assign_states
 from oracles import (
+    assert_heaviest_prefix,
     ctmc_expm_step_matrix,
     log_forward_backward,
     log_forward_backward_mats,
     path_sum_loglik,
+    per_step_smooth,
     substep_path_matrix,
 )
 
@@ -384,6 +386,8 @@ _SWITCH_RATE = st.one_of(st.just(0.0), st.floats(0.0, 8.0))
     mu=st.floats(0.5, 10.0),
     lam=st.floats(0.0, 40.0),
 )
+# a far-tail count, where the step matrices are near 1e-30
+@example(model_d=("ctmc", None), counts=[28], ra=0.0, rb=0.0, mu=1.0, lam=0.125)
 def test_rate_models_match_log_space_oracle(model_d, counts, ra, rb, mu, lam):
     model, d = model_d
     grid = GridSpec(axes=(), fixed={"r_alpha": ra, "r_beta": rb, "lambda": lam, "mu": mu})
@@ -557,19 +561,57 @@ def _grids(draw):
     return GridSpec(axes=tuple(axes), fixed=fixed)
 
 
+def _fixed_grid(**switch):
+    """A one-cell grid at ``switch``, with lambda = 6 and mu = 1."""
+    return GridSpec(axes=(), fixed={**switch, "lambda": 6.0, "mu": 1.0})
+
+
+# a rate of exactly zero freezes the chain or makes it one-way, so that
+# rows are pinned or some boundary's numerator is exactly 0
+_SWITCH_AXES = {
+    "single": (("alpha", "beta"), _SWITCH),
+    "ctmc": (("r_alpha", "r_beta"), _SWITCH_RATE),
+    "multistep": (("r_alpha", "r_beta"), _SWITCH_RATE),
+}
+
+
+@st.composite
+def _model_grids(draw):
+    """(model, counts, grid, d): any model, up to three values per switch
+    axis, two lambda values and one mu, and d in {1, 2, 4} for multistep."""
+    model = draw(st.sampled_from(sorted(_SWITCH_AXES)))
+    names, values = _SWITCH_AXES[model]
+    counts = draw(st.lists(st.integers(0, 60), min_size=1, max_size=60))
+    axes, fixed = [], {"mu": draw(_RATE)}
+    for name, strategy, most in (
+        (names[0], values, 3),
+        (names[1], values, 3),
+        ("lambda", _RATE, 2),
+    ):
+        lo, hi = sorted((draw(strategy), draw(strategy)))
+        if lo == hi:
+            fixed[name] = lo
+        else:
+            axes.append(GridAxis(name, lo, hi, draw(st.integers(2, most))))
+    d = draw(st.sampled_from([1, 2, 4])) if model == "multistep" else None
+    return model, counts, GridSpec(axes=tuple(axes), fixed=fixed), d
+
+
 def _smooth_at(counts, grid, width):
     """``_smooth`` with the prefix budget set to blocks of ``width`` rows.
 
     Returns p_on, None where the trace has zero probability everywhere,
-    and the block widths, weights and pinned masks the kernel was given.
+    the block widths, weights and pinned masks the kernel was given, and
+    its numerator sums, or None if it never ran.
     """
     lib = posterior._forward_kernel()
-    widths, weights, pinned = [], [], []
+    widths, weights, pinned, num = [], [], [], [None]
 
     def smooth(n, rows, width, *args):
         widths.append(width)
         weights.append(args[6].copy())
         pinned.append(args[7].copy())
+        num[0] = args[9]
         lib.smooth(n, rows, width, *args)
 
     kernel = SimpleNamespace(forward=lib.forward, smooth=smooth)
@@ -581,17 +623,21 @@ def _smooth_at(counts, grid, width):
             p_on = state_inference._smooth(ctx)
         except ValueError:
             p_on = None
-    return p_on, widths, weights, pinned
+    return p_on, widths, weights, pinned, num[0]
 
 
-def _row_tables(counts, grid):
+def _row_sets(counts, grid, model="single", quad=None, d=None):
+    """``inv`` and the row sets ``_smooth`` runs on ``grid``."""
+    ctx = _EngineContext(CountTrace(counts), model, grid, None, quad, d)
+    return ctx.inv, ctx.row_sets(*ctx.pair_params(0, ctx.n_pairs()))
+
+
+def _joined(sets):
     """Step tables, start vectors, log weights and pinned masks of every
-    row ``_smooth`` runs, the start-on rows of pinned cells last."""
-    ctx = _EngineContext(CountTrace(counts), "single", grid, None, None, None)
-    sets = ctx.row_sets(*ctx.pair_params(0, ctx.n_pairs()))
+    row of ``sets``, the start-on rows of pinned cells last."""
     mats = tuple(np.concatenate(ms, axis=1) for ms in zip(*(s[0] for s in sets)))
     start, log_w, split = (np.concatenate([s[i] for s in sets], axis=-1) for i in (1, 2, 3))
-    return mats, ctx.inv, start, log_w, split
+    return mats, start, log_w, split
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -603,9 +649,9 @@ class TestBlockedSmoother:
     @settings(max_examples=60, deadline=None)
     @given(counts=_COUNTS, grid=_grids())
     def test_block_width_changes_no_bit(self, counts, grid):
-        whole, widths, _, _ = _smooth_at(counts, grid, 32)
+        whole, widths, *_ = _smooth_at(counts, grid, 32)
         for width in (1, 7):
-            got, used, _, _ = _smooth_at(counts, grid, width)
+            got, used, *_ = _smooth_at(counts, grid, width)
             if whole is None:
                 assert got is None
             else:
@@ -623,18 +669,65 @@ class TestBlockedSmoother:
     @settings(max_examples=40, deadline=None)
     @given(counts=_COUNTS, grid=_grids())
     def test_weights_are_forward_cells(self, counts, grid):
-        # the kernel gets exactly the rows of nonzero weight, in row order,
-        # so every row it does not get weighs exactly 0.0
-        mats, inv, start, log_w, split = _row_tables(counts, grid)
+        # the kernel gets the forward pass's weights, heaviest first, and
+        # stops only where no row it does not get can change a bit
+        inv, sets = _row_sets(counts, grid)
+        mats, start, log_w, split = _joined(sets)
         loglik = log_w + posterior._forward_cells(*mats, inv, start)
-        p_on, _, weights, pinned = _smooth_at(counts, grid, 7)
+        p_on, _, weights, pinned, num = _smooth_at(counts, grid, 7)
         if p_on is None:
             assert loglik.max() == -np.inf
         else:
             want = np.exp(loglik - loglik.max())
-            kept = want != 0.0
-            np.testing.assert_array_equal(np.concatenate(weights), want[kept])
-            np.testing.assert_array_equal(np.concatenate(pinned), split[kept])
+            assert_heaviest_prefix(
+                want, split, np.concatenate(weights), np.concatenate(pinned), num
+            )
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=_model_grids())
+    @example(case=("single", [3, 0, 5, 1], _fixed_grid(alpha=0.0, beta=0.4), None))
+    @example(case=("single", [3, 0, 5, 1], _fixed_grid(alpha=1.0, beta=1.0), None))
+    @example(case=("ctmc", [3, 0, 5, 1], _fixed_grid(r_alpha=0.0, r_beta=0.0), None))
+    @example(case=("multistep", [3, 0, 5, 1], _fixed_grid(r_alpha=0.0, r_beta=2.0), 4))
+    def test_stop_keeps_every_bit(self, case):
+        # the heaviest-first run with its stop gives the bits of the oracle
+        # that runs every row in the same order, at every block width
+        model, counts, grid, d = case
+        quad = QuadratureSpec() if model == "ctmc" else None
+        inv, sets = _row_sets(counts, grid, model, quad, d)
+        mats, start, log_w, split = _joined(sets)
+        loglik = log_w + posterior._forward_cells(*mats, inv, start)
+        for width in (1, 7, 32):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(state_inference, "_PREFIX_BUDGET", width * (len(counts) + 1))
+                if loglik.max() == -np.inf:
+                    with pytest.raises(ValueError, match="zero probability"):
+                        state_inference._smooth_rows(inv, sets)
+                    continue
+                got = state_inference._smooth_rows(inv, sets)
+            np.testing.assert_array_equal(got, per_step_smooth(*mats, inv, start, log_w, split))
+            assert np.all((got >= 0.0) & (got <= 1.0))
+
+    def test_kernel_runs_few_rows_on_a_long_trace(self):
+        # the 48 x 48 grid of the benchmark's state workload at N = 1e4:
+        # the stop leaves most rows of nonzero weight out of the kernel,
+        # and p_on keeps the bits of the oracle that runs every row
+        probs = SwitchProbs(0.1, 0.15, 1)
+        res = sim_dtmc_single(probs, EmissionRates(mu=4.0, lam=6.0), 10_000, seed=5)
+        grid = GridSpec(
+            axes=(GridAxis("alpha", 0.01, 0.48, 48), GridAxis("beta", 0.01, 0.48, 48)),
+            fixed={"lambda": 6.0, "mu": 4.0},
+        )
+        inv, sets = _row_sets(res.trace.counts, grid)
+        mats, start, log_w, split = _joined(sets)
+        loglik = log_w + posterior._forward_cells(*mats, inv, start)
+        weighs = np.count_nonzero(np.exp(loglik - loglik.max()))
+        p_on, widths, weights, *_ = _smooth_at(res.trace.counts, grid, 32)
+        sent = sum(w.size for w in weights)
+        assert set(widths) == {32}
+        assert 0 < sent < weighs // 10
+        want = per_step_smooth(*mats, inv, start, log_w, split)
+        np.testing.assert_array_equal(p_on, want)
 
     def test_log_space_marginal_matches_oracle_per_cell(self):
         counts = [3, 0, 17, 9, 1, 0, 0, 12, 30, 4] * 3
