@@ -24,8 +24,8 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-from scipy.special import gammainc, i0e, i1e
 
+from ._special import i0e, i1e
 from .kernels import (
     CountTrace,
     EmissionRates,
@@ -227,6 +227,9 @@ def avg_count_prob(count: int, emissions: EmissionRates) -> float:
     """
     if count < 0:
         raise ValueError("count must be non-negative")
+    # imported here: scipy.special takes longer to import than the package
+    from scipy.special import gammainc
+
     mu, lam = emissions.mu, emissions.lam
     if lam == 0.0:
         return poisson_pmf(mu, count)

@@ -16,7 +16,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
+
+from ._special import log_factorial
 
 __all__ = [
     "CountTrace",
@@ -181,18 +182,20 @@ def poisson_pmf(rate, count):
 def log_poisson_pmf(rate, count):
     """Log of :func:`poisson_pmf`, safe against under- and overflow.
 
-    Evaluated as count*log(rate) - rate - lgamma(count + 1).  A zero rate
-    with a positive count yields -inf (a sentinel, not an error).
+    Evaluated as count*log(rate) - rate - log(count!).  A zero rate with a
+    positive count yields -inf (a sentinel, not an error).  Counts must be
+    finite, non-negative and integer-valued; floats such as 3.0 pass.
     """
     rate_arr = np.asarray(rate, dtype=float)
-    count_arr = np.asarray(count)
     if np.any(rate_arr < 0):
         raise ValueError("Poisson rate must be non-negative")
+    count_arr = np.asarray(count).astype(float)
+    if not np.all(np.isfinite(count_arr)) or np.any(count_arr != np.floor(count_arr)):
+        raise ValueError("count must be a finite integer")
     if np.any(count_arr < 0):
         raise ValueError("count must be non-negative")
-    count_arr = count_arr.astype(float)
     with np.errstate(divide="ignore", invalid="ignore"):
-        logp = count_arr * np.log(rate_arr) - rate_arr - gammaln(count_arr + 1.0)
+        logp = count_arr * np.log(rate_arr) - rate_arr - log_factorial(count_arr)
     zero = rate_arr == 0.0
     if np.any(zero):
         logp = np.where(zero, np.where(count_arr == 0, 0.0, -np.inf), logp)

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .kernels import (
     CountTrace,
@@ -129,4 +128,4 @@ def brute_force_loglik(
     log_terms = log_prior[paths[:, 0]]
     for t in range(1, n + 1):
         log_terms = log_terms + log_mats[t - 1, paths[:, t], paths[:, t - 1]]
-    return float(logsumexp(log_terms))
+    return float(np.logaddexp.reduce(log_terms))

@@ -327,13 +327,18 @@ def threshold_sweep(
     Rows are ordered by (threshold, bins); configurations whose duration
     fit degenerates are recorded with NaN estimates.  When
     ``summary_range`` is given, the summary aggregates all finite rows
-    whose threshold lies inside it (inclusive).
+    whose threshold lies inside it (inclusive).  A bin count below 2 is
+    an error in the request, not a degenerate fit, and raises
+    ``ValueError`` before any fit runs.
     """
+    bin_counts = sorted(bin_counts)
+    if bin_counts and bin_counts[0] < 2:
+        raise ValueError("bin_count must be >= 2")
     rows = []
     for thr in sorted(thresholds):
         states = assign_states(trace, thr)
         durations = run_durations(states)
-        for bins in sorted(bin_counts):
+        for bins in bin_counts:
             try:
                 est = fit_switch_probs(durations, bins)
                 rows.append(SweepRow(float(thr), int(bins), est.alpha_hat, est.beta_hat))

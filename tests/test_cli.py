@@ -445,6 +445,19 @@ class TestThreshold:
         header_at = lines.index("threshold,bins,alpha_hat,beta_hat")
         assert len(lines) - header_at - 1 == 50
 
+    @pytest.mark.parametrize("bins", ["0", "1", "1:9"])
+    def test_bin_count_below_two_fails(self, trace_file, tmp_path, capsys, bins):
+        out = tmp_path / "s.csv"
+        code = run(
+            [
+                "threshold", "--in", str(trace_file),
+                "--thresholds", "10:12", "--bins", bins, "--out", str(out),
+            ]
+        )
+        assert code == 1
+        assert "bin_count must be >= 2" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_requires_ranges(self, trace_file, tmp_path):
         code = run(
             ["threshold", "--in", str(trace_file), "--out", str(tmp_path / "s.csv")]

@@ -74,6 +74,28 @@ class TestLogPoissonPmf:
     def test_unit_rate(self):
         assert log_poisson_pmf(1.0, 0) == pytest.approx(-1.0)
 
+    @pytest.mark.parametrize(
+        "count",
+        [2.5, math.nan, math.inf, -math.inf, np.array([1.0, 2.5]), np.array([3.0, math.nan])],
+    )
+    def test_non_integer_count_rejected(self, count):
+        for pmf in (poisson_pmf, log_poisson_pmf):
+            with pytest.raises(ValueError, match=r"^count must be a finite integer$"):
+                pmf(2.0, count)
+
+    def test_integer_valued_floats_accepted(self):
+        # the mixture fit passes its counts as floats
+        counts = np.array([0, 3, 17, 250])
+        assert np.array_equal(
+            log_poisson_pmf(2.0, counts.astype(float)), log_poisson_pmf(2.0, counts)
+        )
+        assert poisson_pmf(2.0, 2.0) == poisson_pmf(2.0, 2)
+
+    def test_negative_count_rejected(self):
+        for count in (-1, -2.0, np.array([0, -3])):
+            with pytest.raises(ValueError, match=r"^count must be non-negative$"):
+                log_poisson_pmf(2.0, count)
+
 
 class TestProbsFromRates:
     def test_zero_rates(self):

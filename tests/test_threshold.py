@@ -177,6 +177,20 @@ class TestSweep:
         keys = [(r.threshold, r.bins) for r in sweep.rows]
         assert keys == sorted(keys)
 
+    @pytest.mark.parametrize("bins", [[0], [1], [8, 1], range(0, 3)])
+    def test_bin_count_below_two_rejected(self, bins):
+        res = clear_blinking_trace(n=1000)
+        with pytest.raises(ValueError, match=r"^bin_count must be >= 2$"):
+            threshold_sweep(res.trace, [17], bins)
+
+    def test_degenerate_fit_keeps_nan_row(self):
+        # every off run has length 1 and every on run length 2, so each
+        # duration histogram has one occupied bin
+        trace = CountTrace([0, 30, 30] * 20)
+        sweep = threshold_sweep(trace, [15], range(2, 5))
+        assert [r.bins for r in sweep.rows] == [2, 3, 4]
+        assert all(math.isnan(r.alpha_hat) and math.isnan(r.beta_hat) for r in sweep.rows)
+
     def test_full_sweep_with_summary(self):
         res = clear_blinking_trace()
         sweep = threshold_sweep(
