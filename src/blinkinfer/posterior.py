@@ -386,12 +386,26 @@ _CFLAGS = ("-O3", "-ffp-contract=off", "-fPIC", "-shared")
 def _forward_cells(m00, m01, m10, m11, inv, start):
     """Log-likelihood of every cell by the forward recursion.
 
-    Runs the kernel of ``_forward.c``: after every step the state vector
-    is scaled by the power of two that brings its sum into [0.5, 1), and
-    that exponent adds to an int64 count e.  Its bits are those of the same
-    recursion in numpy with ``frexp`` and ``ldexp``.  The result e ln 2 +
-    log(v0 + v1) is -inf only where some step sends the vector to exactly
-    zero.  ``start`` holds the (off, on) start vectors, shape (2, cells).
+    Runs the kernel of ``_forward.c``, whose bits are those of the same
+    recursion in numpy with ``frexp`` and ``ldexp`` rescaled after every
+    step: the state vector scaled by the power of two that brings its sum
+    into [0.5, 1), and that exponent added to an int64 count e.  The result
+    e ln 2 + log(v0 + v1) is -inf only where some step sends the vector to
+    exactly zero.  ``start`` holds the (off, on) start vectors, shape
+    (2, cells).
+
+    The kernel itself scales once per run of up to 16 steps.  A power of
+    two commutes exactly with every product and sum that stays a normal
+    double with and without it, so a run gives the per-step bits when none
+    of its values leaves the normal range.  For each block of cells it
+    takes, at a point just after a scaled step, e as the exponent of the
+    least nonzero component and, for each table row, lo and hi as the
+    exponents of its least and largest nonzero entry; every nonzero value
+    of a run is then at least 2^(e + sum of the rows' lo - max(0, hi + 4)),
+    in the unscaled and the per-step recursion alike, and the run is as
+    long as that stays >= 2^-1022.  A subnormal entry or component, or an
+    entry of 2 or more, leaves no room for a run, and the kernel scales
+    after the step.  The source's header gives the proof.
     """
     cells = start.shape[1]
     shapes = {m.shape for m in (m00, m01, m10, m11)}
@@ -487,6 +501,42 @@ def _digest(*parts):
 
 _WORKER_CTX: _EngineContext | None = None
 
+# OpenBLAS's thread-count calls, under the names its builds export
+_BLAS_SET = (
+    "scipy_openblas_set_num_threads64_",
+    "scipy_openblas_set_num_threads",
+    "openblas_set_num_threads64_",
+    "openblas_set_num_threads",
+)
+
+
+def _blas_function(names, argtypes, restype):
+    """The first of ``names`` that a loaded BLAS library exports, typed, or
+    None.
+
+    numpy loads its BLAS privately, so the library is found by its path in
+    ``/proc/self/maps``; where that cannot be read, there is none.
+    """
+    with contextlib.suppress(OSError), open("/proc/self/maps") as f:
+        paths = {ln.split()[-1] for ln in f if "blas" in ln.rpartition("/")[2]}
+        for path in sorted(paths):
+            with contextlib.suppress(OSError):
+                lib = ctypes.CDLL(path)
+                for name in names:
+                    if hasattr(lib, name):
+                        fn = getattr(lib, name)
+                        fn.argtypes, fn.restype = argtypes, restype
+                        return fn
+    return None
+
+
+def _worker_init():
+    """Gives a pool worker one BLAS thread, so that a worker's table mixing
+    wakes no thread pool to compete with the other workers' kernels."""
+    set_threads = _blas_function(_BLAS_SET, [ctypes.c_int], None)
+    if set_threads is not None:
+        set_threads(1)
+
 
 def _worker_eval(block):
     return block, _WORKER_CTX.eval_block(*block)
@@ -530,8 +580,13 @@ def evaluate_grid(
         global _WORKER_CTX
         _WORKER_CTX = probe
         try:
-            ctx = get_context("fork")
-            with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
+            # the fork context starts every worker at once, so start no idle one
+            pool = ProcessPoolExecutor(
+                max_workers=min(workers, len(blocks)),
+                mp_context=get_context("fork"),
+                initializer=_worker_init,
+            )
+            with pool:
                 for blk, result in pool.map(_worker_eval, blocks):
                     flat[blk[0] : blk[1]] = result
         finally:

@@ -1,10 +1,12 @@
-"""The compiled kernels: block edges, tall tables and the build.
+"""The compiled kernels: block edges, scaled runs, tall tables and the build.
 
 The forward kernel takes cells in blocks of ``BLOCK`` (read from its
 source), and the smoother kernel takes rows in blocks of at most
 ``_MAX_WIDTH``.  The block-edge tests place the corner cases at the first
 and last cell of a block and compare the results bitwise with the numpy
-oracles; the tall-table tests do the same for tables of many rows, and
+oracles; the scaled-run tests draw tables and start vectors around the
+bound that lets the forward kernel run up to ``RUN`` steps unscaled, and
+compare its end vectors too; the tall-table tests do the same for tables of many rows, and
 of more rows than the steps read, and the zero-weight tests for row sets
 whose rows mostly never reach the smoother kernel.  The build tests each
 run a fresh interpreter with its own cache directory, and the source must
@@ -23,6 +25,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import blinkinfer.posterior as posterior
 import blinkinfer.state_inference as state_inference
@@ -31,6 +35,7 @@ from oracles import assert_heaviest_prefix, per_step_forward, per_step_smooth
 ROOT = Path(__file__).resolve().parents[1]
 SOURCE = ROOT / "src" / "blinkinfer" / "_forward.c"
 BLOCK = int(re.search(r"#define BLOCK (\d+)", SOURCE.read_text()).group(1))
+RUN = int(re.search(r"#define RUN (\d+)", SOURCE.read_text()).group(1))
 WIDTH = state_inference._MAX_WIDTH
 
 
@@ -72,6 +77,117 @@ class TestBlockEdges:
             posterior._forward_cells(*mats, inv, start[:, :3])
         with pytest.raises(ValueError, match="outside the step tables"):
             posterior._forward_cells(*mats, inv + 3, start)
+
+
+# table entries: zero, subnormal, a power of two 2^-k, uniform on [0, 1),
+# uniform on [0, 4) and a power of two 2^k, the last two reaching entries of
+# 2 or more, which no run may take
+_KINDS = ("zero", "subnormal", "power", "uniform", "large", "huge")
+
+
+def _entries(rng, kinds, k_max, shape):
+    """Entries of the drawn ``kinds`` mixed at random; powers 2^-k and 2^k
+    have k uniform on 1..``k_max``."""
+    kind = rng.choice(kinds, shape)
+    out = rng.random(shape)
+    out[kind == "zero"] = 0.0
+    out[kind == "subnormal"] = 2.0**-1060
+    for name, sign in (("power", -1), ("huge", 1)):
+        pick = kind == name
+        out[pick] = np.ldexp(1.0, sign * rng.integers(1, k_max + 1, pick.sum()))
+    out[kind == "large"] *= 4.0
+    return out
+
+
+def _start_vectors(rng, kinds, cells):
+    """(2, cells) components that are zero, subnormal or uniform."""
+    kind = rng.choice(kinds, (2, cells))
+    out = rng.random((2, cells))
+    out[kind == "zero"] = 0.0
+    tiny = kind == "subnormal"
+    out[tiny] = rng.integers(1, 2**52, tiny.sum()) * 2.0**-1074
+    return out
+
+
+def _assert_forward_matches(mats, inv, start):
+    """The kernel's log-likelihoods and end vectors are the oracle's bits."""
+    prefixes = np.empty((len(inv) + 1, *start.shape))
+    want = per_step_forward(*mats, inv, start, prefixes)
+    np.testing.assert_array_equal(posterior._forward_cells(*mats, inv, start), want)
+    end = np.empty_like(start)
+    exps = np.zeros(start.shape[1], dtype=np.int64)
+    forward = posterior._forward_kernel().forward
+    forward(len(inv), start.shape[1], *mats, inv, start, end, exps)
+    np.testing.assert_array_equal(end, prefixes[-1])
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestScaledRuns:
+    """forward scales once per run of up to ``RUN`` steps that its bound
+    keeps in the normal range; every bit must be the per-step oracle's."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        cells=st.sampled_from([1, 2, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1])
+        | st.integers(1, 2 * BLOCK + 1),
+        n=st.integers(1, 3 * RUN + 1),
+        rows=st.integers(1, 4),
+        kinds=st.lists(st.sampled_from(_KINDS), min_size=1, max_size=4, unique=True),
+        zero_tables=st.lists(st.booleans(), min_size=4, max_size=4),
+        k_max=st.integers(1, 1000),
+        start_kinds=st.lists(
+            st.sampled_from(["zero", "subnormal", "uniform"]),
+            min_size=1,
+            max_size=3,
+            unique=True,
+        ),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_per_step_oracle(
+        self, cells, n, rows, kinds, zero_tables, k_max, start_kinds, seed
+    ):
+        rng = np.random.default_rng(seed)
+        mats = [
+            _entries(rng, ["zero"] if zero else kinds, k_max, (rows, cells))
+            for zero in zero_tables
+        ]
+        inv = rng.integers(0, rows, n)
+        _assert_forward_matches(mats, inv, _start_vectors(rng, start_kinds, cells))
+
+    def test_growing_vector(self):
+        # the off state grows by 1.99 a step, so the per-step recursion
+        # halves the vector at every step, and the on state, scaled by
+        # 1.1 * 2^-68 a step, lies 2^-14 lower there after 14 steps than
+        # unscaled: it turns subnormal there first, which the bound's
+        # max(0, hi + 4) foresees.  The last step moves the on state to
+        # off, so that its bits make the result.
+        mats = [np.array([[e], [f]]) for e, f in ((1.99, 0.0), (0.0, 1.0), (0.0, 0.0))]
+        mats.append(np.array([[1.1 * 2.0**-68], [0.0]]))
+        _assert_forward_matches(mats, np.array([0] * 15 + [1]), np.array([[0.5], [0.5]]))
+
+    @pytest.mark.parametrize("k, n", [(73, 15), (64, 17), (64, 40)])
+    def test_run_ends_at_the_normal_range(self, k, n):
+        # one state, scaled by (1 + 3 2^-20) 2^-k a step, from about 2^-1
+        # after the first: runs must end where the bound reaches 2^-1022,
+        # to the bit, for 14 steps of 2^-73 reach 2^-1023 and round there
+        mats = [np.array([[x]]) for x in ((1 + 3 * 2.0**-20) * 2.0**-k, 0.0, 0.0, 0.0)]
+        _assert_forward_matches(mats, np.zeros(n, dtype=np.int64), np.array([[1.0], [0.0]]))
+
+    def test_run_is_cut_where_an_unguarded_one_changes_bits(self):
+        # with every entry 2^-150, sixteen unscaled steps take the vector
+        # from about 2^-2 to 2^-2402, to zero; the bound cuts runs at six
+        # steps, 2^-902, and the result is the oracle's, finite
+        cells, n = BLOCK + 1, 16
+        mats = [np.full((1, cells), 2.0**-150) for _ in range(4)]
+        inv = np.zeros(n, dtype=np.int64)
+        start = np.tile([[0.25], [0.75]], cells)
+        want = per_step_forward(*mats, inv, start)
+        assert np.all(np.isfinite(want))
+        _assert_forward_matches(mats, inv, start)
+        v = start
+        for _ in range(n):
+            v = 2.0**-150 * v.sum(axis=0)  # both components of M v
+        assert np.all(v == 0.0)
 
 
 def _smooth_case(rows, n, seed):

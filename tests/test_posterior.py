@@ -1,4 +1,6 @@
+import ctypes
 import math
+import os
 
 import numpy as np
 import pytest
@@ -39,6 +41,16 @@ from oracles import (
 )
 
 EM = EmissionRates(mu=2.0, lam=20.0)
+
+# a ctmc grid of 6 x 6 switch pairs at 16 emission cells
+WORKER_GRID = GridSpec(
+    axes=(
+        GridAxis("r_alpha", 0.1, 3, 6),
+        GridAxis("r_beta", 0.1, 3, 6),
+        GridAxis("lambda", 10, 30, 4),
+        GridAxis("mu", 0.5, 4, 4),
+    )
+)
 
 
 def small_single_posterior(n=300, seed=4):
@@ -285,17 +297,56 @@ class TestEvaluateGrid:
 
     def test_worker_count_invariance(self):
         res = sim_ctmc(SwitchRates(1.0, 0.5), EM, 80, seed=3)
-        grid = GridSpec(
-            axes=(
-                GridAxis("r_alpha", 0.1, 3, 6),
-                GridAxis("r_beta", 0.1, 3, 6),
-                GridAxis("lambda", 10, 30, 4),
-                GridAxis("mu", 0.5, 4, 4),
-            )
-        )
-        one = evaluate_grid(res.trace, "ctmc", grid, workers=1)
-        two = evaluate_grid(res.trace, "ctmc", grid, workers=2)
+        one = evaluate_grid(res.trace, "ctmc", WORKER_GRID, workers=1)
+        two = evaluate_grid(res.trace, "ctmc", WORKER_GRID, workers=2)
         assert np.array_equal(one.log_post, two.log_post)
+
+    def test_pool_starts_no_idle_worker(self, monkeypatch):
+        # 6 x 6 switch pairs at 16 emission cells, 18 pairs to a block: two
+        # blocks, so eight workers asked for start two processes
+        sizes = []
+
+        class Recording(posterior.ProcessPoolExecutor):
+            def __init__(self, max_workers, **kwargs):
+                sizes.append(max_workers)
+                super().__init__(max_workers, **kwargs)
+
+        res = sim_ctmc(SwitchRates(1.0, 0.5), EM, 80, seed=3)
+        monkeypatch.setattr(posterior, "_BLOCK_CELL_TARGET", 18 * 16)
+        one = evaluate_grid(res.trace, "ctmc", WORKER_GRID, workers=1)
+        monkeypatch.setattr(posterior, "ProcessPoolExecutor", Recording)
+        eight = evaluate_grid(res.trace, "ctmc", WORKER_GRID, workers=8)
+        assert sizes == [2]
+        assert np.array_equal(one.log_post, eight.log_post)
+
+    def test_workers_run_one_blas_thread(self, monkeypatch, tmp_path):
+        getters = [name.replace("_set_", "_get_") for name in posterior._BLAS_SET]
+        get_threads = posterior._blas_function(getters, [], ctypes.c_int)
+        if get_threads is None:
+            pytest.skip("no OpenBLAS thread-count call in this numpy")
+        parent_threads = get_threads()
+        set_threads = posterior._blas_function(posterior._BLAS_SET, [ctypes.c_int], None)
+        set_threads(2)  # what workers would inherit on any machine
+        log = tmp_path / "threads.txt"
+        eval_block = posterior._EngineContext.eval_block
+
+        def reporting(ctx, p_start, p_end):
+            with open(log, "a") as f:
+                f.write(f"{os.getpid()} {get_threads()}\n")
+            return eval_block(ctx, p_start, p_end)
+
+        res = sim_ctmc(SwitchRates(1.0, 0.5), EM, 80, seed=3)
+        monkeypatch.setattr(posterior, "_BLOCK_CELL_TARGET", 18 * 16)
+        monkeypatch.setattr(posterior._EngineContext, "eval_block", reporting)
+        try:
+            evaluate_grid(res.trace, "ctmc", WORKER_GRID, workers=2)
+            assert get_threads() == 2
+        finally:
+            set_threads(parent_threads)
+        reports = [line.split() for line in log.read_text().splitlines()]
+        assert len(reports) == 2
+        assert str(os.getpid()) not in {pid for pid, _ in reports}
+        assert all(threads == "1" for _, threads in reports)
 
     def test_single_step_bits_do_not_depend_on_block_size(self, monkeypatch):
         # each single-step table entry is one rounded product, so a cell's
