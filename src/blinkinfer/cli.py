@@ -346,7 +346,10 @@ def _parse_fix(value: str):
 def _parse_int_range(value: str) -> tuple[int, ...]:
     if ":" in value:
         lo, hi = value.split(":")
-        return tuple(range(int(lo), int(hi) + 1))
+        values = tuple(range(int(lo), int(hi) + 1))
+        if not values:
+            raise argparse.ArgumentTypeError(f"empty range {value!r}: lo must not exceed hi")
+        return values
     return (int(value),)
 
 

@@ -79,9 +79,12 @@ def choose_subinterval_count(r_alpha: float, r_beta: float) -> int:
     """Smallest d = 2**m whose sub-steps are short enough for the given rates.
 
     Uses the applicability rule r_alpha * r_beta < 0.1 * 2**(2m), the
-    single-step validity bound rescaled to sub-steps of length 1/d.
+    single-step validity bound rescaled to sub-steps of length 1/d.  Raises
+    ValueError where the product is not finite, since no d meets the rule.
     """
     product = r_alpha * r_beta
+    if not math.isfinite(product):
+        raise ValueError(f"switching rate product r_alpha * r_beta = {product} is not finite")
     m = 0
     while product >= 0.1 * 4.0**m:
         m += 1

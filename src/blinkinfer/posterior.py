@@ -276,10 +276,12 @@ class _EngineContext:
         return _multistep.on_count_weights(self.d, a, b)
 
     def row_sets(self, a, b):
-        """Forward-pass rows of the cells of switch pairs ``a``, ``b``.
+        """Forward-pass rows of the cells of switch pairs ``a``, ``b``, with
+        their log-likelihoods.
 
-        Returns a list of (tables, start, log_w, pinned) sets: four (D, rows)
-        step tables, (2, rows) start vectors, log weights and a bool mask of
+        Returns a list of (tables, start, loglik, pinned) sets: four (D, rows)
+        step tables, (2, rows) start vectors, each row's log-likelihood, its
+        log weight plus ``_forward_cells`` of its tables, and a bool mask of
         the start-pinned rows.  The first set has one row per cell, started
         from (P(off), P(on)), stationary for its pair unless a prior was
         given, with log weight 0.  A cell whose tables never send a start
@@ -287,7 +289,8 @@ class _EngineContext:
         and a rescaled mix of the two can lose one for good; its row is
         pinned to start off with log weight log P(off), and a second set,
         present only if there are such cells, holds their rows pinned to
-        start on with log weight log P(on).
+        start on with log weight log P(on).  The grid engine and the state
+        smoother both take their tables and forward pass from here.
         """
         mats = self.tables(a, b)
         if self.prior is None:
@@ -309,7 +312,7 @@ class _EngineContext:
             sub = tuple(np.ascontiguousarray(m[:, pinned]) for m in mats)
             start_on = np.tile([[0.0], [1.0]], log_w_on.size)
             sets.append((sub, start_on, log_w_on, np.ones(log_w_on.size, dtype=bool)))
-        return sets
+        return [(m, s, w + _forward_cells(*m, self.inv, s), p) for m, s, w, p in sets]
 
     def tables(self, a, b):
         """The model's step tables for switch pairs ``a``, ``b``: four
@@ -320,11 +323,9 @@ class _EngineContext:
 
     def eval_block(self, p_start, p_end):
         a, b = self.pair_params(p_start, p_end)
-        sets = self.row_sets(a, b)
-        acc, *on = [w + _forward_cells(*m, self.inv, s) for m, s, w, _ in sets]
+        (_, _, acc, pinned), *on = self.row_sets(a, b)
         if on:
-            pinned = sets[0][3]
-            acc[pinned] = np.logaddexp(acc[pinned], on[0])
+            acc[pinned] = np.logaddexp(acc[pinned], on[0][2])
         return acc.reshape(a.size, self.n_em)
 
 
@@ -407,18 +408,25 @@ def _forward_cells(m00, m01, m10, m11, inv, start):
     entry of 2 or more, leaves no room for a run, and the kernel scales
     after the step.  The source's header gives the proof.
     """
+    _check_rows((m00, m01, m10, m11), inv, start)
     cells = start.shape[1]
-    shapes = {m.shape for m in (m00, m01, m10, m11)}
-    if start.shape != (2, cells) or shapes != {(len(m00), cells)}:
-        raise ValueError("step tables and start vectors disagree in shape")
-    if len(inv) and not 0 <= inv.min() <= inv.max() < len(m00):
-        raise ValueError("an interval reads a row outside the step tables")
     end = np.empty((2, cells))
     exps = np.zeros(cells, dtype=np.int64)
     kernel = _forward_kernel().forward
     kernel(len(inv), cells, m00, m01, m10, m11, inv, start, end, exps)
     with np.errstate(divide="ignore"):
         return exps * _LN2 + np.log(end[0] + end[1])
+
+
+def _check_rows(tables, inv, start):
+    """Raises ValueError unless ``tables`` are four (D, rows) arrays,
+    ``start`` is (2, rows) and every interval reads a row of the tables:
+    both kernels read the buffers at offsets that assume it."""
+    rows = start.shape[1]
+    if start.shape != (2, rows) or {m.shape for m in tables} != {(len(tables[0]), rows)}:
+        raise ValueError("step tables and start vectors disagree in shape")
+    if len(inv) and not 0 <= inv.min() <= inv.max() < len(tables[0]):
+        raise ValueError("an interval reads a row outside the step tables")
 
 
 @functools.cache

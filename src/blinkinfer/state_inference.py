@@ -4,16 +4,18 @@ Zeroing one row of an interval matrix restricts the matrix-product
 likelihood to paths passing through that state, so the ratio of a masked
 product to the full product is the state's posterior probability given the
 whole trace.  Computed for every position by a forward-backward pass on
-the grid engine's compiled kernel.  A first forward pass gives every row's
-likelihood.  The rows then go heaviest first, in small blocks, through a
-forward pass that keeps each prefix vector and a backward pass on the
-transposed step tables, each block's table columns gathered in the
-engine's (D, rows) layout.  The run stops once no row left is heavy
-enough to change a bit of any sum, which leaves out every row of weight
-exactly 0 and, on long traces, most of the rest.  Prefix and suffix
-vectors are both rescaled by a power of two at every step.  The scale
-factors of the two passes are common to both states at a position, so
-they cancel in the ratio and never need exponentiating.
+the grid engine's compiled kernel.  A weight pass runs the grid engine's
+blocks and their forward pass, one block of tables at a time, and keeps
+only the rows whose likelihood lies within 746 nats of the running peak:
+every other row has weight exactly 0.  The kept rows then go heaviest
+first, in small blocks, through a forward pass that keeps each prefix
+vector and a backward pass on the transposed step tables, each block's
+table columns gathered in the engine's (D, rows) layout.  The run stops
+once no row left is heavy enough to change a bit of any sum, which on
+long traces leaves out most of the rows of nonzero weight.  Prefix and
+suffix vectors are both rescaled by a power of two at every step.  The
+scale factors of the two passes are common to both states at a position,
+so they cancel in the ratio and never need exponentiating.
 
 Exposed for all three models.  With parameters unknown the masked
 products are averaged over a parameter grid weighted by each cell's
@@ -133,28 +135,67 @@ def state_posterior_marginal(
 def _smooth(ctx):
     """On-probability at every boundary, averaged over the context's rows.
 
-    A start-pinned row follows one hidden path, so its prefixes alone give
-    its state; its suffix vectors stay at ones, since rolled back they could
-    underflow on that path.
+    The weight pass runs the grid engine's blocks, as ``evaluate_grid``
+    does: ``row_sets`` builds one block's tables and gives each row's
+    log-likelihood l.  After each block, with P_run the largest l so far,
+    only rows with l >= P_run - 746 keep their table columns, start,
+    log-likelihood and pinned flag, gathered from the block's tables, and
+    rows kept from earlier blocks that fall below a risen cut are dropped.
+    The cut loses nothing.  The final peak P is at least P_run, so a
+    dropped row has l < P - 746 up to the rounding of the cut, at most
+    half an ulp of P: 1/8 while |P| < 2^50, which only a trace of some
+    10^15 intervals could pass.  The computed l - P is then below -745.8,
+    and exp of it is 0.0, exp underflowing to 0 below about -745.13.  So
+    the row weighs exactly 0 in ``_smooth_rows``, which never runs such a
+    row and adds only +0.0 for it to the weight total; so does a row of
+    log-likelihood -inf, which is dropped too.  Memory is one block's
+    tables plus the kept rows.
+
+    The kept rows stay in the order of one pass over the whole grid: every
+    block's start-off rows, cell by cell, then every block's pinned
+    start-on rows.  The stable heaviest-first sort then gives the kernel
+    the rows, and the sums their terms, in the same order whatever the
+    block size.  A start-pinned row follows one hidden path, so its
+    prefixes alone give its state; its suffix vectors stay at ones, since
+    rolled back they could underflow on that path.
     """
-    a, b = ctx.pair_params(0, ctx.n_pairs())
-    return _smooth_rows(ctx.inv, ctx.row_sets(a, b))
+    peak = -np.inf
+    off, on = [], []  # start-off rows and pinned start-on rows, block by block
+    for blk in ctx.block_ranges():
+        sets = ctx.row_sets(*ctx.pair_params(*blk))
+        peak = max(peak, *(loglik.max() for _, _, loglik, _ in sets))
+        off, on = (
+            [_heavy_rows(*rows, peak - 746.0) for rows in chunks]
+            for chunks in (off + sets[:1], on + sets[1:])
+        )
+        del sets  # so that the next block's tables are built with this one freed
+    chunks = off + on
+    tables = tuple(np.concatenate(ms, axis=1) for ms in zip(*(c[0] for c in chunks)))
+    start, loglik, pinned = (np.concatenate([c[i] for c in chunks], axis=-1) for i in (1, 2, 3))
+    return _smooth_rows(ctx.inv, tables, start, loglik, pinned)
 
 
-def _smooth_rows(inv, row_sets):
+def _heavy_rows(tables, start, loglik, pinned, cut):
+    """The rows of finite log-likelihood at least ``cut``, in their order."""
+    keep = np.flatnonzero((loglik >= cut) & (loglik > -np.inf))
+    if keep.size == loglik.size:
+        return tables, start, loglik, pinned
+    tables = tuple(m.take(keep, axis=1) for m in tables)
+    return tables, start.take(keep, axis=1), loglik[keep], pinned[keep]
+
+
+def _smooth_rows(inv, tables, start, loglik, pinned):
     """Weighted mean over rows of P(on at boundary k), k = 1..len(inv).
 
-    Each of ``row_sets`` is (tables, start, log_w, pinned): four (D, rows)
-    step tables, (2, rows) start vectors, log weights, and a bool mask of
-    the rows whose suffix vectors stay at ones.  A row weighs its
-    likelihood, from one ``_forward_cells`` pass per set, times exp(log_w).
-    The sets become one row list, in their order, and the rows of nonzero
-    weight go to the kernel's ``smooth`` heaviest first (a stable sort, so
-    equal weights keep that order), in blocks of as many as keep a block's
-    prefixes within ``_PREFIX_BUDGET`` vectors, at most ``_MAX_WIDTH``.
-    Each block's table columns are gathered from the full tables, never
-    rebuilt.  The weight pass checks each set's tables, starts and ``inv``
-    before any ``smooth`` call.
+    ``tables`` are four (D, rows) step tables, ``start`` the (2, rows) start
+    vectors, ``loglik`` each row's log-likelihood from the weight pass, and
+    ``pinned`` a bool mask of the rows whose suffix vectors stay at ones.
+    A row weighs exp(loglik - peak).  The rows of nonzero weight go to the
+    kernel's ``smooth`` heaviest first (a stable sort, so equal weights keep
+    row order), in blocks of as many as keep a block's prefixes within
+    ``_PREFIX_BUDGET`` vectors, at most ``_MAX_WIDTH``.  Each block's table
+    columns are gathered from ``tables``, never rebuilt.  Shapes and ``inv``
+    are checked before any ``smooth`` call.
 
     Numerators add up row by row in that order, so p_on is bitwise the same
     at every block width, and the run stops before the first block whose
@@ -173,16 +214,13 @@ def _smooth_rows(inv, row_sets):
     width = min(max(_PREFIX_BUDGET // (n + 1), 1), _MAX_WIDTH)
     if width > _KERNEL_BLOCK:
         raise ValueError("block width and the kernel's row buffers disagree in shape")
-    for _, start, log_w, pinned in row_sets:
-        if not log_w.shape == pinned.shape == start.shape[-1:]:
-            raise ValueError("starts, weights and pinned mask disagree in shape")
-    logliks = [w + _posterior._forward_cells(*m, inv, s) for m, s, w, _ in row_sets]
-    peak = max(ll.max() for ll in logliks)
+    _posterior._check_rows(tables, inv, start)
+    if not loglik.shape == pinned.shape == start.shape[-1:]:
+        raise ValueError("starts, log-likelihoods and pinned mask disagree in shape")
+    peak = loglik.max(initial=-np.inf)
     if peak == -np.inf:
         raise ValueError("trace has zero probability everywhere on the grid")
-    tables = [np.concatenate(ms, axis=1) for ms in zip(*(s[0] for s in row_sets))]
-    start, pinned = (np.concatenate([s[i] for s in row_sets], axis=-1) for i in (1, 3))
-    w = np.exp(np.concatenate(logliks) - peak)
+    w = np.exp(loglik - peak)
     order = np.argsort(-w, kind="stable")[: np.count_nonzero(w)]
     w = w[order]
     prefixes = np.empty((n + 1, 2, width))

@@ -5,7 +5,8 @@ sums are enumerated, integrals are done with locally constructed quadrature
 rules or replaced by a matrix exponential, the per-step recursion is plain
 numpy, and the reference likelihood runs the paper's per-count tables
 through ``scaled_chain_loglik``, so agreement with the package is a
-two-route check.
+two-route check.  The ``assert_*`` helpers hold the library's kernels to
+these references.
 """
 
 import itertools
@@ -15,6 +16,7 @@ import numpy as np
 from scipy.special import logsumexp
 from scipy.stats import poisson
 
+from blinkinfer import posterior
 from blinkinfer.ctmc import count_state_prob_ctmc
 from blinkinfer.kernels import (
     StatePrior,
@@ -252,6 +254,21 @@ def per_step_forward(m00, m01, m10, m11, inv, start, prefixes=None):
             prefixes[k] = v
     with np.errstate(divide="ignore"):
         return exps * math.log(2.0) + np.log(v[0] + v[1])
+
+
+def assert_forward_matches(mats, inv, start):
+    """Assert that the forward kernel's log-likelihoods and end vectors are
+    the bits of :func:`per_step_forward`'s result and last prefix; returns
+    the oracle's log-likelihoods."""
+    prefixes = np.empty((len(inv) + 1, *start.shape))
+    want = per_step_forward(*mats, inv, start, prefixes)
+    np.testing.assert_array_equal(posterior._forward_cells(*mats, inv, start), want)
+    end = np.empty_like(start)
+    exps = np.zeros(start.shape[1], dtype=np.int64)
+    forward = posterior._forward_kernel().forward
+    forward(len(inv), start.shape[1], *mats, inv, start, end, exps)
+    np.testing.assert_array_equal(end, prefixes[-1])
+    return want
 
 
 def per_step_smooth(m00, m01, m10, m11, inv, start, log_w, pinned):

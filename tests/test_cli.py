@@ -107,6 +107,22 @@ class TestSimulate:
         assert not out.exists()
 
 
+    def test_overflowing_rate_product_rejected(self, tmp_path, capsys):
+        # r_alpha * r_beta overflows to inf, so no d meets the rule
+        out = tmp_path / "x.csv"
+        code = run(
+            [
+                "simulate", "--model", "multistep",
+                "--fix", "r_alpha=1e200", "--fix", "r_beta=1e200",
+                "--fix", "lambda=5", "--fix", "mu=1",
+                "--n", "10", "--out", str(out),
+            ]
+        )
+        assert code == 1
+        assert "error: switching rate product" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestInfer:
     def test_known_emissions_two_free_axes(self, trace_file, tmp_path):
         out = tmp_path / "post.json"
@@ -318,6 +334,19 @@ class TestInfer:
         assert "error: workers must be >= 1" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_overflowing_rate_product_rejected(self, trace_file, tmp_path, capsys):
+        out = tmp_path / "p.json"
+        code = run(
+            [
+                "infer", "--in", str(trace_file), "--model", "multistep",
+                "--grid", "r_alpha=0:1e200:2", "--grid", "r_beta=0:1e200:2",
+                "--fix", "lambda=5", "--fix", "mu=1", "--out", str(out),
+            ]
+        )
+        assert code == 1
+        assert "error: switching rate product" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_grid_model_mismatch_rejected(self, trace_file, tmp_path):
         code = run(
             [
@@ -456,6 +485,26 @@ class TestThreshold:
         )
         assert code == 1
         assert "bin_count must be >= 2" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flag, ranges", [("--thresholds", ["5:3", "4"]), ("--bins", ["10:12", "9:4"])]
+    )
+    def test_reversed_range_exits_2(self, trace_file, tmp_path, capsys, flag, ranges):
+        # an empty range is a malformed flag value, named as such
+        out = tmp_path / "s.csv"
+        thresholds, bins = ranges
+        with pytest.raises(SystemExit) as exc:
+            run(
+                [
+                    "threshold", "--in", str(trace_file), "--thresholds", thresholds,
+                    "--bins", bins, "--out", str(out),
+                ]
+            )
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        bad = thresholds if flag == "--thresholds" else bins
+        assert f"argument {flag}: empty range {bad!r}" in err
         assert not out.exists()
 
     def test_requires_ranges(self, trace_file, tmp_path):

@@ -7,8 +7,8 @@ and last cell of a block and compare the results bitwise with the numpy
 oracles; the scaled-run tests draw tables and start vectors around the
 bound that lets the forward kernel run up to ``RUN`` steps unscaled, and
 compare its end vectors too; the tall-table tests do the same for tables of many rows, and
-of more rows than the steps read, and the zero-weight tests for row sets
-whose rows mostly never reach the smoother kernel.  The build tests each
+of more rows than the steps read, and the zero-weight tests for rows that
+mostly never reach the smoother kernel.  The build tests each
 run a fresh interpreter with its own cache directory, and the source must
 compile with every gcc warning on and no flag that loosens IEEE
 arithmetic.
@@ -30,7 +30,12 @@ from hypothesis import strategies as st
 
 import blinkinfer.posterior as posterior
 import blinkinfer.state_inference as state_inference
-from oracles import assert_heaviest_prefix, per_step_forward, per_step_smooth
+from oracles import (
+    assert_forward_matches,
+    assert_heaviest_prefix,
+    per_step_forward,
+    per_step_smooth,
+)
 
 ROOT = Path(__file__).resolve().parents[1]
 SOURCE = ROOT / "src" / "blinkinfer" / "_forward.c"
@@ -66,8 +71,8 @@ class TestBlockEdges:
     @pytest.mark.parametrize("cells", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1])
     def test_matches_oracle(self, cells, n):
         mats, inv, start = _block_case(cells, n, seed=cells + n)
-        want = per_step_forward(*mats, inv, start)
-        np.testing.assert_array_equal(posterior._forward_cells(*mats, inv, start), want)
+        # the kernel's log-likelihoods and end vectors are the oracle's bits
+        want = assert_forward_matches(mats, inv, start)
         assert np.isfinite(want[min(cells, BLOCK) - 1])
         assert np.all(want[BLOCK : 2 * BLOCK] == -np.inf)
 
@@ -109,18 +114,6 @@ def _start_vectors(rng, kinds, cells):
     return out
 
 
-def _assert_forward_matches(mats, inv, start):
-    """The kernel's log-likelihoods and end vectors are the oracle's bits."""
-    prefixes = np.empty((len(inv) + 1, *start.shape))
-    want = per_step_forward(*mats, inv, start, prefixes)
-    np.testing.assert_array_equal(posterior._forward_cells(*mats, inv, start), want)
-    end = np.empty_like(start)
-    exps = np.zeros(start.shape[1], dtype=np.int64)
-    forward = posterior._forward_kernel().forward
-    forward(len(inv), start.shape[1], *mats, inv, start, end, exps)
-    np.testing.assert_array_equal(end, prefixes[-1])
-
-
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestScaledRuns:
     """forward scales once per run of up to ``RUN`` steps that its bound
@@ -152,7 +145,7 @@ class TestScaledRuns:
             for zero in zero_tables
         ]
         inv = rng.integers(0, rows, n)
-        _assert_forward_matches(mats, inv, _start_vectors(rng, start_kinds, cells))
+        assert_forward_matches(mats, inv, _start_vectors(rng, start_kinds, cells))
 
     def test_growing_vector(self):
         # the off state grows by 1.99 a step, so the per-step recursion
@@ -163,7 +156,7 @@ class TestScaledRuns:
         # off, so that its bits make the result.
         mats = [np.array([[e], [f]]) for e, f in ((1.99, 0.0), (0.0, 1.0), (0.0, 0.0))]
         mats.append(np.array([[1.1 * 2.0**-68], [0.0]]))
-        _assert_forward_matches(mats, np.array([0] * 15 + [1]), np.array([[0.5], [0.5]]))
+        assert_forward_matches(mats, np.array([0] * 15 + [1]), np.array([[0.5], [0.5]]))
 
     @pytest.mark.parametrize("k, n", [(73, 15), (64, 17), (64, 40)])
     def test_run_ends_at_the_normal_range(self, k, n):
@@ -171,7 +164,7 @@ class TestScaledRuns:
         # after the first: runs must end where the bound reaches 2^-1022,
         # to the bit, for 14 steps of 2^-73 reach 2^-1023 and round there
         mats = [np.array([[x]]) for x in ((1 + 3 * 2.0**-20) * 2.0**-k, 0.0, 0.0, 0.0)]
-        _assert_forward_matches(mats, np.zeros(n, dtype=np.int64), np.array([[1.0], [0.0]]))
+        assert_forward_matches(mats, np.zeros(n, dtype=np.int64), np.array([[1.0], [0.0]]))
 
     def test_run_is_cut_where_an_unguarded_one_changes_bits(self):
         # with every entry 2^-150, sixteen unscaled steps take the vector
@@ -183,16 +176,23 @@ class TestScaledRuns:
         start = np.tile([[0.25], [0.75]], cells)
         want = per_step_forward(*mats, inv, start)
         assert np.all(np.isfinite(want))
-        _assert_forward_matches(mats, inv, start)
+        assert_forward_matches(mats, inv, start)
         v = start
         for _ in range(n):
             v = 2.0**-150 * v.sum(axis=0)  # both components of M v
         assert np.all(v == 0.0)
 
 
+def _smooth_rows(inv, mats, start, log_w, pinned):
+    """``_smooth_rows`` on rows weighed as the weight pass weighs them: each
+    row's log weight plus its forward-pass log-likelihood."""
+    loglik = log_w + posterior._forward_cells(*mats, inv, start)
+    return state_inference._smooth_rows(inv, tuple(mats), start, loglik, pinned)
+
+
 def _smooth_case(rows, n, seed):
-    """Corner cases on the smoother's block edges, in two row sets:
-    ``rows`` rows, then three rows pinned to start on.
+    """Corner cases on the smoother's block edges: ``rows`` rows, then
+    three rows pinned to start on.
 
     Row 0 has every table entry 1, so its columns sum to 2.  Table row 0,
     which the first two steps read, gives row W - 3 subnormal sums forward
@@ -229,11 +229,7 @@ class TestSmootherBlockEdges:
     @pytest.mark.parametrize("rows", [1, WIDTH - 1, WIDTH, WIDTH + 1, 2 * WIDTH + 1])
     def test_matches_oracle(self, rows, n):
         mats, inv, start, log_w, pinned = _smooth_case(rows, n, seed=rows + n)
-        row_sets = []
-        for part in (slice(None, rows), slice(rows, None)):
-            cut = [np.ascontiguousarray(x[..., part]) for x in (*mats, start, log_w, pinned)]
-            row_sets.append((tuple(cut[:4]), *cut[4:]))
-        got = state_inference._smooth_rows(inv, row_sets)
+        got = _smooth_rows(inv, mats, start, log_w, pinned)
         want = per_step_smooth(*mats, inv, start, log_w, pinned)
         np.testing.assert_array_equal(got, want)
         assert np.all((got >= 0.0) & (got <= 1.0))
@@ -246,23 +242,23 @@ class TestSmootherBlockEdges:
         # kernel's offsets read out of bounds
         mats, inv, start, log_w, pinned = _smooth_case(4, 3, seed=0)
         monkeypatch.setattr(posterior, "_forward_kernel", _no_kernel)
-        good = dict(mats=tuple(mats), start=start, log_w=log_w, pinned=pinned)
+        good = dict(mats=tuple(mats), start=start, loglik=log_w, pinned=pinned)
         for name, bad in [
             ("mats", (*mats[:3], mats[3][:, :-1])),
             ("mats", (*mats[:3], mats[3][:2])),
             ("start", start[:, :-1]),
             ("start", start[:1]),
-            ("log_w", log_w[:-1]),
+            ("loglik", log_w[:-1]),
             ("pinned", pinned[:-1]),
         ]:
             parts = {**good, name: bad}
             with pytest.raises(ValueError, match="disagree in shape"):
-                state_inference._smooth_rows(inv, [tuple(parts.values())])
+                state_inference._smooth_rows(inv, *parts.values())
         with pytest.raises(ValueError, match="outside the step tables"):
-            state_inference._smooth_rows(inv + 3, [tuple(good.values())])
+            state_inference._smooth_rows(inv + 3, *good.values())
         monkeypatch.setattr(state_inference, "_MAX_WIDTH", BLOCK + 1)
         with pytest.raises(ValueError, match="disagree in shape"):
-            state_inference._smooth_rows(inv, [tuple(good.values())])
+            state_inference._smooth_rows(inv, *good.values())
 
     def test_kernel_block_matches_source(self):
         assert state_inference._KERNEL_BLOCK == BLOCK
@@ -303,11 +299,7 @@ class TestZeroWeightRows:
         kernel = SimpleNamespace(forward=lib.forward, smooth=smooth)
         monkeypatch.setattr(posterior, "_forward_kernel", lambda: kernel)
         monkeypatch.setattr(state_inference, "_PREFIX_BUDGET", width * (n + 1))
-        row_sets = []
-        for part in (slice(None, rows), slice(rows, None)):
-            cut = [np.ascontiguousarray(x[..., part]) for x in (*mats, start, log_w, pinned)]
-            row_sets.append((tuple(cut[:4]), *cut[4:]))
-        got = state_inference._smooth_rows(inv, row_sets)
+        got = _smooth_rows(inv, mats, start, log_w, pinned)
         want = per_step_smooth(*mats, inv, start, log_w, pinned)
         np.testing.assert_array_equal(got, want)
         # the kernel gets the heaviest rows first, in blocks of the width,
@@ -343,7 +335,7 @@ class TestHeaviestFirst:
         kernel = SimpleNamespace(forward=lib.forward, smooth=smooth)
         monkeypatch.setattr(posterior, "_forward_kernel", lambda: kernel)
         monkeypatch.setattr(state_inference, "_PREFIX_BUDGET", len(inv) + 1)
-        got = state_inference._smooth_rows(inv, [(tuple(mats), start, log_w, pinned)])
+        got = _smooth_rows(inv, mats, start, log_w, pinned)
         np.testing.assert_array_equal(got, per_step_smooth(*mats, inv, start, log_w, pinned))
         return got, sum(sent)
 
@@ -419,7 +411,7 @@ class TestTallTables:
         mats, inv, start = self._case(300, read, 60, seed=read + 1)
         log_w = np.zeros(self.CELLS)
         pinned = np.zeros(self.CELLS, dtype=bool)
-        got = state_inference._smooth_rows(inv, [(tuple(mats), start, log_w, pinned)])
+        got = _smooth_rows(inv, mats, start, log_w, pinned)
         np.testing.assert_array_equal(got, per_step_smooth(*mats, inv, start, log_w, pinned))
         assert np.all((got >= 0.0) & (got <= 1.0))
 

@@ -220,6 +220,12 @@ class TestChooseSubintervalCount:
     def test_scales_with_rates(self):
         assert choose_subinterval_count(8.0, 8.0) == 32
 
+    @pytest.mark.parametrize("r_alpha, r_beta", [(1e200, 1e200), (math.inf, 2.0), (math.nan, 2.0)])
+    def test_non_finite_product_rejected(self, r_alpha, r_beta):
+        # 1e200 * 1e200 overflows to inf: no d meets the rule
+        with pytest.raises(ValueError, match="not finite"):
+            choose_subinterval_count(r_alpha, r_beta)
+
 
 class TestTraceLoglik:
     def test_d1_equals_single_step(self):

@@ -32,9 +32,9 @@ from blinkinfer.multistep import trace_loglik_multistep
 from blinkinfer.simulate import sim_ctmc, sim_dtmc_single
 from blinkinfer.state_inference import state_posterior_known
 from oracles import (
+    assert_forward_matches,
     log_forward_backward,
     path_sum_loglik,
-    per_step_forward,
     reference_loglik,
     substep_path_matrix,
     tensordot_mix,
@@ -558,8 +558,7 @@ class TestPerStepRescaling:
         )
         inv = np.array([0, 1, 1, 1, 1, 1, 1, 2, 3])
         start = np.array([[1 / 3], [2 / 3]])
-        got = posterior._forward_cells(*mats, inv, start)
-        np.testing.assert_array_equal(got, per_step_forward(*mats, inv, start))
+        got = assert_forward_matches(mats, inv, start)
         assert got[0] == pytest.approx(-1052 * math.log(2) - math.log(3), rel=1e-14)
 
     def test_smoother_matches_log_space(self):
@@ -607,8 +606,7 @@ def test_forward_matches_per_step_oracle(model, counts, pairs, lam, mu, d):
     if model != "single":  # switching rates rather than probabilities
         a, b = np.multiply(a, 4.0), np.multiply(b, 4.0)
     mats, inv, start = _pair_tables(model, counts, a, b, lam, mu, d)
-    want = per_step_forward(*mats, inv, start)
-    np.testing.assert_array_equal(posterior._forward_cells(*mats, inv, start), want)
+    assert_forward_matches(mats, inv, start)
 
 
 class TestMarginalize:

@@ -21,7 +21,13 @@ from blinkinfer.kernels import (
     StatePrior,
     SwitchProbs,
 )
-from blinkinfer.posterior import GridAxis, GridSpec, _EngineContext, evaluate_grid
+from blinkinfer.posterior import (
+    GridAxis,
+    GridSpec,
+    _EngineContext,
+    _grid_context,
+    evaluate_grid,
+)
 from blinkinfer.simulate import sim_dtmc_single
 from blinkinfer.single_step import StepMatrix, step_matrix_single
 from blinkinfer.state_inference import (
@@ -36,6 +42,7 @@ from oracles import (
     log_forward_backward,
     log_forward_backward_mats,
     path_sum_loglik,
+    per_step_forward,
     per_step_smooth,
     substep_path_matrix,
 )
@@ -626,18 +633,21 @@ def _smooth_at(counts, grid, width):
     return p_on, widths, weights, pinned, num[0]
 
 
-def _row_sets(counts, grid, model="single", quad=None, d=None):
-    """``inv`` and the row sets ``_smooth`` runs on ``grid``."""
+def _rows(counts, grid, model="single", quad=None, d=None):
+    """``inv`` and every row of ``grid`` in the smoother's order, from one
+    ``row_sets`` call on the whole grid: step tables, start vectors, log
+    weights, log-likelihoods and pinned masks, the start-on rows of pinned
+    cells last.  The log weights are what ``row_sets`` adds to the forward
+    pass, read with that pass stubbed out to zeros."""
     ctx = _EngineContext(CountTrace(counts), model, grid, None, quad, d)
-    return ctx.inv, ctx.row_sets(*ctx.pair_params(0, ctx.n_pairs()))
-
-
-def _joined(sets):
-    """Step tables, start vectors, log weights and pinned masks of every
-    row of ``sets``, the start-on rows of pinned cells last."""
+    a, b = ctx.pair_params(0, ctx.n_pairs())
+    sets = ctx.row_sets(a, b)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(posterior, "_forward_cells", lambda *args: np.zeros(args[-1].shape[1]))
+        log_w = np.concatenate([s[2] for s in ctx.row_sets(a, b)])
     mats = tuple(np.concatenate(ms, axis=1) for ms in zip(*(s[0] for s in sets)))
-    start, log_w, split = (np.concatenate([s[i] for s in sets], axis=-1) for i in (1, 2, 3))
-    return mats, start, log_w, split
+    start, loglik, split = (np.concatenate([s[i] for s in sets], axis=-1) for i in (1, 2, 3))
+    return ctx.inv, mats, start, log_w, loglik, split
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -671,9 +681,8 @@ class TestBlockedSmoother:
     def test_weights_are_forward_cells(self, counts, grid):
         # the kernel gets the forward pass's weights, heaviest first, and
         # stops only where no row it does not get can change a bit
-        inv, sets = _row_sets(counts, grid)
-        mats, start, log_w, split = _joined(sets)
-        loglik = log_w + posterior._forward_cells(*mats, inv, start)
+        inv, mats, start, log_w, loglik, split = _rows(counts, grid)
+        np.testing.assert_array_equal(loglik, log_w + per_step_forward(*mats, inv, start))
         p_on, _, weights, pinned, num = _smooth_at(counts, grid, 7)
         if p_on is None:
             assert loglik.max() == -np.inf
@@ -694,17 +703,15 @@ class TestBlockedSmoother:
         # that runs every row in the same order, at every block width
         model, counts, grid, d = case
         quad = QuadratureSpec() if model == "ctmc" else None
-        inv, sets = _row_sets(counts, grid, model, quad, d)
-        mats, start, log_w, split = _joined(sets)
-        loglik = log_w + posterior._forward_cells(*mats, inv, start)
+        inv, mats, start, log_w, loglik, split = _rows(counts, grid, model, quad, d)
         for width in (1, 7, 32):
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(state_inference, "_PREFIX_BUDGET", width * (len(counts) + 1))
                 if loglik.max() == -np.inf:
                     with pytest.raises(ValueError, match="zero probability"):
-                        state_inference._smooth_rows(inv, sets)
+                        state_inference._smooth_rows(inv, mats, start, loglik, split)
                     continue
-                got = state_inference._smooth_rows(inv, sets)
+                got = state_inference._smooth_rows(inv, mats, start, loglik, split)
             np.testing.assert_array_equal(got, per_step_smooth(*mats, inv, start, log_w, split))
             assert np.all((got >= 0.0) & (got <= 1.0))
 
@@ -718,9 +725,7 @@ class TestBlockedSmoother:
             axes=(GridAxis("alpha", 0.01, 0.48, 48), GridAxis("beta", 0.01, 0.48, 48)),
             fixed={"lambda": 6.0, "mu": 4.0},
         )
-        inv, sets = _row_sets(res.trace.counts, grid)
-        mats, start, log_w, split = _joined(sets)
-        loglik = log_w + posterior._forward_cells(*mats, inv, start)
+        inv, mats, start, log_w, loglik, split = _rows(res.trace.counts, grid)
         weighs = np.count_nonzero(np.exp(loglik - loglik.max()))
         p_on, widths, weights, *_ = _smooth_at(res.trace.counts, grid, 32)
         sent = sum(w.size for w in weights)
@@ -754,6 +759,132 @@ class TestBlockedSmoother:
         assert np.all((sp.p_on >= 0.0) & (sp.p_on <= 1.0))
         want = log_space_marginal(res.trace.counts, grid)
         np.testing.assert_allclose(sp.p_on, want, rtol=0, atol=1e-9)
+
+
+# grids of each model with 16 switch pairs at 6 emission cells, a switch
+# axis reaching 0 so that the pair (0, 0) is pinned
+_BLOCK_GRIDS = {
+    "single": GridSpec(
+        axes=(
+            GridAxis("alpha", 0.0, 0.6, 4),
+            GridAxis("beta", 0.0, 0.6, 4),
+            GridAxis("lambda", 2.0, 8.0, 3),
+            GridAxis("mu", 1.0, 3.0, 2),
+        )
+    ),
+    "ctmc": GridSpec(
+        axes=(
+            GridAxis("r_alpha", 0.0, 1.5, 4),
+            GridAxis("r_beta", 0.0, 1.5, 4),
+            GridAxis("lambda", 2.0, 8.0, 3),
+            GridAxis("mu", 1.0, 3.0, 2),
+        )
+    ),
+}
+_BLOCK_GRIDS["multistep"] = _BLOCK_GRIDS["ctmc"]
+
+
+def _block_trace(n, seed):
+    """A single-step simulation of ``n`` intervals, emission bands overlapping."""
+    return sim_dtmc_single(SwitchProbs(0.2, 0.3, 1), EmissionRates(mu=2.0, lam=5.0), n, seed=seed)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestEngineBlocks:
+    """The smoother's weight pass runs the grid engine's blocks: its row
+    log-likelihoods are the engine's, bit for bit, and it builds one block
+    of tables at a time."""
+
+    @pytest.mark.parametrize("model", ["single", "ctmc", "multistep"])
+    def test_weights_match_the_engine(self, monkeypatch, model):
+        # 5 pairs of 6 emission cells per block: 4 blocks, and on a short
+        # trace every row lies within 746 nats of the peak, so every row
+        # reaches _smooth_rows.  Under ctmc, tables built for the whole
+        # grid at once give 2 of these 96 cells other bits
+        monkeypatch.setattr(posterior, "_BLOCK_CELL_TARGET", 30)
+        trace, grid = _block_trace(40, seed=5).trace, _BLOCK_GRIDS[model]
+        d = 4 if model == "multistep" else None
+        seen = []
+        smooth_rows = state_inference._smooth_rows
+
+        def spy(inv, tables, start, loglik, pinned):
+            seen.append((loglik.copy(), pinned.copy()))
+            return smooth_rows(inv, tables, start, loglik, pinned)
+
+        monkeypatch.setattr(state_inference, "_smooth_rows", spy)
+        state_posterior_marginal(trace, grid, model=model, d=d)
+        ctx = _grid_context(trace, model, grid, None, None, d)
+        assert len(ctx.block_ranges()) >= 3
+        want = evaluate_grid(trace, model, grid, d=d).log_post.ravel()
+        (loglik, pinned), = seen
+        acc, on = loglik[: want.size], loglik[want.size :]
+        split = pinned[: want.size]
+        assert split.any() and on.size == np.count_nonzero(split)
+        acc[split] = np.logaddexp(acc[split], on)
+        np.testing.assert_array_equal(acc, want)
+
+    @pytest.mark.parametrize("model", ["single", "ctmc", "multistep"])
+    def test_one_block_of_tables_at_a_time(self, monkeypatch, model):
+        monkeypatch.setattr(posterior, "_BLOCK_CELL_TARGET", 30)
+        trace, grid = _block_trace(40, seed=5).trace, _BLOCK_GRIDS[model]
+        d = 4 if model == "multistep" else None
+        ctx = _grid_context(trace, model, grid, None, None, d)
+        built = []
+        tables = _EngineContext.tables
+
+        def spy(self, a, b):
+            built.append(a.size)
+            return tables(self, a, b)
+
+        monkeypatch.setattr(_EngineContext, "tables", spy)
+        state_posterior_marginal(trace, grid, model=model, d=d)
+        # (the ctmc quadrature check builds one pair twice more on its own)
+        assert max(built) <= ctx.pairs_per_block() < ctx.n_pairs()
+
+    def test_cut_keeps_every_row_of_nonzero_weight(self):
+        # the cell at alpha = 0 never turns on, so it adds 0 to every
+        # numerator, and the other cell lies 741.8 nats below it: its
+        # subnormal weight alone makes some p_on nonzero, and a cut any
+        # tighter than 746 nats would drop it
+        counts = np.random.default_rng(1).poisson(5.0, 1000)
+        grid = GridSpec(
+            axes=(GridAxis("alpha", 0.0, 0.527, 2),),
+            fixed={"beta": 0.5, "lambda": 20.0, "mu": 5.0},
+        )
+        log_post = evaluate_grid(CountTrace(counts), "single", grid).log_post
+        assert -746.0 < log_post[1] - log_post[0] < -741.0
+        p_on = state_posterior_marginal(CountTrace(counts), grid).p_on
+        inv, mats, start, log_w, _, split = _rows(counts, grid)
+        np.testing.assert_array_equal(p_on, per_step_smooth(*mats, inv, start, log_w, split))
+        assert np.count_nonzero(p_on) > 0
+
+    def test_single_step_p_on_ignores_block_size(self, monkeypatch):
+        # single-step table entries do not depend on the block, so neither
+        # does p_on.  On 5 000 intervals some rows kept from early blocks
+        # are dropped once a later block raises the peak, and the rows
+        # kept in the end are the same at every block size
+        trace = _block_trace(5000, seed=6).trace
+        grid = GridSpec(
+            axes=(
+                GridAxis("alpha", 0.0, 1.0, 9),
+                GridAxis("beta", 0.0, 1.0, 7),
+                GridAxis("lambda", 2.0, 8.0, 3),
+            ),
+            fixed={"mu": 2.0},
+        )
+        sizes = []
+        smooth_rows = state_inference._smooth_rows
+
+        def spy(inv, tables, start, loglik, pinned):
+            sizes.append(loglik.size)
+            return smooth_rows(inv, tables, start, loglik, pinned)
+
+        monkeypatch.setattr(state_inference, "_smooth_rows", spy)
+        whole = state_posterior_marginal(trace, grid).p_on
+        for target in (3, 20):
+            monkeypatch.setattr(posterior, "_BLOCK_CELL_TARGET", target)
+            np.testing.assert_array_equal(state_posterior_marginal(trace, grid).p_on, whole)
+        assert len(set(sizes)) == 1 and sizes[0] < 9 * 7 * 3
 
 
 def test_state_inference_demo_beats_threshold():
