@@ -2,6 +2,11 @@
  * forward-backward pass, both exact to the bit of a recursion rescaled at
  * every step.
  *
+ * gcc builds this file and _repr.c, whose repr_doubles writes the floats of
+ * the posterior JSON and the state CSV, into one library on first use.  So
+ * infer and infer-state need gcc or a cached build; simulate and threshold
+ * never load the library.
+ *
  * Step k maps each cell's (off, on) vector v to M v, M's entries [end][start]
  * read from row inv[k] of four (D, cells) tables, then scales v by the power
  * of two that brings its sum into [0.5, 1) and adds that power's exponent to

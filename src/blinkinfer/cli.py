@@ -8,12 +8,15 @@ free inference axes as ``--grid name=lo:hi:n``.
 Every command is deterministic given its arguments: reruns produce
 byte-identical files, and inference output does not depend on ``--workers``.
 Floats are serialised with Python's shortest round-trip repr, so loading a
-file and re-serialising it reproduces the bytes exactly.
+file and re-serialising it reproduces the bytes exactly; in the posterior
+JSON and the state CSV the compiled ``repr_doubles`` writes them, with the
+same bytes as ``repr``.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass, field
@@ -29,7 +32,15 @@ from .kernels import (
     probs_from_rates,
 )
 from .multistep import choose_subinterval_count
-from .posterior import _MODELS, GridAxis, GridSpec, credible_regions, evaluate_grid
+from .posterior import (
+    _MODELS,
+    GridAxis,
+    GridSpec,
+    LibraryError,
+    _forward_kernel,
+    credible_regions,
+    evaluate_grid,
+)
 from .simulate import sim_ctmc, sim_dtmc_multi, sim_dtmc_single
 from .state_inference import state_posterior_marginal
 from .threshold import literature_thresholds, threshold_sweep
@@ -48,6 +59,7 @@ __all__ = [
 ]
 
 POSTERIOR_FORMAT_VERSION = 1
+_CSV_CHUNK = 1024  # state CSV rows formatted per call
 
 
 @dataclass
@@ -138,14 +150,60 @@ def write_truth_csv(path: str, result) -> None:
 
 
 def write_state_csv(path: str, p_on) -> None:
-    with open(path, "w") as fh:
-        fh.write("t,p_on\n")
-        for t, p in enumerate(p_on, start=1):
-            fh.write(f"{t},{repr(float(p))}\n")
+    """State CSV: header ``t,p_on``, 1-based boundary index, p_on's repr.
+    Rows are formatted a chunk at a time, to hold few row strings at once."""
+    with open(path, "wb") as fh:
+        fh.write(b"t,p_on\n")
+        for lo in range(0, len(p_on), _CSV_CHUNK):
+            values = _reprs(p_on[lo : lo + _CSV_CHUNK], b"\n").split(b"\n")
+            fh.write(b"".join(b"%d,%s\n" % row for row in enumerate(values, lo + 1)))
 
 
-def _json_bytes(doc: dict) -> bytes:
-    return (json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n").encode()
+@functools.cache
+def _pow5_tables():
+    """The powers of five that ``repr_doubles`` reads, as (low, high) words
+    of exact integers: 5^i scaled to 125 bits, truncated, for i < 326, and
+    floor(2^(bits(5^i) + 124) / 5^i) + 1 for i < 342."""
+    powers = [5**i for i in range(342)]
+    pow5 = [(p << 125) >> p.bit_length() for p in powers[:326]]
+    pow5_inv = [(1 << (p.bit_length() + 124)) // p + 1 for p in powers]
+    return tuple(
+        np.array([(v & (2**64 - 1), v >> 64) for v in table], dtype=np.uint64)
+        for table in (pow5, pow5_inv)
+    )
+
+
+def _reprs(values, sep: bytes, as_json: bool = False) -> bytes:
+    """``repr`` of each float in ``values``, joined by the one byte ``sep``;
+    with ``as_json``, non-finite values are spelled as ``json.dumps`` spells
+    them.  Written by the compiled library's ``repr_doubles``."""
+    x = np.ascontiguousarray(values, dtype=np.float64).ravel()
+    out = np.empty(25 * x.size, dtype=np.uint8)
+    size = _forward_kernel().repr_doubles(
+        x.size, x, ord(sep), as_json, *_pow5_tables(), out
+    )
+    return out[:size].tobytes()
+
+
+def _json_bytes(doc) -> bytes:
+    """``json.dumps(doc, sort_keys=True, separators=(",", ":"))`` and a
+    newline, where ``doc`` may hold 1-d float arrays as well as JSON values:
+    float arrays and float scalars are written by ``_reprs``, with no Python
+    call per float, and every other leaf by ``json.dumps``."""
+    return _json_value(doc) + b"\n"
+
+
+def _json_value(obj) -> bytes:
+    if isinstance(obj, dict):
+        items = (json.dumps(k).encode() + b":" + _json_value(obj[k]) for k in sorted(obj))
+        return b"{" + b",".join(items) + b"}"
+    if isinstance(obj, list):
+        return b"[" + b",".join(map(_json_value, obj)) + b"]"
+    if isinstance(obj, np.ndarray):
+        return b"[" + _reprs(obj, b",", as_json=True) + b"]"
+    if isinstance(obj, float):
+        return _reprs(obj, b",", as_json=True)
+    return json.dumps(obj).encode()
 
 
 def write_posterior_json(path: str, posterior, levels) -> None:
@@ -158,12 +216,12 @@ def write_posterior_json(path: str, posterior, levels) -> None:
         "d": posterior.d,
         "axes": [
             {"name": ax.name, "lo": ax.lo, "hi": ax.hi, "n": ax.n,
-             "values": ax.values.tolist()}
+             "values": ax.values}
             for ax in spec.axes
         ],
         "fixed": {k: float(v) for k, v in sorted(spec.fixed.items())},
-        "log_posterior": posterior.log_post.ravel().tolist(),
-        "marginals": {k: v.tolist() for k, v in posterior.marginals.items()},
+        "log_posterior": posterior.log_post.ravel(),
+        "marginals": posterior.marginals,
         "mode": {
             name: float(value)
             for name, value in zip(spec.free_names, posterior.mode)
@@ -176,7 +234,7 @@ def write_posterior_json(path: str, posterior, levels) -> None:
         doc["switch_marginal"] = {
             "axes": list(posterior.switch_names),
             "shape": list(marginal.shape),
-            "values": marginal.ravel().tolist(),
+            "values": marginal.ravel(),
         }
         doc["hpd"] = [
             {
@@ -423,7 +481,7 @@ def main(argv=None) -> int:
     try:
         cfg = _config_from_args(args)
         _COMMANDS[cfg.command](cfg)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, LibraryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -382,6 +382,7 @@ _LN2 = math.log(2.0)
 # -ffp-contract=off keeps a * b + c from fusing into one rounding, which
 # would move the results; no flag may flush subnormals to zero
 _CFLAGS = ("-O3", "-ffp-contract=off", "-fPIC", "-shared")
+_SOURCES = ("_forward.c", "_repr.c")
 
 
 def _forward_cells(m00, m01, m10, m11, inv, start):
@@ -429,56 +430,68 @@ def _check_rows(tables, inv, start):
         raise ValueError("an interval reads a row outside the step tables")
 
 
+class LibraryError(ImportError):
+    """The compiled library could not be built or loaded."""
+
+
 @functools.cache
 def _forward_kernel():
-    """The library of ``_forward.c``, compiled with gcc on first use.
+    """The package's compiled library, built with gcc on first use from
+    ``_forward.c`` and ``_repr.c``.
 
-    Its ``forward`` kernel runs the grid engine's recursion, and its
-    ``smooth`` kernel the state smoother's forward-backward pass.
+    Its ``forward`` kernel runs the grid engine's recursion, its ``smooth``
+    kernel the state smoother's forward-backward pass, and its
+    ``repr_doubles`` writes the floats of the posterior JSON and the state
+    CSV.  So ``infer`` and ``infer-state`` need it (and gcc, or a cached
+    build), while ``simulate`` and ``threshold`` never load it.
 
     The library is cached in ``$XDG_CACHE_HOME/blinkinfer`` (by default
     ``~/.cache/blinkinfer``), or in a per-user temp directory where that is
-    not writable.  Its name hashes the source, the flags and the CPU, then
+    not writable.  Its name hashes the sources, the flags and the CPU, then
     the compiler version; with no gcc on PATH, a cached build of the same
-    source for this CPU is loaded.
+    sources for this CPU is loaded.  Raises ``LibraryError`` where neither
+    works.
     """
-    source = Path(__file__).with_name("_forward.c")
-    key = _digest(source.read_bytes(), _CFLAGS, _cpu_model())
+    sources = [Path(__file__).with_name(name) for name in _SOURCES]
+    key = _digest(*(s.read_bytes() for s in sources), _CFLAGS, _cpu_model())
     cache = _cache_dir()
     gcc = shutil.which("gcc")
     if gcc is not None:
         version = subprocess.run([gcc, "--version"], capture_output=True, check=True)
         path = cache / f"forward-{key}-{_digest(version.stdout)}.so"
         if not path.exists():
-            _compile(gcc, source, path)
+            _compile(gcc, sources, path)
     else:
         built = sorted(cache.glob(f"forward-{key}-*.so"))
         if not built:
-            raise ImportError("the forward kernel needs gcc, which is not on PATH")
+            raise LibraryError("the compiled library needs gcc, which is not on PATH")
         path = built[0]
     lib = ctypes.CDLL(str(path))
-    f8, i8, b1 = (
-        np.ctypeslib.ndpointer(t, flags="C") for t in (np.float64, np.int64, np.bool_)
+    f8, i8, b1, u8, u1 = (
+        np.ctypeslib.ndpointer(t, flags="C")
+        for t in (np.float64, np.int64, np.bool_, np.uint64, np.uint8)
     )
     c8 = ctypes.c_int64
     lib.forward.argtypes = [c8, c8, f8, f8, f8, f8, i8, f8, f8, i8]
     lib.smooth.argtypes = [c8, c8, c8, f8, f8, f8, f8, i8, f8, f8, b1, f8, f8]
+    lib.repr_doubles.argtypes = [c8, f8, c8, c8, u8, u8, u1]
     lib.forward.restype = lib.smooth.restype = None
+    lib.repr_doubles.restype = c8
     return lib
 
 
-def _compile(gcc, source, path):
-    """Build ``source`` into ``path`` under a temp name, then rename it."""
+def _compile(gcc, sources, path):
+    """Build ``sources`` into ``path`` under a temp name, then rename it."""
     fd, tmp = tempfile.mkstemp(suffix=".tmp", dir=path.parent)
     os.close(fd)
     try:
         for flags in (_CFLAGS + ("-march=native",), _CFLAGS):
-            cmd = [gcc, *flags, "-o", tmp, str(source), "-lm"]
+            cmd = [gcc, *flags, "-o", tmp, *map(str, sources), "-lm"]
             built = subprocess.run(cmd, capture_output=True, text=True)
             if built.returncode == 0:
                 os.replace(tmp, path)
                 return
-        raise ImportError(f"gcc could not build the forward kernel:\n{built.stderr}")
+        raise LibraryError(f"gcc could not build the compiled library:\n{built.stderr}")
     finally:
         with contextlib.suppress(FileNotFoundError):
             os.unlink(tmp)
@@ -493,7 +506,7 @@ def _cache_dir():
             path.mkdir(mode=0o700, parents=True, exist_ok=True)
             if os.access(path, os.W_OK) and path.stat().st_uid == os.getuid():
                 return path
-    raise ImportError("no writable cache directory for the forward kernel")
+    raise LibraryError("no writable cache directory for the compiled library")
 
 
 def _cpu_model():
@@ -569,7 +582,8 @@ def evaluate_grid(
 
     ``prior`` defaults to the per-cell stationary state distribution.  For
     the multistep model ``d`` defaults to the applicability rule evaluated
-    at the largest grid rates.  Results do not depend on ``workers``.
+    at the largest grid rates.  Results do not depend on ``workers``; at
+    most one worker per block and per CPU is started.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
@@ -588,9 +602,11 @@ def evaluate_grid(
         global _WORKER_CTX
         _WORKER_CTX = probe
         try:
-            # the fork context starts every worker at once, so start no idle one
+            # the fork context starts every worker at once, so start no idle
+            # one, and no more than there are CPUs: a worker beyond them only
+            # takes CPU time from the others
             pool = ProcessPoolExecutor(
-                max_workers=min(workers, len(blocks)),
+                max_workers=min(workers, len(blocks), os.cpu_count() or 1),
                 mp_context=get_context("fork"),
                 initializer=_worker_init,
             )

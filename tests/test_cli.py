@@ -159,6 +159,33 @@ class TestInfer:
         again = (json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n").encode()
         assert raw == again
 
+    def test_negative_infinity_round_trip(self, trace_file, tmp_path, monkeypatch):
+        # lambda = mu = 0 gives every nonzero count zero likelihood
+        args = [
+            "infer", "--in", str(trace_file), "--model", "single",
+            "--grid", "alpha=0.1:0.9:3", "--grid", "beta=0.1:0.9:3",
+            "--grid", "lambda=0:6:3", "--grid", "mu=0:2:3",
+        ]
+        new, old = tmp_path / "new.json", tmp_path / "old.json"
+        assert run(args + ["--out", str(new)]) == 0
+        # the writer the compiled formatter replaced: json.dumps of plain lists
+        monkeypatch.setattr(
+            cli,
+            "_json_bytes",
+            lambda doc: (
+                json.dumps(doc, sort_keys=True, separators=(",", ":"),
+                           default=np.ndarray.tolist) + "\n"
+            ).encode(),
+        )
+        assert run(args + ["--out", str(old)]) == 0
+        raw = new.read_bytes()
+        assert raw == old.read_bytes()
+        doc = read_posterior_json(new)
+        assert doc["log_posterior"].count(-np.inf) == 9
+        assert b"-Infinity" in raw
+        again = (json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n").encode()
+        assert raw == again
+
     def test_rerun_identical_bytes(self, trace_file, tmp_path):
         args = [
             "infer", "--in", str(trace_file), "--model", "single",

@@ -9,7 +9,7 @@ bound that lets the forward kernel run up to ``RUN`` steps unscaled, and
 compare its end vectors too; the tall-table tests do the same for tables of many rows, and
 of more rows than the steps read, and the zero-weight tests for rows that
 mostly never reach the smoother kernel.  The build tests each
-run a fresh interpreter with its own cache directory, and the source must
+run a fresh interpreter with its own cache directory, and the sources must
 compile with every gcc warning on and no flag that loosens IEEE
 arithmetic.
 """
@@ -462,6 +462,40 @@ class TestBuild:
         assert run.returncode == 0, run.stderr
         assert not (tmp_path / "blinkinfer").exists()
 
+    def test_simulate_read_and_threshold_need_no_library(self, tmp_path):
+        trace = tmp_path / "trace.csv"
+        code = f"""
+            from blinkinfer.cli import main, read_trace_csv
+            assert main(["simulate", "--model", "single", "--fix", "alpha=0.2",
+                         "--fix", "beta=0.3", "--fix", "lambda=20", "--fix", "mu=2",
+                         "--n", "200", "--out", {str(trace)!r}]) == 0
+            assert len(read_trace_csv({str(trace)!r})) == 200
+            assert main(["threshold", "--in", {str(trace)!r}, "--thresholds", "5:15",
+                         "--bins", "2:3", "--out", {str(tmp_path / "sweep.csv")!r}]) == 0
+        """
+        run = _fresh(code, tmp_path, PATH=str(tmp_path / "empty"))
+        assert run.returncode == 0, run.stderr
+        assert (tmp_path / "sweep.csv").exists()
+        assert not (tmp_path / "blinkinfer").exists()
+
+    @pytest.mark.parametrize("command", ["infer", "infer-state"])
+    def test_failed_build_exits_1_with_error_line(self, tmp_path, command):
+        trace = tmp_path / "trace.csv"
+        trace.write_text("t,count\n1,3\n2,5\n")
+        code = f"""
+            import sys
+            from blinkinfer.cli import main
+            sys.exit(main([{command!r}, "--in", {str(trace)!r}, "--model", "single",
+                           "--grid", "alpha=0.1:0.9:3", "--grid", "beta=0.1:0.9:3",
+                           "--fix", "lambda=6", "--fix", "mu=1",
+                           "--out", {str(tmp_path / "out")!r}]))
+        """
+        run = _fresh(code, tmp_path, PATH=str(tmp_path / "empty"))
+        assert run.returncode == 1
+        assert run.stderr.startswith("error: ") and "gcc" in run.stderr
+        assert "Traceback" not in run.stderr
+        assert not (tmp_path / "out").exists()
+
     def test_first_call_builds_one_library_reused_without_gcc(self, tmp_path):
         run = _fresh(FIRST_CALL, tmp_path)
         assert run.returncode == 0, run.stderr
@@ -573,6 +607,7 @@ class TestSourceBuild:
     @pytest.mark.skipif(shutil.which("gcc") is None, reason="needs gcc")
     def test_compiles_without_warnings(self, tmp_path):
         flags = [*posterior._CFLAGS, "-Wall", "-Wextra", "-Werror"]
-        cmd = ["gcc", *flags, "-o", str(tmp_path / "forward.so"), str(SOURCE), "-lm"]
+        sources = [str(SOURCE.with_name(name)) for name in posterior._SOURCES]
+        cmd = ["gcc", *flags, "-o", str(tmp_path / "forward.so"), *sources, "-lm"]
         built = subprocess.run(cmd, capture_output=True, text=True)
         assert built.returncode == 0, built.stderr

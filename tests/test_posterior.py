@@ -315,9 +315,15 @@ class TestEvaluateGrid:
         monkeypatch.setattr(posterior, "_BLOCK_CELL_TARGET", 18 * 16)
         one = evaluate_grid(res.trace, "ctmc", WORKER_GRID, workers=1)
         monkeypatch.setattr(posterior, "ProcessPoolExecutor", Recording)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
         eight = evaluate_grid(res.trace, "ctmc", WORKER_GRID, workers=8)
         assert sizes == [2]
         assert np.array_equal(one.log_post, eight.log_post)
+        # and no more workers than CPUs
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        capped = evaluate_grid(res.trace, "ctmc", WORKER_GRID, workers=8)
+        assert sizes == [2, 1]
+        assert np.array_equal(one.log_post, capped.log_post)
 
     def test_workers_run_one_blas_thread(self, monkeypatch, tmp_path):
         getters = [name.replace("_set_", "_get_") for name in posterior._BLAS_SET]
