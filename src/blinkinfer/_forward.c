@@ -15,7 +15,7 @@
  * steps, so that a block's table columns stay in cache.  smooth runs the same
  * step forward over a block of rows, keeping every prefix, then backward on
  * the transposed tables, and adds each row's weighted on-probability at
- * every position into one sum per position.
+ * every position into one sum per position.  Neither allocates memory.
  *
  * forward scales once per run of up to RUN steps, not at every step, where a
  * bound proves the bits the same.  Scaling by 2^F commutes exactly with a
@@ -61,7 +61,6 @@
  */
 #include <math.h>
 #include <stdint.h>
-#include <stdlib.h>
 #include <string.h>
 
 #define BLOCK 256
@@ -112,24 +111,21 @@ static void rescale_tiny(int64_t w, double *q0, double *q1, int64_t *e)
 }
 
 /* Adds to exps (cells) the exponents of n steps from start (2, cells) and
- * writes the end vectors (2, cells).  Runs of unscaled steps as the header
- * proves them; without memory for the rows' reaches, every step scales. */
-void forward(int64_t n, int64_t cells, const double *m00, const double *m01,
-             const double *m10, const double *m11, const int64_t *inv,
-             const double *start, double *end, int64_t *exps)
+ * writes the end vectors (2, cells), from tables of depth rows.  Runs of
+ * unscaled steps as the header proves them; reach (depth) is scratch. */
+void forward(int64_t n, int64_t cells, int64_t depth, const double *m00,
+             const double *m01, const double *m10, const double *m11,
+             const int64_t *inv, const double *start, double *end,
+             int64_t *exps, int64_t *reach)
 {
     const double *tab[4] = {m00, m01, m10, m11};
     const uint64_t mag = ~(UINT64_C(1) << 63);
     double buf[2][2][BLOCK];
-    int64_t rows = 0;
-    for (int64_t k = 0; k < n; k++)
-        rows = inv[k] < rows ? rows : inv[k] + 1;
-    int64_t *reach = malloc((size_t)(rows ? rows : 1) * sizeof *reach);
     for (int64_t lo = 0; lo < cells; lo += BLOCK) {
         int64_t w = cells - lo < BLOCK ? cells - lo : BLOCK;
         int64_t *e = exps + lo;
         const double *p0 = start + lo, *p1 = start + cells + lo;
-        for (int64_t r = 0; reach && r < rows; r++) {
+        for (int64_t r = 0; r < depth; r++) {
             /* bits - 1 wraps a zero to the largest value, out of the min */
             uint64_t least = UINT64_MAX, most = 0;
             for (int t = 0; t < 4; t++) {
@@ -154,7 +150,7 @@ void forward(int64_t n, int64_t cells, const double *m00, const double *m01,
         /* the start is not scaled, so the first step is a run of one */
         for (int64_t k = 0, least_exp = -1023; k < n;) {
             int64_t run = 0;
-            for (int64_t sum = least_exp; reach && run < RUN && k + run < n; run++) {
+            for (int64_t sum = least_exp; run < RUN && k + run < n; run++) {
                 sum += reach[inv[k + run]];
                 if (sum < -1022)
                     break;
@@ -198,23 +194,24 @@ void forward(int64_t n, int64_t cells, const double *m00, const double *m01,
         memcpy(end + lo, p0, w * sizeof(double));
         memcpy(end + cells + lo, p1, w * sizeof(double));
     }
-    free(reach);
 }
 
 /* Adds to num[k - 1], k = 1..n, each row's weight times P(on at boundary k),
- * rows in order, from (D, rows) tables read as forward reads them.  Rows go
- * in blocks of width <= BLOCK.  The forward pass stores a block's prefixes
- * in pre (n + 1, 2, width), then the backward vectors g roll back from ones
- * over the transposed tables, and a row's probability is
- * g1 f1 / (g0 f0 + g1 f1), the sum floored at the least positive double.  A
- * pinned row keeps g at ones. */
+ * rows in order, from (D, rows) tables read as forward reads them, in blocks
+ * of width rows.  A block's prefixes f go to pre (n + 1, 2, width), then
+ * vectors g roll back from ones over the transposed tables, and a row's
+ * probability is 1 where f0 = 0, else g1 f1 / (g0 f0 + g1 f1), the sum
+ * floored at the least positive double.  A row that starts in one state and
+ * never branches has one nonzero component in f, which gives its state even
+ * where g has lost that path. */
 void smooth(int64_t n, int64_t rows, int64_t width, const double *m00,
             const double *m01, const double *m10, const double *m11,
             const int64_t *inv, const double *start, const double *weight,
-            const _Bool *pinned, double *pre, double *num)
+            double *pre, double *num)
 {
-    double g[2][2][BLOCK];
-    int64_t e[BLOCK] = {0}; /* exponents, which cancel in the ratio */
+    double g[2][2][width];
+    int64_t e[width]; /* exponents, which cancel in the ratio */
+    memset(e, 0, sizeof e);
     for (int64_t lo = 0; lo < rows; lo += width) {
         int64_t w = rows - lo < width ? rows - lo : width;
         memcpy(pre, start + lo, w * sizeof(double));
@@ -238,7 +235,7 @@ void smooth(int64_t n, int64_t rows, int64_t width, const double *m00,
                 x0 = x0 + x1;
                 /* x1 <= x0, so this sink turns 0/0 into 0 and changes nothing else */
                 x0 = x0 < 0x1p-1074 ? 0x1p-1074 : x0;
-                acc += weight[lo + i] * (x1 / x0);
+                acc += weight[lo + i] * (f0[i] == 0.0 ? 1.0 : x1 / x0);
             }
             num[k - 1] = acc;
             if (k == 1)
@@ -247,9 +244,6 @@ void smooth(int64_t n, int64_t rows, int64_t width, const double *m00,
             int64_t row = inv[k - 1] * rows + lo;
             if (step(w, m00 + row, m10 + row, m01 + row, m11 + row, g0, g1, h0, h1, e))
                 rescale_tiny(w, h0, h1, e);
-            for (int64_t i = 0; i < w; i++)
-                if (pinned[lo + i])
-                    h0[i] = h1[i] = 1.0;
         }
     }
 }

@@ -49,16 +49,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Fixed-order quadrature rule on (0, 1) for the on-fraction integrals."""
+    """Gauss-Legendre rule of fixed order on (0, 1) for the on-fraction integrals."""
 
     node_count: int = 64
-    scheme: str = "gauss-legendre"
 
     def __post_init__(self):
         if self.node_count < 8:
             raise ValueError("node_count must be >= 8")
-        if self.scheme != "gauss-legendre":
-            raise ValueError(f"unsupported quadrature scheme {self.scheme!r}")
 
     def nodes_weights(self):
         return _gauss_legendre_01(self.node_count)
@@ -257,7 +254,7 @@ def check_quadrature_convergence(
     from .posterior import _cell_context
 
     counts = CountTrace(np.unique(np.asarray(counts)))
-    fine = QuadratureSpec(node_count=2 * quad.node_count, scheme=quad.scheme)
+    fine = QuadratureSpec(node_count=2 * quad.node_count)
     switch = (rates.r_alpha, rates.r_beta)
     coarse = _cell_context(counts, "ctmc", switch, emissions, quad=quad)
     refined = _cell_context(counts, "ctmc", switch, emissions, quad=fine)

@@ -289,8 +289,10 @@ class _EngineContext:
         and a rescaled mix of the two can lose one for good; its row is
         pinned to start off with log weight log P(off), and a second set,
         present only if there are such cells, holds their rows pinned to
-        start on with log weight log P(on).  The grid engine and the state
-        smoother both take their tables and forward pass from here.
+        start on with log weight log P(on).  No other code tells a frozen
+        chain; the mask serves ``eval_block`` alone, to merge a pinned
+        cell's two rows.  The grid engine and the state smoother both take
+        their tables and forward pass from here.
         """
         mats = self.tables(a, b)
         if self.prior is None:
@@ -413,8 +415,9 @@ def _forward_cells(m00, m01, m10, m11, inv, start):
     cells = start.shape[1]
     end = np.empty((2, cells))
     exps = np.zeros(cells, dtype=np.int64)
+    reach = np.empty(len(m00), dtype=np.int64)  # the kernel's scratch, one per table row
     kernel = _forward_kernel().forward
-    kernel(len(inv), cells, m00, m01, m10, m11, inv, start, end, exps)
+    kernel(len(inv), cells, len(m00), m00, m01, m10, m11, inv, start, end, exps, reach)
     with np.errstate(divide="ignore"):
         return exps * _LN2 + np.log(end[0] + end[1])
 
@@ -467,13 +470,11 @@ def _forward_kernel():
             raise LibraryError("the compiled library needs gcc, which is not on PATH")
         path = built[0]
     lib = ctypes.CDLL(str(path))
-    f8, i8, b1, u8, u1 = (
-        np.ctypeslib.ndpointer(t, flags="C")
-        for t in (np.float64, np.int64, np.bool_, np.uint64, np.uint8)
-    )
+    types = (np.float64, np.int64, np.uint64, np.uint8)
+    f8, i8, u8, u1 = (np.ctypeslib.ndpointer(t, flags="C") for t in types)
     c8 = ctypes.c_int64
-    lib.forward.argtypes = [c8, c8, f8, f8, f8, f8, i8, f8, f8, i8]
-    lib.smooth.argtypes = [c8, c8, c8, f8, f8, f8, f8, i8, f8, f8, b1, f8, f8]
+    lib.forward.argtypes = [c8, c8, c8, f8, f8, f8, f8, i8, f8, f8, i8, i8]
+    lib.smooth.argtypes = [c8, c8, c8, f8, f8, f8, f8, i8, f8, f8, f8, f8]
     lib.repr_doubles.argtypes = [c8, f8, c8, c8, u8, u8, u1]
     lib.forward.restype = lib.smooth.restype = None
     lib.repr_doubles.restype = c8
@@ -520,7 +521,7 @@ def _digest(*parts):
     return hashlib.sha256(repr(parts).encode()).hexdigest()[:16]
 
 
-_WORKER_CTX: _EngineContext | None = None
+_WORKER_CTX: _EngineContext | None = None  # set in each pool worker
 
 # OpenBLAS's thread-count calls, under the names its builds export
 _BLAS_SET = (
@@ -551,9 +552,11 @@ def _blas_function(names, argtypes, restype):
     return None
 
 
-def _worker_init():
-    """Gives a pool worker one BLAS thread, so that a worker's table mixing
-    wakes no thread pool to compete with the other workers' kernels."""
+def _worker_init(ctx):
+    """Sets a forked worker's context, which fork passes unpickled, and one
+    BLAS thread, so that no BLAS thread pool competes with other workers."""
+    global _WORKER_CTX
+    _WORKER_CTX = ctx
     set_threads = _blas_function(_BLAS_SET, [ctypes.c_int], None)
     if set_threads is not None:
         set_threads(1)
@@ -599,22 +602,18 @@ def evaluate_grid(
         for blk in blocks:
             flat[blk[0] : blk[1]] = probe.eval_block(*blk)
     else:
-        global _WORKER_CTX
-        _WORKER_CTX = probe
-        try:
-            # the fork context starts every worker at once, so start no idle
-            # one, and no more than there are CPUs: a worker beyond them only
-            # takes CPU time from the others
-            pool = ProcessPoolExecutor(
-                max_workers=min(workers, len(blocks), os.cpu_count() or 1),
-                mp_context=get_context("fork"),
-                initializer=_worker_init,
-            )
-            with pool:
-                for blk, result in pool.map(_worker_eval, blocks):
-                    flat[blk[0] : blk[1]] = result
-        finally:
-            _WORKER_CTX = None
+        # the fork context starts every worker at once, so start no idle
+        # one, and no more than there are CPUs: a worker beyond them only
+        # takes CPU time from the others
+        pool = ProcessPoolExecutor(
+            max_workers=min(workers, len(blocks), os.cpu_count() or 1),
+            mp_context=get_context("fork"),
+            initializer=_worker_init,
+            initargs=(probe,),
+        )
+        with pool:
+            for blk, result in pool.map(_worker_eval, blocks):
+                flat[blk[0] : blk[1]] = result
 
     # fixed parameters hold one value each, so the flat (pair, emission)
     # order is the row-major order of the free axes
@@ -633,11 +632,7 @@ def _finalize(grid, model, log_post, d):
     mode_values = tuple(
         float(ax.values[i]) for ax, i in zip(grid.axes, mode_index)
     )
-    marginals = {}
-    for i, ax in enumerate(grid.axes):
-        others = tuple(j for j in range(post.ndim) if j != i)
-        m = post.sum(axis=others) if others else post.copy()
-        marginals[ax.name] = m / m.sum()
+    marginals = {ax.name: _sum_down(post, (i,)) for i, ax in enumerate(grid.axes)}
     return PosteriorGrid(
         spec=grid,
         model=model,
@@ -665,8 +660,13 @@ def marginalize(posterior: PosteriorGrid, keep_axes) -> np.ndarray:
     unknown = keep - set(names)
     if unknown:
         raise ValueError(f"not free axes: {sorted(unknown)}")
-    drop = tuple(i for i, n in enumerate(names) if n not in keep)
-    out = posterior.post.sum(axis=drop) if drop else posterior.post.copy()
+    return _sum_down(posterior.post, [i for i, n in enumerate(names) if n in keep])
+
+
+def _sum_down(post, keep):
+    """``post`` summed over every axis not in ``keep``, normalised."""
+    drop = tuple(i for i in range(post.ndim) if i not in keep)
+    out = post.sum(axis=drop) if drop else post.copy()
     return out / out.sum()
 
 

@@ -22,7 +22,8 @@ products are averaged over a parameter grid weighted by each cell's
 likelihood (flat priors); a grid of fixed values gives known-parameter
 smoothing under any model.  A cell whose chain never mixes is split into
 two start-pinned rows, as in the grid engine, so that no hidden path is
-lost to the rescaling.
+lost to the rescaling, and the kernel reads such a row's state from its
+prefix vectors, which follow its one path.
 """
 
 from __future__ import annotations
@@ -48,14 +49,11 @@ __all__ = [
 # Prefix vectors one block of rows may store, (steps + 1) x rows: 64 MB of
 # (off, on) pairs, so that a long trace takes blocks of fewer rows
 _PREFIX_BUDGET = 4_000_000
-# Rows per block at most, and at most the kernel's BLOCK.  On (D, rows)
+# Rows per block at most, for the kernel's stack vectors.  On (D, rows)
 # tables at N = 1e4 (2-CPU Xeon, AVX-512, shared host, min of 11), blocks of
 # 16 and 32 rows tied at 6.5-7 ns per kept cell-step, and 64, whose
 # prefixes take 10 MB, ran 15-25% slower
 _MAX_WIDTH = 32
-# BLOCK of _forward.c: smooth keeps a block's backward vectors in stack
-# arrays of this many rows
-_KERNEL_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -138,9 +136,9 @@ def _smooth(ctx):
     The weight pass runs the grid engine's blocks, as ``evaluate_grid``
     does: ``row_sets`` builds one block's tables and gives each row's
     log-likelihood l.  After each block, with P_run the largest l so far,
-    only rows with l >= P_run - 746 keep their table columns, start,
-    log-likelihood and pinned flag, gathered from the block's tables, and
-    rows kept from earlier blocks that fall below a risen cut are dropped.
+    only rows with l >= P_run - 746 keep their table columns, start and
+    log-likelihood, gathered from the block's tables, and rows kept from
+    earlier blocks that fall below a risen cut are dropped.
     The cut loses nothing.  The final peak P is at least P_run, so a
     dropped row has l < P - 746 up to the rounding of the cut, at most
     half an ulp of P: 1/8 while |P| < 2^50, which only a trace of some
@@ -155,15 +153,14 @@ def _smooth(ctx):
     block's start-off rows, cell by cell, then every block's pinned
     start-on rows.  The stable heaviest-first sort then gives the kernel
     the rows, and the sums their terms, in the same order whatever the
-    block size.  A start-pinned row follows one hidden path, so its
-    prefixes alone give its state; its suffix vectors stay at ones, since
-    rolled back they could underflow on that path.
+    block size.  The kernel needs no pinned mask: a start-pinned row
+    follows one hidden path, and its prefixes give its state.
     """
     peak = -np.inf
     off, on = [], []  # start-off rows and pinned start-on rows, block by block
     for blk in ctx.block_ranges():
-        sets = ctx.row_sets(*ctx.pair_params(*blk))
-        peak = max(peak, *(loglik.max() for _, _, loglik, _ in sets))
+        sets = [s[:3] for s in ctx.row_sets(*ctx.pair_params(*blk))]
+        peak = max(peak, *(loglik.max() for _, _, loglik in sets))
         off, on = (
             [_heavy_rows(*rows, peak - 746.0) for rows in chunks]
             for chunks in (off + sets[:1], on + sets[1:])
@@ -171,31 +168,30 @@ def _smooth(ctx):
         del sets  # so that the next block's tables are built with this one freed
     chunks = off + on
     tables = tuple(np.concatenate(ms, axis=1) for ms in zip(*(c[0] for c in chunks)))
-    start, loglik, pinned = (np.concatenate([c[i] for c in chunks], axis=-1) for i in (1, 2, 3))
-    return _smooth_rows(ctx.inv, tables, start, loglik, pinned)
+    start, loglik = (np.concatenate([c[i] for c in chunks], axis=-1) for i in (1, 2))
+    return _smooth_rows(ctx.inv, tables, start, loglik)
 
 
-def _heavy_rows(tables, start, loglik, pinned, cut):
+def _heavy_rows(tables, start, loglik, cut):
     """The rows of finite log-likelihood at least ``cut``, in their order."""
     keep = np.flatnonzero((loglik >= cut) & (loglik > -np.inf))
     if keep.size == loglik.size:
-        return tables, start, loglik, pinned
-    tables = tuple(m.take(keep, axis=1) for m in tables)
-    return tables, start.take(keep, axis=1), loglik[keep], pinned[keep]
+        return tables, start, loglik
+    return tuple(m.take(keep, axis=1) for m in tables), start.take(keep, axis=1), loglik[keep]
 
 
-def _smooth_rows(inv, tables, start, loglik, pinned):
+def _smooth_rows(inv, tables, start, loglik):
     """Weighted mean over rows of P(on at boundary k), k = 1..len(inv).
 
     ``tables`` are four (D, rows) step tables, ``start`` the (2, rows) start
-    vectors, ``loglik`` each row's log-likelihood from the weight pass, and
-    ``pinned`` a bool mask of the rows whose suffix vectors stay at ones.
-    A row weighs exp(loglik - peak).  The rows of nonzero weight go to the
-    kernel's ``smooth`` heaviest first (a stable sort, so equal weights keep
-    row order), in blocks of as many as keep a block's prefixes within
-    ``_PREFIX_BUDGET`` vectors, at most ``_MAX_WIDTH``.  Each block's table
-    columns are gathered from ``tables``, never rebuilt.  Shapes and ``inv``
-    are checked before any ``smooth`` call.
+    vectors and ``loglik`` each row's log-likelihood from the weight pass.
+    A row that starts in one state and never branches has one nonzero
+    prefix component, its state.  A row weighs exp(loglik - peak).  The
+    rows of nonzero weight go to ``smooth`` heaviest first (a stable sort,
+    so equal weights keep row order), in blocks of as many as keep a
+    block's prefixes within ``_PREFIX_BUDGET`` vectors, at most ``_MAX_WIDTH``.
+    Each block's table columns are gathered from ``tables``, never rebuilt.
+    Shapes and ``inv`` are checked before any ``smooth`` call.
 
     Numerators add up row by row in that order, so p_on is bitwise the same
     at every block width, and the run stops before the first block whose
@@ -212,11 +208,9 @@ def _smooth_rows(inv, tables, start, loglik, pinned):
     """
     n = len(inv)
     width = min(max(_PREFIX_BUDGET // (n + 1), 1), _MAX_WIDTH)
-    if width > _KERNEL_BLOCK:
-        raise ValueError("block width and the kernel's row buffers disagree in shape")
     _posterior._check_rows(tables, inv, start)
-    if not loglik.shape == pinned.shape == start.shape[-1:]:
-        raise ValueError("starts, log-likelihoods and pinned mask disagree in shape")
+    if loglik.shape != start.shape[-1:]:
+        raise ValueError("starts and log-likelihoods disagree in shape")
     peak = loglik.max(initial=-np.inf)
     if peak == -np.inf:
         raise ValueError("trace has zero probability everywhere on the grid")
@@ -232,5 +226,5 @@ def _smooth_rows(inv, tables, start, loglik, pinned):
         rows = order[lo : lo + width]
         block = [m.take(rows, axis=1) for m in tables]
         smooth(n, rows.size, width, *block, inv, start.take(rows, axis=1),
-               w[lo : lo + width], pinned[rows], prefixes, num)
+               w[lo : lo + width], prefixes, num)
     return num / np.cumsum(w)[-1]

@@ -265,8 +265,9 @@ def assert_forward_matches(mats, inv, start):
     np.testing.assert_array_equal(posterior._forward_cells(*mats, inv, start), want)
     end = np.empty_like(start)
     exps = np.zeros(start.shape[1], dtype=np.int64)
+    reach = np.empty(len(mats[0]), dtype=np.int64)
     forward = posterior._forward_kernel().forward
-    forward(len(inv), start.shape[1], *mats, inv, start, end, exps)
+    forward(len(inv), start.shape[1], len(mats[0]), *mats, inv, start, end, exps, reach)
     np.testing.assert_array_equal(end, prefixes[-1])
     return want
 
@@ -301,20 +302,20 @@ def per_step_smooth(m00, m01, m10, m11, inv, start, log_w, pinned):
     return np.cumsum(terms, axis=1)[:, -1] / np.cumsum(w[order])[-1]
 
 
-def assert_heaviest_prefix(weight, pinned, sent_weight, sent_pinned, num):
+def assert_heaviest_prefix(weight, start, sent_weight, sent_start, num):
     """Assert the smoother's stop rule on what its kernel was sent.
 
-    ``weight`` and ``pinned`` are every row's weight and pinned flag, and
-    ``sent_weight`` and ``sent_pinned`` what the kernel received, in call
-    order.  The kernel must receive a prefix of the rows of nonzero weight
-    in stable decreasing-weight order, and every such row it did not
-    receive must weigh w with 2 w < spacing(num[k]) at every k, where
-    ``num`` holds the final numerators.
+    ``weight`` and ``start`` are every row's weight and (2, rows) start
+    vectors, and ``sent_weight`` and ``sent_start`` what the kernel
+    received, in call order.  The kernel must receive a prefix of the rows
+    of nonzero weight in stable decreasing-weight order, and every such row
+    it did not receive must weigh w with 2 w < spacing(num[k]) at every k,
+    where ``num`` holds the final numerators.
     """
     order = np.argsort(-weight, kind="stable")[: np.count_nonzero(weight)]
     sent = sent_weight.size
     assert sent <= order.size
     np.testing.assert_array_equal(sent_weight, weight[order[:sent]])
-    np.testing.assert_array_equal(sent_pinned, pinned[order[:sent]])
+    np.testing.assert_array_equal(sent_start, start[:, order[:sent]])
     if sent < order.size:
         assert 2.0 * weight[order[sent]] < np.spacing(num).min()

@@ -335,8 +335,6 @@ class TestQuadrature:
     def test_node_count_floor(self):
         with pytest.raises(ValueError):
             QuadratureSpec(node_count=4)
-        with pytest.raises(ValueError):
-            QuadratureSpec(scheme="trapezoid")
 
     def test_default_rule_converged(self):
         worst = check_quadrature_convergence(

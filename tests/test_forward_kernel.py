@@ -11,7 +11,8 @@ of more rows than the steps read, and the zero-weight tests for rows that
 mostly never reach the smoother kernel.  The build tests each
 run a fresh interpreter with its own cache directory, and the sources must
 compile with every gcc warning on and no flag that loosens IEEE
-arithmetic.
+arithmetic, and run on block edges under the undefined-behaviour sanitizer
+with the normal build's bits.
 """
 
 import os
@@ -183,21 +184,24 @@ class TestScaledRuns:
         assert np.all(v == 0.0)
 
 
-def _smooth_rows(inv, mats, start, log_w, pinned):
+def _smooth_rows(inv, mats, start, log_w):
     """``_smooth_rows`` on rows weighed as the weight pass weighs them: each
     row's log weight plus its forward-pass log-likelihood."""
     loglik = log_w + posterior._forward_cells(*mats, inv, start)
-    return state_inference._smooth_rows(inv, tuple(mats), start, loglik, pinned)
+    return state_inference._smooth_rows(inv, tuple(mats), start, loglik)
 
 
 def _smooth_case(rows, n, seed):
     """Corner cases on the smoother's block edges: ``rows`` rows, then
-    three rows pinned to start on.
+    three frozen rows started on.
 
     Row 0 has every table entry 1, so its columns sum to 2.  Table row 0,
     which the first two steps read, gives row W - 3 subnormal sums forward
     and back, and kills row W, whose weight is then 0.  Rows W - 1 and
-    2W - 1, the last slots of the first two blocks, are pinned.
+    2W - 1, the last slots of the first two blocks, are frozen and start
+    off.  A frozen row's tables send each start state to one end state,
+    the same one or the other at random per table row; ``pinned`` marks
+    the frozen rows, for the oracle.
     """
     rng = np.random.default_rng(seed)
     cells = rows + 3
@@ -218,6 +222,11 @@ def _smooth_case(rows, n, seed):
             start[:, j] = [1.0, 0.0]
     pinned[rows:] = True
     start[:, rows:] = [[0.0], [1.0]]
+    m00, m01, m10, m11 = mats
+    for j in np.flatnonzero(pinned):
+        flip = rng.random(3) < 0.5  # per table row: off -> on and on -> off
+        m00[flip, j] = m11[flip, j] = 0.0
+        m01[~flip, j] = m10[~flip, j] = 0.0
     inv = rng.integers(0, 3, n)
     inv[:2] = 0
     return mats, inv, start, log_w, pinned
@@ -229,7 +238,7 @@ class TestSmootherBlockEdges:
     @pytest.mark.parametrize("rows", [1, WIDTH - 1, WIDTH, WIDTH + 1, 2 * WIDTH + 1])
     def test_matches_oracle(self, rows, n):
         mats, inv, start, log_w, pinned = _smooth_case(rows, n, seed=rows + n)
-        got = _smooth_rows(inv, mats, start, log_w, pinned)
+        got = _smooth_rows(inv, mats, start, log_w)
         want = per_step_smooth(*mats, inv, start, log_w, pinned)
         np.testing.assert_array_equal(got, want)
         assert np.all((got >= 0.0) & (got <= 1.0))
@@ -240,28 +249,21 @@ class TestSmootherBlockEdges:
     def test_rejects_mismatched_buffers(self, monkeypatch):
         # checked before any kernel runs: a wrong shape would make the
         # kernel's offsets read out of bounds
-        mats, inv, start, log_w, pinned = _smooth_case(4, 3, seed=0)
+        mats, inv, start, log_w, _ = _smooth_case(4, 3, seed=0)
         monkeypatch.setattr(posterior, "_forward_kernel", _no_kernel)
-        good = dict(mats=tuple(mats), start=start, loglik=log_w, pinned=pinned)
+        good = dict(mats=tuple(mats), start=start, loglik=log_w)
         for name, bad in [
             ("mats", (*mats[:3], mats[3][:, :-1])),
             ("mats", (*mats[:3], mats[3][:2])),
             ("start", start[:, :-1]),
             ("start", start[:1]),
             ("loglik", log_w[:-1]),
-            ("pinned", pinned[:-1]),
         ]:
             parts = {**good, name: bad}
             with pytest.raises(ValueError, match="disagree in shape"):
                 state_inference._smooth_rows(inv, *parts.values())
         with pytest.raises(ValueError, match="outside the step tables"):
             state_inference._smooth_rows(inv + 3, *good.values())
-        monkeypatch.setattr(state_inference, "_MAX_WIDTH", BLOCK + 1)
-        with pytest.raises(ValueError, match="disagree in shape"):
-            state_inference._smooth_rows(inv, *good.values())
-
-    def test_kernel_block_matches_source(self):
-        assert state_inference._KERNEL_BLOCK == BLOCK
 
 
 def _no_kernel():
@@ -279,8 +281,8 @@ class TestZeroWeightRows:
     def test_matches_oracle_that_runs_every_row(self, monkeypatch, rows, width):
         n = 6
         mats, inv, start, log_w, pinned = _smooth_case(rows, n, seed=rows + width)
-        # every fifth row, the subnormal row, a pinned row and the last
-        # carry weight; the rest, and the whole pinned start-on set, lie
+        # every fifth row, the subnormal row, a frozen row and the last
+        # carry weight; the rest, and the whole frozen start-on set, lie
         # more than 745 nats below the peak
         heavy = np.zeros(rows + 3, dtype=bool)
         heavy[:rows:5] = True
@@ -291,15 +293,15 @@ class TestZeroWeightRows:
         calls, sent = [], []
 
         def smooth(n, rows, width, *args):
-            # args[6:8] are the weights and pinned flags, args[9] the sums
+            # args[5] are the start vectors, args[6] the weights, args[8] the sums
             calls.append((rows, width))
-            sent.append((args[6].copy(), args[7].copy(), args[9]))
+            sent.append((args[5].copy(), args[6].copy(), args[8]))
             lib.smooth(n, rows, width, *args)
 
         kernel = SimpleNamespace(forward=lib.forward, smooth=smooth)
         monkeypatch.setattr(posterior, "_forward_kernel", lambda: kernel)
         monkeypatch.setattr(state_inference, "_PREFIX_BUDGET", width * (n + 1))
-        got = _smooth_rows(inv, mats, start, log_w, pinned)
+        got = _smooth_rows(inv, mats, start, log_w)
         want = per_step_smooth(*mats, inv, start, log_w, pinned)
         np.testing.assert_array_equal(got, want)
         # the kernel gets the heaviest rows first, in blocks of the width,
@@ -309,9 +311,9 @@ class TestZeroWeightRows:
         assert not weight[rows:].any() and np.count_nonzero(weight) < rows // 2
         assert {used for _, used in calls} == {width}
         assert all(size <= width for size, _ in calls)
-        sent_w, sent_pinned, nums = zip(*sent)
+        sent_start, sent_w, nums = zip(*sent)
         assert_heaviest_prefix(
-            weight, pinned, np.concatenate(sent_w), np.concatenate(sent_pinned), nums[-1]
+            weight, start, np.concatenate(sent_w), np.concatenate(sent_start, axis=1), nums[-1]
         )
 
 
@@ -324,7 +326,6 @@ class TestHeaviestFirst:
     def _smooth(self, monkeypatch, mats, inv, start, log_w):
         """p_on of one row set, checked bitwise against the oracle, and
         the number of rows the kernel ran."""
-        pinned = np.zeros(start.shape[1], dtype=bool)
         lib = posterior._forward_kernel()
         sent = []
 
@@ -335,8 +336,9 @@ class TestHeaviestFirst:
         kernel = SimpleNamespace(forward=lib.forward, smooth=smooth)
         monkeypatch.setattr(posterior, "_forward_kernel", lambda: kernel)
         monkeypatch.setattr(state_inference, "_PREFIX_BUDGET", len(inv) + 1)
-        got = _smooth_rows(inv, mats, start, log_w, pinned)
-        np.testing.assert_array_equal(got, per_step_smooth(*mats, inv, start, log_w, pinned))
+        got = _smooth_rows(inv, mats, start, log_w)
+        unpinned = np.zeros(start.shape[1], dtype=bool)
+        np.testing.assert_array_equal(got, per_step_smooth(*mats, inv, start, log_w, unpinned))
         return got, sum(sent)
 
     @pytest.mark.parametrize("light, runs", [(0.75, 3), (0.4, 1)])
@@ -411,7 +413,7 @@ class TestTallTables:
         mats, inv, start = self._case(300, read, 60, seed=read + 1)
         log_w = np.zeros(self.CELLS)
         pinned = np.zeros(self.CELLS, dtype=bool)
-        got = _smooth_rows(inv, mats, start, log_w, pinned)
+        got = _smooth_rows(inv, mats, start, log_w)
         np.testing.assert_array_equal(got, per_step_smooth(*mats, inv, start, log_w, pinned))
         assert np.all((got >= 0.0) & (got <= 1.0))
 
@@ -598,6 +600,52 @@ class TestBuild:
         assert list((tmp_path / "blinkinfer").iterdir()) == built
 
 
+# Both kernels on the edges of their blocks, for a build under the
+# undefined-behaviour sanitizer: forward on 255, 256 and 257 cells, and
+# smooth at widths 1 and 32 on rows of which a third are frozen, each with
+# a subnormal table entry.  Prints the results' bytes in hex.
+SANITIZED_CASES = """
+    import numpy as np
+    import blinkinfer.posterior as posterior
+    import blinkinfer.state_inference as state_inference
+    rng = np.random.default_rng(11)
+    n, out = 40, []
+
+    def case(cells):
+        mats = [rng.random((3, cells)) * 0.5 for _ in range(4)]
+        mats[1][0, cells // 2] = 2.0**-1060
+        inv = rng.integers(0, 3, n)
+        inv[0] = 0
+        start = rng.random((2, cells))
+        return mats, inv, start / start.sum(axis=0)
+
+    for cells in (255, 256, 257):
+        mats, inv, start = case(cells)
+        out.append(posterior._forward_cells(*mats, inv, start))
+    for width in (1, 32):
+        mats, inv, start = case(70)
+        frozen = np.arange(0, 70, 3)
+        flip = rng.random((3, frozen.size)) < 0.5  # off -> on and on -> off
+        for m, gone in zip(mats, (flip, ~flip, ~flip, flip)):
+            m[:, frozen] = np.where(gone, 0.0, m[:, frozen])
+        start[:, frozen] = [[1.0], [0.0]]
+        loglik = posterior._forward_cells(*mats, inv, start) + rng.normal(0.0, 2.0, 70)
+        state_inference._PREFIX_BUDGET = width * (n + 1)
+        out.append(state_inference._smooth_rows(inv, tuple(mats), start, loglik))
+    print(np.concatenate(out).tobytes().hex())
+"""
+
+
+def _links_ubsan(tmp_path):
+    """Whether gcc builds and links a shared library under -fsanitize=undefined."""
+    if shutil.which("gcc") is None:
+        return False
+    source = tmp_path / "probe.c"
+    source.write_text("int probe(int x) { return x + 1; }\n")
+    cmd = ["gcc", "-fsanitize=undefined", "-fPIC", "-shared", "-o", str(tmp_path / "probe.so")]
+    return subprocess.run([*cmd, str(source)], capture_output=True).returncode == 0
+
+
 class TestSourceBuild:
     def test_flags_keep_ieee_arithmetic(self):
         # bit-exactness rests on every product and sum rounding on its own
@@ -611,3 +659,16 @@ class TestSourceBuild:
         cmd = ["gcc", *flags, "-o", str(tmp_path / "forward.so"), *sources, "-lm"]
         built = subprocess.run(cmd, capture_output=True, text=True)
         assert built.returncode == 0, built.stderr
+
+    def test_kernels_run_clean_under_ubsan(self, tmp_path):
+        if not _links_ubsan(tmp_path):
+            pytest.skip("gcc cannot link -fsanitize=undefined")
+        flags = "('-fsanitize=undefined,bounds', '-fno-sanitize-recover=all')"
+        setup = f"import blinkinfer.posterior\nblinkinfer.posterior._CFLAGS += {flags}\n"
+        sanitized = _fresh(setup + textwrap.dedent(SANITIZED_CASES), tmp_path / "ubsan")
+        assert sanitized.returncode == 0, sanitized.stderr
+        assert "runtime error" not in sanitized.stderr
+        normal = _fresh(SANITIZED_CASES, tmp_path / "normal")
+        assert normal.returncode == 0, normal.stderr
+        assert sanitized.stdout == normal.stdout
+        assert len(_libraries(tmp_path / "ubsan")) == len(_libraries(tmp_path / "normal")) == 1

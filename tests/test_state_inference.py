@@ -326,6 +326,34 @@ class TestPinnedStartPaths:
         _, want = oracle_p_on(counts, switch, switch, PINNED_EM)
         np.testing.assert_allclose(sp.p_on, want, rtol=0, atol=1e-9)
 
+    def test_frozen_row_that_loses_its_backward_path(self):
+        # the start-off path leads by ~1500 nats, and at 25 boundaries the
+        # suffix from the other state leads the row's own by more than 745
+        # nats, so the rolled-back vector holds 0 for the row's own state
+        # there; the kernel reads the state from the prefix alone, exactly
+        counts = [0, 40] * 20 + [40, 0] * 10
+        sp = state_posterior_known(CountTrace(counts), SwitchProbs(1.0, 1.0, 1), PINNED_EM)
+        _, want = oracle_p_on(counts, 1.0, 1.0, PINNED_EM)
+        np.testing.assert_array_equal(sp.p_on, want)
+        grid = GridSpec(axes=(), fixed={"alpha": 1.0, "beta": 1.0, "lambda": 39.0, "mu": 1.0})
+        inv, mats, start, log_w, _, split = _rows(counts, grid)
+        assert split.all()
+        lost = per_step_smooth(*mats, inv, start, log_w, np.zeros_like(split))
+        assert np.count_nonzero(lost != want) == 25
+
+    def test_one_way_chain_that_loses_its_backward_path(self):
+        # beta = 0 and the stationary start: the chain starts on and stays
+        # on, but its tables send off to both states, so its row is not
+        # pinned.  Each zero count costs the on state 60 nats, so from the
+        # 13th boundary before the end back the rolled-back vector holds 0
+        # for the on state; p_on is 1 at every boundary all the same
+        counts = [0] * 20
+        em = EmissionRates(mu=0.0, lam=60.0)
+        sp = state_posterior_known(CountTrace(counts), SwitchProbs(0.5, 0.0, 1), em)
+        _, want = log_forward_backward(counts, 0.5, 0.0, 0.0, 60.0, (0.0, 1.0))
+        np.testing.assert_array_equal(want, 1.0)
+        np.testing.assert_array_equal(sp.p_on, want)
+
     def test_marginal_over_pinned_cells(self):
         # both cells split in two, and the cells are weighted by their
         # likelihoods: alpha = 1 leads by ~4500 nats
@@ -608,17 +636,17 @@ def _smooth_at(counts, grid, width):
     """``_smooth`` with the prefix budget set to blocks of ``width`` rows.
 
     Returns p_on, None where the trace has zero probability everywhere,
-    the block widths, weights and pinned masks the kernel was given, and
+    the block widths, weights and start vectors the kernel was given, and
     its numerator sums, or None if it never ran.
     """
     lib = posterior._forward_kernel()
-    widths, weights, pinned, num = [], [], [], [None]
+    widths, weights, starts, num = [], [], [], [None]
 
     def smooth(n, rows, width, *args):
         widths.append(width)
+        starts.append(args[5].copy())
         weights.append(args[6].copy())
-        pinned.append(args[7].copy())
-        num[0] = args[9]
+        num[0] = args[8]
         lib.smooth(n, rows, width, *args)
 
     kernel = SimpleNamespace(forward=lib.forward, smooth=smooth)
@@ -630,7 +658,7 @@ def _smooth_at(counts, grid, width):
             p_on = state_inference._smooth(ctx)
         except ValueError:
             p_on = None
-    return p_on, widths, weights, pinned, num[0]
+    return p_on, widths, weights, starts, num[0]
 
 
 def _rows(counts, grid, model="single", quad=None, d=None):
@@ -683,13 +711,13 @@ class TestBlockedSmoother:
         # stops only where no row it does not get can change a bit
         inv, mats, start, log_w, loglik, split = _rows(counts, grid)
         np.testing.assert_array_equal(loglik, log_w + per_step_forward(*mats, inv, start))
-        p_on, _, weights, pinned, num = _smooth_at(counts, grid, 7)
+        p_on, _, weights, starts, num = _smooth_at(counts, grid, 7)
         if p_on is None:
             assert loglik.max() == -np.inf
         else:
             want = np.exp(loglik - loglik.max())
             assert_heaviest_prefix(
-                want, split, np.concatenate(weights), np.concatenate(pinned), num
+                want, start, np.concatenate(weights), np.concatenate(starts, axis=1), num
             )
 
     @settings(max_examples=100, deadline=None)
@@ -709,9 +737,9 @@ class TestBlockedSmoother:
                 mp.setattr(state_inference, "_PREFIX_BUDGET", width * (len(counts) + 1))
                 if loglik.max() == -np.inf:
                     with pytest.raises(ValueError, match="zero probability"):
-                        state_inference._smooth_rows(inv, mats, start, loglik, split)
+                        state_inference._smooth_rows(inv, mats, start, loglik)
                     continue
-                got = state_inference._smooth_rows(inv, mats, start, loglik, split)
+                got = state_inference._smooth_rows(inv, mats, start, loglik)
             np.testing.assert_array_equal(got, per_step_smooth(*mats, inv, start, log_w, split))
             assert np.all((got >= 0.0) & (got <= 1.0))
 
@@ -807,18 +835,19 @@ class TestEngineBlocks:
         seen = []
         smooth_rows = state_inference._smooth_rows
 
-        def spy(inv, tables, start, loglik, pinned):
-            seen.append((loglik.copy(), pinned.copy()))
-            return smooth_rows(inv, tables, start, loglik, pinned)
+        def spy(inv, tables, start, loglik):
+            seen.append(loglik.copy())
+            return smooth_rows(inv, tables, start, loglik)
 
         monkeypatch.setattr(state_inference, "_smooth_rows", spy)
         state_posterior_marginal(trace, grid, model=model, d=d)
         ctx = _grid_context(trace, model, grid, None, None, d)
         assert len(ctx.block_ranges()) >= 3
         want = evaluate_grid(trace, model, grid, d=d).log_post.ravel()
-        (loglik, pinned), = seen
+        (loglik,) = seen
         acc, on = loglik[: want.size], loglik[want.size :]
-        split = pinned[: want.size]
+        blocks = ctx.block_ranges()
+        split = np.concatenate([ctx.row_sets(*ctx.pair_params(*b))[0][3] for b in blocks])
         assert split.any() and on.size == np.count_nonzero(split)
         acc[split] = np.logaddexp(acc[split], on)
         np.testing.assert_array_equal(acc, want)
@@ -875,9 +904,9 @@ class TestEngineBlocks:
         sizes = []
         smooth_rows = state_inference._smooth_rows
 
-        def spy(inv, tables, start, loglik, pinned):
+        def spy(inv, tables, start, loglik):
             sizes.append(loglik.size)
-            return smooth_rows(inv, tables, start, loglik, pinned)
+            return smooth_rows(inv, tables, start, loglik)
 
         monkeypatch.setattr(state_inference, "_smooth_rows", spy)
         whole = state_posterior_marginal(trace, grid).p_on
