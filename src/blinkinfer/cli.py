@@ -5,6 +5,11 @@ JSON), ``infer-state`` (per-interval on-probability CSV), and ``threshold``
 (sweep table CSV).  Model parameters are passed as ``--fix name=value`` and
 free inference axes as ``--grid name=lo:hi:n``.
 
+Each command reads the parsed argparse namespace, checked before any file
+is read by the library's own rules (``GridSpec``, and ``posterior``'s
+``_check_model_options`` and ``_check_levels``): a misuse exits 1 with the
+library's message.  Malformed values and unknown flags exit 2.
+
 Every command is deterministic given its arguments: reruns produce
 byte-identical files, and inference output does not depend on ``--workers``.
 Floats are serialised with Python's shortest round-trip repr, so loading a
@@ -19,7 +24,6 @@ import argparse
 import functools
 import json
 import sys
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -37,16 +41,17 @@ from .posterior import (
     GridAxis,
     GridSpec,
     LibraryError,
+    _check_levels,
+    _check_model_options,
     _forward_kernel,
     credible_regions,
     evaluate_grid,
 )
-from .simulate import sim_ctmc, sim_dtmc_multi, sim_dtmc_single
+from .simulate import sim_ctmc, sim_dtmc_multi
 from .state_inference import state_posterior_marginal
 from .threshold import literature_thresholds, threshold_sweep
 
 __all__ = [
-    "RunConfig",
     "main",
     "cmd_simulate",
     "cmd_infer",
@@ -60,38 +65,6 @@ __all__ = [
 
 POSTERIOR_FORMAT_VERSION = 1
 _CSV_CHUNK = 1024  # state CSV rows formatted per call
-
-
-@dataclass
-class RunConfig:
-    """Validated bundle of one command's options."""
-
-    command: str
-    model: str | None = None
-    grid: GridSpec | None = None
-    fixed: dict[str, float] = field(default_factory=dict)
-    d: int | None = None
-    quad_nodes: int | None = None
-    seed: int = 0
-    n: int | None = None
-    workers: int = 1
-    levels: tuple[float, ...] = (0.5, 0.9, 0.99)
-    in_path: str | None = None
-    out_path: str | None = None
-    truth_path: str | None = None
-    thresholds: tuple[int, ...] = ()
-    bins: tuple[int, ...] = ()
-    summary_range: tuple[float, float] | None = None
-
-    def __post_init__(self):
-        if self.model is not None and self.model not in _MODELS:
-            raise ValueError(f"unknown model {self.model!r}")
-        if self.d is not None and self.model != "multistep":
-            raise ValueError("--d applies only to the multistep model")
-        if self.quad_nodes is not None and self.model != "ctmc":
-            raise ValueError("--quad-nodes applies only to the ctmc model")
-        if not all(0.0 < level < 1.0 for level in self.levels):
-            raise ValueError("credible levels must be inside (0, 1)")
 
 
 # ---------------------------------------------------------------------------
@@ -283,33 +256,34 @@ def write_threshold_csv(path: str, rules, sweep) -> None:
 # commands
 
 
-def _require_fixed(cfg: RunConfig, names) -> list[float]:
-    missing = [n for n in names if n not in cfg.fixed]
+def _require_fixed(cfg: argparse.Namespace, names) -> list[float]:
+    fixed = cfg.grid.fixed
+    missing = [n for n in names if n not in fixed]
     if missing:
         raise ValueError(
             f"{cfg.command} with model {cfg.model} needs --fix for {missing}"
         )
-    return [cfg.fixed[n] for n in names]
+    return [fixed[n] for n in names]
 
 
-def cmd_simulate(cfg: RunConfig) -> None:
+def cmd_simulate(cfg: argparse.Namespace) -> None:
     """Write a simulated trace CSV and its ground-truth CSV; print the seed."""
-    if cfg.n is None or cfg.n < 1:
-        raise ValueError("simulate needs --n >= 1")
     if cfg.out_path is None:
         raise ValueError("simulate needs --out")
     mu, lam = _require_fixed(cfg, ("mu", "lambda"))
     emissions = EmissionRates(mu=mu, lam=lam)
     a, b = _require_fixed(cfg, _MODELS[cfg.model])
-    if cfg.model == "single":
-        result = sim_dtmc_single(SwitchProbs(a, b, 1), emissions, cfg.n, seed=cfg.seed)
-    elif cfg.model == "ctmc":
+    if cfg.model == "ctmc":
         result = sim_ctmc(SwitchRates(a, b), emissions, cfg.n, seed=cfg.seed)
     else:
-        d = cfg.d if cfg.d is not None else choose_subinterval_count(a, b)
-        probs = probs_from_rates(SwitchRates(a, b), d)
+        if cfg.model == "single":
+            probs = SwitchProbs(a, b, 1)
+        else:
+            d = cfg.d if cfg.d is not None else choose_subinterval_count(a, b)
+            probs = probs_from_rates(SwitchRates(a, b), d)
         result = sim_dtmc_multi(probs, emissions, cfg.n, seed=cfg.seed)
-        print(f"d: {d}")
+    if cfg.model == "multistep":
+        print(f"d: {probs.d}")
     write_trace_csv(cfg.out_path, result.trace)
     truth_path = cfg.truth_path or _default_truth_path(cfg.out_path)
     write_truth_csv(truth_path, result)
@@ -323,23 +297,17 @@ def _default_truth_path(out_path: str) -> str:
     return f"{stem}.truth.{ext}" if dot else f"{out_path}.truth"
 
 
-def _read_input(cfg: RunConfig) -> CountTrace:
+def _read_input(cfg: argparse.Namespace) -> CountTrace:
     if cfg.in_path is None or cfg.out_path is None:
         raise ValueError(f"{cfg.command} needs --in and --out")
     return read_trace_csv(cfg.in_path)
 
 
-def _model_options(cfg: RunConfig) -> dict:
-    """The ``quad`` and ``d`` keywords of the engine, from the options."""
-    quad = QuadratureSpec(cfg.quad_nodes) if cfg.quad_nodes is not None else None
-    return {"quad": quad, "d": cfg.d}
-
-
-def cmd_infer(cfg: RunConfig) -> None:
+def cmd_infer(cfg: argparse.Namespace) -> None:
     """Run the grid posterior on a trace file and write the posterior JSON."""
     trace = _read_input(cfg)
     posterior = evaluate_grid(
-        trace, cfg.model, cfg.grid, workers=cfg.workers, **_model_options(cfg)
+        trace, cfg.model, cfg.grid, quad=cfg.quad, d=cfg.d, workers=cfg.workers
     )
     if cfg.model == "multistep":
         print(f"d: {posterior.d}")
@@ -352,12 +320,12 @@ def cmd_infer(cfg: RunConfig) -> None:
     print(f"posterior: {cfg.out_path}")
 
 
-def cmd_infer_state(cfg: RunConfig) -> None:
+def cmd_infer_state(cfg: argparse.Namespace) -> None:
     """Per-interval on-state probabilities from the whole trace, under any
     model; a grid of fixed values gives known-parameter smoothing."""
     trace = _read_input(cfg)
     state_post = state_posterior_marginal(
-        trace, cfg.grid, model=cfg.model, **_model_options(cfg)
+        trace, cfg.grid, model=cfg.model, quad=cfg.quad, d=cfg.d
     )
     if cfg.model == "multistep":
         print(f"d: {state_post.context['d']}")
@@ -365,7 +333,7 @@ def cmd_infer_state(cfg: RunConfig) -> None:
     print(f"states: {cfg.out_path}")
 
 
-def cmd_threshold(cfg: RunConfig) -> None:
+def cmd_threshold(cfg: argparse.Namespace) -> None:
     """Threshold sweep plus the four standard threshold rules, as CSV."""
     if not cfg.thresholds or not cfg.bins:
         raise ValueError("threshold needs --thresholds and --bins")
@@ -412,8 +380,12 @@ def _parse_int_range(value: str) -> tuple[int, ...]:
 
 
 def _parse_float_pair(value: str) -> tuple[float, float]:
-    lo, hi = value.split(":")
-    return float(lo), float(hi)
+    lo, hi = map(float, value.split(":"))
+    if not lo <= hi:  # also false where either bound is NaN
+        raise argparse.ArgumentTypeError(
+            f"empty range {value!r}: lo must not exceed hi, and neither may be NaN"
+        )
+    return lo, hi
 
 
 def _parse_levels(value: str) -> tuple[float, ...]:
@@ -442,29 +414,35 @@ def _build_parser() -> argparse.ArgumentParser:
          metavar="NAME=LO:HI:N")
     flag(modelled, "--fix", action="append", type=_parse_fix, default=[],
          metavar="NAME=VALUE")
-    flag(modelled, "--d", type=int, default=None)
-    flag(inferring, "--quad-nodes", type=int, default=None)
-    flag((p_inf, p_st, p_th), "--in", dest="in_path", default=None)
-    flag((p_sim, p_inf, p_st, p_th), "--out", dest="out_path", default=None)
+    flag(modelled, "--d", type=int)
+    flag(inferring, "--quad-nodes", type=int)
+    flag((p_inf, p_st, p_th), "--in", dest="in_path")
+    flag((p_sim, p_inf, p_st, p_th), "--out", dest="out_path")
     p_sim.add_argument("--seed", type=int, default=0)
     p_sim.add_argument("--n", type=int, required=True)
-    p_sim.add_argument("--truth-out", dest="truth_path", default=None)
+    p_sim.add_argument("--truth-out", dest="truth_path")
     p_inf.add_argument("--workers", type=int, default=1)
     p_inf.add_argument("--levels", type=_parse_levels, default=(0.5, 0.9, 0.99))
     p_th.add_argument("--thresholds", type=_parse_int_range, default=())
     p_th.add_argument("--bins", type=_parse_int_range, default=())
-    p_th.add_argument("--summary", type=_parse_float_pair, default=None,
-                      dest="summary_range", metavar="LO:HI")
+    p_th.add_argument("--summary", type=_parse_float_pair, dest="summary_range",
+                      metavar="LO:HI")
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    options = dict(vars(args))
-    axes = options.pop("grid", None)
-    fixed = dict(options.pop("fix", []))
-    # simulate has no --grid, but its --fix values pass the same checks
-    grid = GridSpec(axes=tuple(axes or ()), fixed=fixed)
-    return RunConfig(grid=grid, fixed=fixed, **options)
+def _config_from_args(args: argparse.Namespace) -> argparse.Namespace:
+    """``args``, checked by the library's own rules.  A command that takes
+    --model gains ``grid``, the GridSpec of its --grid axes and --fix values
+    (simulate has no --grid, but its --fix values pass the same checks), and
+    ``quad``, the QuadratureSpec of --quad-nodes or None."""
+    if "model" in args:
+        args.grid = GridSpec(axes=tuple(getattr(args, "grid", ())), fixed=dict(args.fix))
+        nodes = getattr(args, "quad_nodes", None)
+        args.quad = None if nodes is None else QuadratureSpec(nodes)
+        _check_model_options(args.model, args.quad, args.d)
+    if "levels" in args:
+        _check_levels(args.levels)
+    return args
 
 
 _COMMANDS = {

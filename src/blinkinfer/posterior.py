@@ -340,18 +340,30 @@ def _cell_context(trace, model, switch, emissions, prior=None, quad=None, d=None
     return _EngineContext(trace, model, GridSpec(axes=(), fixed=cell), prior, quad, d)
 
 
-def _grid_context(trace, model, grid, prior, quad, d):
-    """The engine context of ``grid`` under ``model``, checked for use.
-
-    ``quad`` applies only to ctmc, where it defaults to QuadratureSpec()
-    and must converge at the grid's corner, and ``d`` only to multistep.
-    """
+def _check_model_options(model, quad, d):
+    """Reject an unknown model, a ``quad`` given to any model but ctmc, and
+    a ``d`` given to any model but multistep."""
     if model not in _MODELS:
         raise ValueError(f"unknown model {model!r}")
     if quad is not None and model != "ctmc":
         raise ValueError("quadrature spec applies only to the ctmc model")
     if d is not None and model != "multistep":
         raise ValueError("subinterval count d applies only to the multistep model")
+
+
+def _check_levels(levels):
+    """Reject a credible level outside the open interval (0, 1)."""
+    if not all(0.0 < level < 1.0 for level in levels):
+        raise ValueError("credible levels must be inside (0, 1)")
+
+
+def _grid_context(trace, model, grid, prior, quad, d):
+    """The engine context of ``grid`` under ``model``, checked for use.
+
+    ``quad`` applies only to ctmc, where it defaults to QuadratureSpec()
+    and must converge at the grid's corner, and ``d`` only to multistep.
+    """
+    _check_model_options(model, quad, d)
     if model == "ctmc" and quad is None:
         quad = _ctmc.QuadratureSpec()
     ctx = _EngineContext(trace, model, grid, prior, quad, d)
@@ -682,13 +694,12 @@ def credible_regions(marginal_2d: np.ndarray, levels) -> list[CredibleRegion]:
         raise ValueError("marginal must be 2-d")
     if abs(m.sum() - 1.0) > 1e-6:
         raise ValueError("marginal must be normalised")
+    _check_levels(levels)
     flat = m.ravel()
     order = np.argsort(-flat, kind="stable")
     csum = np.cumsum(flat[order])
     regions = []
     for level in levels:
-        if not 0.0 < level < 1.0:
-            raise ValueError("credible levels must be inside (0, 1)")
         # slight shrink of the target absorbs float noise when the running
         # mass lands exactly on the level
         k = int(np.searchsorted(csum, level * (1.0 - 1e-12), side="left")) + 1

@@ -36,6 +36,11 @@ __all__ = [
     "threshold_sweep",
 ]
 
+# fit_poisson_mixture stops after this many EM sweeps, or sooner once the
+# log-likelihood moves by less than this fraction of itself
+_EM_MAX_ITER = 200
+_EM_TOL = 1e-8
+
 
 @dataclass(frozen=True)
 class ThresholdConfig:
@@ -175,14 +180,12 @@ class PoissonMixture:
         ) * poisson_pmf(self.mu_on, counts)
 
 
-def fit_poisson_mixture(
-    trace: CountTrace, max_iter: int = 200, tol: float = 1e-8
-) -> PoissonMixture:
+def fit_poisson_mixture(trace: CountTrace) -> PoissonMixture:
     """Expectation-maximisation fit of a double Poissonian to the counts.
 
     Initialised by splitting the counts at their mean; capped at
-    ``max_iter`` sweeps or a relative log-likelihood change below ``tol``.
-    Components are returned ordered, background first.
+    ``_EM_MAX_ITER`` sweeps or a relative log-likelihood change below
+    ``_EM_TOL``.  Components are returned ordered, background first.
     """
     values, freq = np.unique(trace.counts, return_counts=True)
     values = values.astype(float)
@@ -200,7 +203,7 @@ def fit_poisson_mixture(
     loglik = -np.inf
     converged = False
     iterations = 0
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, _EM_MAX_ITER + 1):
         p1 = w * poisson_pmf(mu1, values)
         p2 = (1.0 - w) * poisson_pmf(mu2, values)
         total = p1 + p2
@@ -213,7 +216,7 @@ def fit_poisson_mixture(
         mu1 = float(np.dot(freq * resp, values) / mass1)
         mu2 = float(np.dot(freq * (1 - resp), values) / (weight_total - mass1))
         w = mass1 / weight_total
-        if abs(new_loglik - loglik) <= tol * max(abs(new_loglik), 1.0):
+        if abs(new_loglik - loglik) <= _EM_TOL * max(abs(new_loglik), 1.0):
             loglik = new_loglik
             converged = True
             break

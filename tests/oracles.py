@@ -272,14 +272,16 @@ def assert_forward_matches(mats, inv, start):
     return want
 
 
-def per_step_smooth(m00, m01, m10, m11, inv, start, log_w, pinned):
+def per_step_smooth(m00, m01, m10, m11, inv, start, log_w):
     """Weighted mean over rows of P(on at boundary k), k = 1..len(inv).
 
     Forward prefixes f come from :func:`per_step_forward`, and backward
     vectors g from the same recursion on the transposed tables (m00, m10,
-    m01, m11) over the reversed ``inv``, started at ones; ``pinned`` rows
-    keep g at ones.  A row's probability is g1 f1 / (g0 f0 + g1 f1), the
-    sum floored at the least positive double, and its weight is
+    m01, m11) over the reversed ``inv``, started at ones.  A row's
+    probability is 1 where f0 = 0, on every row, and elsewhere g1 f1 /
+    (g0 f0 + g1 f1), the sum floored at the least positive double; so a
+    frozen row, whose prefix is one-hot, and a one-way row started in its
+    absorbing on state keep their state where g has lost it.  Its weight is
     exp(log-likelihood + log_w - peak).  Every row runs, and the rows add
     up one at a time with ``np.cumsum``, heaviest first: a stable sort by
     decreasing weight, so equal weights keep row order.  The library's
@@ -291,14 +293,14 @@ def per_step_smooth(m00, m01, m10, m11, inv, start, log_w, pinned):
     loglik = log_w + per_step_forward(m00, m01, m10, m11, inv, start, fwd)
     bwd = np.empty((n + 1, 2, rows))
     per_step_forward(m00, m10, m01, m11, inv[::-1], np.ones((2, rows)), bwd)
-    bwd[:, :, pinned] = 1.0
     g = bwd[::-1]  # g[k] is the backward vector at boundary k
     x0 = g[1:, 0] * fwd[1:, 0]
     x1 = g[1:, 1] * fwd[1:, 1]
     x0 = np.maximum(x0 + x1, np.nextafter(0.0, 1.0))
+    ratio = np.where(fwd[1:, 0] == 0.0, 1.0, x1 / x0)
     w = np.exp(loglik - loglik.max())
     order = np.argsort(-w, kind="stable")
-    terms = (w * (x1 / x0))[:, order]
+    terms = (w * ratio)[:, order]
     return np.cumsum(terms, axis=1)[:, -1] / np.cumsum(w[order])[-1]
 
 

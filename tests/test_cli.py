@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ import blinkinfer.cli as cli
 from blinkinfer.cli import main, read_posterior_json, read_trace_csv
 from blinkinfer.ctmc import QuadratureSpec
 from blinkinfer.multistep import choose_subinterval_count
-from blinkinfer.posterior import GridAxis, GridSpec
+from blinkinfer.posterior import _MODELS, GridAxis, GridSpec, _check_levels, _check_model_options
 from blinkinfer.state_inference import state_posterior_marginal
 
 
@@ -534,6 +535,21 @@ class TestThreshold:
         assert f"argument {flag}: empty range {bad!r}" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("summary", ["12:5", "nan:9", "5:nan"])
+    def test_bad_summary_range_exits_2(self, trace_file, tmp_path, capsys, summary):
+        # a reversed or NaN range would select no row and drop the summary
+        out = tmp_path / "s.csv"
+        with pytest.raises(SystemExit) as exc:
+            run(
+                [
+                    "threshold", "--in", str(trace_file), "--thresholds", "10:12",
+                    "--bins", "8:9", "--summary", summary, "--out", str(out),
+                ]
+            )
+        assert exc.value.code == 2
+        assert f"argument --summary: empty range {summary!r}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_requires_ranges(self, trace_file, tmp_path):
         code = run(
             ["threshold", "--in", str(trace_file), "--out", str(tmp_path / "s.csv")]
@@ -682,3 +698,66 @@ class TestUnreadFlags:
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
         assert not out.exists()
+
+
+# each misuse of a model option or of --levels that the library refuses
+_MISUSES = [
+    *[(c, m, "--d", "4")
+      for c in ("simulate", "infer", "infer-state") for m in ("single", "ctmc")],
+    *[(c, m, "--quad-nodes", "32")
+      for c in ("infer", "infer-state") for m in ("single", "multistep")],
+    ("infer", "single", "--levels", "0.5,1.5"),
+]
+
+
+def _library_refusal(model, flag):
+    """The message of the library check that refuses ``flag`` under ``model``."""
+    with pytest.raises(ValueError) as exc:
+        if flag == "--levels":
+            _check_levels((0.5, 1.5))
+        elif flag == "--d":
+            _check_model_options(model, None, 4)
+        else:
+            _check_model_options(model, QuadratureSpec(32), None)
+    return str(exc.value)
+
+
+class TestLibraryRules:
+    """The rules on --model, --d, --quad-nodes and --levels are the
+    library's: the CLI runs the library's check before any file is read,
+    so a misuse exits 1 with the library's message although --in names no
+    file, and writes nothing."""
+
+    @pytest.mark.parametrize("command, model, flag, value", _MISUSES)
+    def test_misuse_exits_1_with_library_message(
+        self, tmp_path, capsys, command, model, flag, value
+    ):
+        on, off = _MODELS[model]
+        if command == "simulate":
+            argv = ["simulate", "--fix", f"{on}=0.5", "--fix", f"{off}=0.5", "--n", "10"]
+        else:
+            argv = [command, "--in", str(tmp_path / "missing.csv"),
+                    "--grid", f"{on}=0:1:3", "--grid", f"{off}=0:1:3"]
+        argv += ["--model", model, "--fix", "lambda=20", "--fix", "mu=2", flag, value]
+        assert run(argv + ["--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"error: {_library_refusal(model, flag)}\n"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "message",
+        [
+            "unknown model",
+            "applies only to the ctmc model",
+            "applies only to the multistep model",
+            "credible levels must be inside (0, 1)",
+        ],
+    )
+    def test_message_raised_in_one_place(self, message):
+        src = Path(cli.__file__).parent
+        found = [
+            (path.name, number)
+            for path in sorted(src.glob("*.py"))
+            for number, line in enumerate(path.read_text().splitlines(), start=1)
+            if "raise" in line and message in line
+        ]
+        assert len(found) == 1, found

@@ -200,8 +200,7 @@ def _smooth_case(rows, n, seed):
     and back, and kills row W, whose weight is then 0.  Rows W - 1 and
     2W - 1, the last slots of the first two blocks, are frozen and start
     off.  A frozen row's tables send each start state to one end state,
-    the same one or the other at random per table row; ``pinned`` marks
-    the frozen rows, for the oracle.
+    the same one or the other at random per table row.
     """
     rng = np.random.default_rng(seed)
     cells = rows + 3
@@ -229,7 +228,7 @@ def _smooth_case(rows, n, seed):
         m01[~flip, j] = m10[~flip, j] = 0.0
     inv = rng.integers(0, 3, n)
     inv[:2] = 0
-    return mats, inv, start, log_w, pinned
+    return mats, inv, start, log_w
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -237,9 +236,9 @@ class TestSmootherBlockEdges:
     @pytest.mark.parametrize("n", [1, 6])
     @pytest.mark.parametrize("rows", [1, WIDTH - 1, WIDTH, WIDTH + 1, 2 * WIDTH + 1])
     def test_matches_oracle(self, rows, n):
-        mats, inv, start, log_w, pinned = _smooth_case(rows, n, seed=rows + n)
+        mats, inv, start, log_w = _smooth_case(rows, n, seed=rows + n)
         got = _smooth_rows(inv, mats, start, log_w)
-        want = per_step_smooth(*mats, inv, start, log_w, pinned)
+        want = per_step_smooth(*mats, inv, start, log_w)
         np.testing.assert_array_equal(got, want)
         assert np.all((got >= 0.0) & (got <= 1.0))
         loglik = per_step_forward(*mats, inv, start)
@@ -249,7 +248,7 @@ class TestSmootherBlockEdges:
     def test_rejects_mismatched_buffers(self, monkeypatch):
         # checked before any kernel runs: a wrong shape would make the
         # kernel's offsets read out of bounds
-        mats, inv, start, log_w, _ = _smooth_case(4, 3, seed=0)
+        mats, inv, start, log_w = _smooth_case(4, 3, seed=0)
         monkeypatch.setattr(posterior, "_forward_kernel", _no_kernel)
         good = dict(mats=tuple(mats), start=start, loglik=log_w)
         for name, bad in [
@@ -280,7 +279,7 @@ class TestZeroWeightRows:
     @pytest.mark.parametrize("rows", [WIDTH + 1, 2 * WIDTH + 1])
     def test_matches_oracle_that_runs_every_row(self, monkeypatch, rows, width):
         n = 6
-        mats, inv, start, log_w, pinned = _smooth_case(rows, n, seed=rows + width)
+        mats, inv, start, log_w = _smooth_case(rows, n, seed=rows + width)
         # every fifth row, the subnormal row, a frozen row and the last
         # carry weight; the rest, and the whole frozen start-on set, lie
         # more than 745 nats below the peak
@@ -302,7 +301,7 @@ class TestZeroWeightRows:
         monkeypatch.setattr(posterior, "_forward_kernel", lambda: kernel)
         monkeypatch.setattr(state_inference, "_PREFIX_BUDGET", width * (n + 1))
         got = _smooth_rows(inv, mats, start, log_w)
-        want = per_step_smooth(*mats, inv, start, log_w, pinned)
+        want = per_step_smooth(*mats, inv, start, log_w)
         np.testing.assert_array_equal(got, want)
         # the kernel gets the heaviest rows first, in blocks of the width,
         # and none of weight 0: the start-on set is skipped
@@ -337,8 +336,7 @@ class TestHeaviestFirst:
         monkeypatch.setattr(posterior, "_forward_kernel", lambda: kernel)
         monkeypatch.setattr(state_inference, "_PREFIX_BUDGET", len(inv) + 1)
         got = _smooth_rows(inv, mats, start, log_w)
-        unpinned = np.zeros(start.shape[1], dtype=bool)
-        np.testing.assert_array_equal(got, per_step_smooth(*mats, inv, start, log_w, unpinned))
+        np.testing.assert_array_equal(got, per_step_smooth(*mats, inv, start, log_w))
         return got, sum(sent)
 
     @pytest.mark.parametrize("light, runs", [(0.75, 3), (0.4, 1)])
@@ -412,9 +410,8 @@ class TestTallTables:
     def test_smooth_matches_oracle(self, read):
         mats, inv, start = self._case(300, read, 60, seed=read + 1)
         log_w = np.zeros(self.CELLS)
-        pinned = np.zeros(self.CELLS, dtype=bool)
         got = _smooth_rows(inv, mats, start, log_w)
-        np.testing.assert_array_equal(got, per_step_smooth(*mats, inv, start, log_w, pinned))
+        np.testing.assert_array_equal(got, per_step_smooth(*mats, inv, start, log_w))
         assert np.all((got >= 0.0) & (got <= 1.0))
 
 

@@ -5,8 +5,14 @@ The scalar likelihoods reach the grid engine's table builder in
 ``posterior``, which itself imports ``ctmc`` and ``multistep``; a
 module-level import running the other way would be a cycle that only a
 fresh interpreter shows.
+
+No export dangles: every name in a module's ``__all__`` exists, and the
+package imports only such names, so deleting a name fails here rather than
+at a user's import.
 """
 
+import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -15,16 +21,8 @@ from pathlib import Path
 
 import pytest
 
-MODULES = [
-    "_special",
-    "kernels",
-    "single_step",
-    "ctmc",
-    "multistep",
-    "posterior",
-    "state_inference",
-    "cli",
-]
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "blinkinfer"
+MODULES = sorted(path.stem for path in PACKAGE.glob("*.py") if path.stem != "__init__")
 
 
 def run_fresh(code, cwd=None):
@@ -44,6 +42,25 @@ def run_fresh(code, cwd=None):
 def test_module_imports_alone(module):
     run = run_fresh(f"import blinkinfer.{module}")
     assert run.returncode == 0, run.stderr
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_export_resolves(module):
+    mod = importlib.import_module(f"blinkinfer.{module}")
+    assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
+
+
+def test_package_imports_only_exports():
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    imported = [
+        (node.module, alias.name)
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    ]
+    assert imported
+    for module, name in imported:
+        assert name in importlib.import_module(f"blinkinfer.{module}").__all__, (module, name)
 
 
 @pytest.mark.parametrize("module", ["blinkinfer", "blinkinfer.cli"])

@@ -338,8 +338,18 @@ class TestPinnedStartPaths:
         grid = GridSpec(axes=(), fixed={"alpha": 1.0, "beta": 1.0, "lambda": 39.0, "mu": 1.0})
         inv, mats, start, log_w, _, split = _rows(counts, grid)
         assert split.all()
-        lost = per_step_smooth(*mats, inv, start, log_w, np.zeros_like(split))
-        assert np.count_nonzero(lost != want) == 25
+        np.testing.assert_array_equal(per_step_smooth(*mats, inv, start, log_w), want)
+        # the heavy start-off row's prefix is one-hot; at 25 boundaries it
+        # is on while the rolled-back vector holds 0 for on, where the
+        # ratio g1 f1 / (g0 f0 + g1 f1) alone would read 0
+        m00, m01, m10, m11 = mats
+        f, g = (np.empty((len(counts) + 1, *start.shape)) for _ in range(2))
+        per_step_forward(*mats, inv, start, f)
+        per_step_forward(m00, m10, m01, m11, inv[::-1], np.ones_like(start), g)
+        assert np.all(np.count_nonzero(f[:, :, 0], axis=1) == 1)
+        on = f[1:, 0, 0] == 0.0
+        own = (f * g[::-1]).sum(axis=1)[1:, 0]
+        assert np.count_nonzero(on & (own == 0.0)) == 25
 
     def test_one_way_chain_that_loses_its_backward_path(self):
         # beta = 0 and the stationary start: the chain starts on and stays
@@ -726,12 +736,15 @@ class TestBlockedSmoother:
     @example(case=("single", [3, 0, 5, 1], _fixed_grid(alpha=1.0, beta=1.0), None))
     @example(case=("ctmc", [3, 0, 5, 1], _fixed_grid(r_alpha=0.0, r_beta=0.0), None))
     @example(case=("multistep", [3, 0, 5, 1], _fixed_grid(r_alpha=0.0, r_beta=2.0), 4))
+    # one-way and not pinned: starts on, stays on, loses its backward path
+    @example(case=("single", [0] * 20, GridSpec(
+        axes=(), fixed={"alpha": 0.5, "beta": 0.0, "lambda": 60.0, "mu": 0.0}), None))
     def test_stop_keeps_every_bit(self, case):
         # the heaviest-first run with its stop gives the bits of the oracle
         # that runs every row in the same order, at every block width
         model, counts, grid, d = case
         quad = QuadratureSpec() if model == "ctmc" else None
-        inv, mats, start, log_w, loglik, split = _rows(counts, grid, model, quad, d)
+        inv, mats, start, log_w, loglik, _ = _rows(counts, grid, model, quad, d)
         for width in (1, 7, 32):
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(state_inference, "_PREFIX_BUDGET", width * (len(counts) + 1))
@@ -740,7 +753,7 @@ class TestBlockedSmoother:
                         state_inference._smooth_rows(inv, mats, start, loglik)
                     continue
                 got = state_inference._smooth_rows(inv, mats, start, loglik)
-            np.testing.assert_array_equal(got, per_step_smooth(*mats, inv, start, log_w, split))
+            np.testing.assert_array_equal(got, per_step_smooth(*mats, inv, start, log_w))
             assert np.all((got >= 0.0) & (got <= 1.0))
 
     def test_kernel_runs_few_rows_on_a_long_trace(self):
@@ -753,13 +766,13 @@ class TestBlockedSmoother:
             axes=(GridAxis("alpha", 0.01, 0.48, 48), GridAxis("beta", 0.01, 0.48, 48)),
             fixed={"lambda": 6.0, "mu": 4.0},
         )
-        inv, mats, start, log_w, loglik, split = _rows(res.trace.counts, grid)
+        inv, mats, start, log_w, loglik, _ = _rows(res.trace.counts, grid)
         weighs = np.count_nonzero(np.exp(loglik - loglik.max()))
         p_on, widths, weights, *_ = _smooth_at(res.trace.counts, grid, 32)
         sent = sum(w.size for w in weights)
         assert set(widths) == {32}
         assert 0 < sent < weighs // 10
-        want = per_step_smooth(*mats, inv, start, log_w, split)
+        want = per_step_smooth(*mats, inv, start, log_w)
         np.testing.assert_array_equal(p_on, want)
 
     def test_log_space_marginal_matches_oracle_per_cell(self):
@@ -883,8 +896,8 @@ class TestEngineBlocks:
         log_post = evaluate_grid(CountTrace(counts), "single", grid).log_post
         assert -746.0 < log_post[1] - log_post[0] < -741.0
         p_on = state_posterior_marginal(CountTrace(counts), grid).p_on
-        inv, mats, start, log_w, _, split = _rows(counts, grid)
-        np.testing.assert_array_equal(p_on, per_step_smooth(*mats, inv, start, log_w, split))
+        inv, mats, start, log_w, *_ = _rows(counts, grid)
+        np.testing.assert_array_equal(p_on, per_step_smooth(*mats, inv, start, log_w))
         assert np.count_nonzero(p_on) > 0
 
     def test_single_step_p_on_ignores_block_size(self, monkeypatch):
