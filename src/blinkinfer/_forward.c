@@ -1,6 +1,15 @@
-/* The forward recursion of the grid engine and the smoother's
- * forward-backward pass, both exact to the bit of a recursion rescaled at
- * every step.
+/* The step-table mixer of every model, the forward recursion of the grid
+ * engine and the smoother's forward-backward pass, the last two exact to
+ * the bit of a recursion rescaled at every step.
+ *
+ * mix builds the four step tables of a chunk of cells: each entry is the
+ * emission at the on-fraction nodes mixed over its switch pair's weight law,
+ * summed over the nodes in one fixed order, with the first product rounded
+ * and every next one added by fma, one IEEE operation that rounds once.  So
+ * an entry's bits depend on its cell alone, never on the chunk, block or
+ * register tile that computes it.  The explicit fma is no contraction that
+ * -ffp-contract=off forbids; built without -march=native it calls libm's
+ * software fma, with the same bits, some 40 times slower.
  *
  * gcc builds this file and _repr.c, whose repr_doubles writes the floats of
  * the posterior JSON and the state CSV, into one library on first use.  So
@@ -15,7 +24,8 @@
  * steps, so that a block's table columns stay in cache.  smooth runs the same
  * step forward over a block of rows, keeping every prefix, then backward on
  * the transposed tables, and adds each row's weighted on-probability at
- * every position into one sum per position.  Neither allocates memory.
+ * every position into one sum per position.  None of the three allocates
+ * memory.
  *
  * forward scales once per run of up to RUN steps, not at every step, where a
  * bound proves the bits the same.  Scaling by 2^F commutes exactly with a
@@ -107,6 +117,102 @@ static void rescale_tiny(int64_t w, double *q0, double *q1, int64_t *e)
         q0[i] = ldexp(q0[i], -shift);
         q1[i] = ldexp(q1[i], -shift);
         e[i] += shift;
+    }
+}
+
+#define TILE_PAIRS 16 /* pairs per register tile: two 512-bit vectors */
+#define TILE_ROWS 8   /* (count, emission cell) rows per register tile */
+
+/* A tile of rows table rows by TILE_PAIRS pairs: out[r][i] = e[r][0] w[0][i],
+ * then fma(e[r][k], w[k][i], out[r][i]) for k = 1..nodes-1.  rows is a
+ * constant wherever it is inlined, so the accumulators stay in registers.
+ * The loops over pairs must stay loops, which gcc vectorises across pairs:
+ * fully unrolled, they were vectorised across rows, with a shuffle at every
+ * step. */
+static inline __attribute__((always_inline)) void
+mix_tile(int rows, int64_t nodes, const double *restrict w,
+         const double *const *e, double *restrict out, int64_t pairs)
+{
+    double acc[TILE_ROWS][TILE_PAIRS];
+    for (int r = 0; r < rows; r++) {
+        double x = e[r][0];
+#pragma GCC unroll 1
+        for (int i = 0; i < TILE_PAIRS; i++)
+            acc[r][i] = x * w[i];
+    }
+    for (int64_t k = 1; k < nodes; k++) {
+        const double *restrict wk = w + k * pairs;
+        for (int r = 0; r < rows; r++) {
+            double x = e[r][k];
+#pragma GCC unroll 1
+            for (int i = 0; i < TILE_PAIRS; i++)
+                acc[r][i] = fma(x, wk[i], acc[r][i]);
+        }
+    }
+    for (int r = 0; r < rows; r++)
+#pragma GCC unroll 1
+        for (int i = 0; i < TILE_PAIRS; i++)
+            out[r * pairs + i] = acc[r][i];
+}
+
+/* Rows t .. t + rows - 1 of one table over every pair, row t being count
+ * t / width at emission cell first + t % width: whole tiles, then, if pairs
+ * is not a multiple of the tile, the last TILE_PAIRS pairs again, whose
+ * shared entries come out with the same bits, or one pair at a time where
+ * there are fewer pairs than a tile. */
+static inline __attribute__((always_inline)) void
+mix_rows(int rows, int64_t t, int64_t nodes, int64_t cells, int64_t first,
+         int64_t width, int64_t pairs, const double *restrict w,
+         const double *restrict e, double *restrict out)
+{
+    const double *row[TILE_ROWS];
+    for (int r = 0; r < rows; r++)
+        row[r] = e + ((t + r) / width * cells + first + (t + r) % width) * nodes;
+    out += t * pairs;
+    int64_t p = 0;
+    for (; p + TILE_PAIRS <= pairs; p += TILE_PAIRS)
+        mix_tile(rows, nodes, w + p, row, out + p, pairs);
+    if (p == pairs)
+        return;
+    if (pairs >= TILE_PAIRS) {
+        p = pairs - TILE_PAIRS;
+        mix_tile(rows, nodes, w + p, row, out + p, pairs);
+        return;
+    }
+    for (int r = 0; r < rows; r++)
+        for (p = 0; p < pairs; p++) {
+            double acc = row[r][0] * w[p];
+            for (int64_t k = 1; k < nodes; k++)
+                acc = fma(row[r][k], w[k * pairs + p], acc);
+            out[r * pairs + p] = acc;
+        }
+}
+
+/* The step tables out (4, depth, width, pairs) of emission cells first ..
+ * first + width - 1 of e (depth, cells, nodes), mixed over the weights w
+ * (4, nodes, pairs): out[q][d][j][p]
+ * = sum over k of w[q][k][p] e[d][first + j][k], the product of k = 0
+ * rounded, then each next one added by fma in the order of k.  So an entry's
+ * bits depend on its own weights and emission column alone, not on the
+ * pairs, cells or tiles it is built with.  A tile's rows run over counts as
+ * well as cells, so that a chunk of one emission cell still reuses each
+ * weight vector on TILE_ROWS rows.  512-bit vectors here only: they made
+ * forward slower. */
+__attribute__((target("prefer-vector-width=512"))) void
+mix(int64_t depth, int64_t nodes, int64_t cells, int64_t first, int64_t width,
+    int64_t pairs, const double *w, const double *e, double *out)
+{
+    for (int q = 0; q < 4; q++) {
+        const double *wq = w + q * nodes * pairs;
+        double *o = out + q * depth * width * pairs;
+        int64_t t = 0, rows = depth * width;
+        for (; t + TILE_ROWS <= rows; t += TILE_ROWS)
+            mix_rows(TILE_ROWS, t, nodes, cells, first, width, pairs, wq, e, o);
+        for (int tail = TILE_ROWS / 2; tail > 0; tail /= 2)
+            if (rows - t >= tail) {
+                mix_rows(tail, t, nodes, cells, first, width, pairs, wq, e, o);
+                t += tail;
+            }
     }
 }
 

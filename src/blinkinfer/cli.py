@@ -8,7 +8,8 @@ free inference axes as ``--grid name=lo:hi:n``.
 Each command reads the parsed argparse namespace, checked before any file
 is read by the library's own rules (``GridSpec``, and ``posterior``'s
 ``_check_model_options`` and ``_check_levels``): a misuse exits 1 with the
-library's message.  Malformed values and unknown flags exit 2.
+library's message.  Malformed values, unknown flags and a missing
+required flag exit 2.
 
 Every command is deterministic given its arguments: reruns produce
 byte-identical files, and inference output does not depend on ``--workers``.
@@ -268,8 +269,6 @@ def _require_fixed(cfg: argparse.Namespace, names) -> list[float]:
 
 def cmd_simulate(cfg: argparse.Namespace) -> None:
     """Write a simulated trace CSV and its ground-truth CSV; print the seed."""
-    if cfg.out_path is None:
-        raise ValueError("simulate needs --out")
     mu, lam = _require_fixed(cfg, ("mu", "lambda"))
     emissions = EmissionRates(mu=mu, lam=lam)
     a, b = _require_fixed(cfg, _MODELS[cfg.model])
@@ -297,15 +296,9 @@ def _default_truth_path(out_path: str) -> str:
     return f"{stem}.truth.{ext}" if dot else f"{out_path}.truth"
 
 
-def _read_input(cfg: argparse.Namespace) -> CountTrace:
-    if cfg.in_path is None or cfg.out_path is None:
-        raise ValueError(f"{cfg.command} needs --in and --out")
-    return read_trace_csv(cfg.in_path)
-
-
 def cmd_infer(cfg: argparse.Namespace) -> None:
     """Run the grid posterior on a trace file and write the posterior JSON."""
-    trace = _read_input(cfg)
+    trace = read_trace_csv(cfg.in_path)
     posterior = evaluate_grid(
         trace, cfg.model, cfg.grid, quad=cfg.quad, d=cfg.d, workers=cfg.workers
     )
@@ -323,7 +316,7 @@ def cmd_infer(cfg: argparse.Namespace) -> None:
 def cmd_infer_state(cfg: argparse.Namespace) -> None:
     """Per-interval on-state probabilities from the whole trace, under any
     model; a grid of fixed values gives known-parameter smoothing."""
-    trace = _read_input(cfg)
+    trace = read_trace_csv(cfg.in_path)
     state_post = state_posterior_marginal(
         trace, cfg.grid, model=cfg.model, quad=cfg.quad, d=cfg.d
     )
@@ -335,9 +328,7 @@ def cmd_infer_state(cfg: argparse.Namespace) -> None:
 
 def cmd_threshold(cfg: argparse.Namespace) -> None:
     """Threshold sweep plus the four standard threshold rules, as CSV."""
-    if not cfg.thresholds or not cfg.bins:
-        raise ValueError("threshold needs --thresholds and --bins")
-    trace = _read_input(cfg)
+    trace = read_trace_csv(cfg.in_path)
     rules = literature_thresholds(trace)
     sweep = threshold_sweep(
         trace, cfg.thresholds, cfg.bins, summary_range=cfg.summary_range
@@ -416,15 +407,15 @@ def _build_parser() -> argparse.ArgumentParser:
          metavar="NAME=VALUE")
     flag(modelled, "--d", type=int)
     flag(inferring, "--quad-nodes", type=int)
-    flag((p_inf, p_st, p_th), "--in", dest="in_path")
-    flag((p_sim, p_inf, p_st, p_th), "--out", dest="out_path")
+    flag((p_inf, p_st, p_th), "--in", dest="in_path", required=True)
+    flag((p_sim, p_inf, p_st, p_th), "--out", dest="out_path", required=True)
     p_sim.add_argument("--seed", type=int, default=0)
     p_sim.add_argument("--n", type=int, required=True)
     p_sim.add_argument("--truth-out", dest="truth_path")
     p_inf.add_argument("--workers", type=int, default=1)
     p_inf.add_argument("--levels", type=_parse_levels, default=(0.5, 0.9, 0.99))
-    p_th.add_argument("--thresholds", type=_parse_int_range, default=())
-    p_th.add_argument("--bins", type=_parse_int_range, default=())
+    p_th.add_argument("--thresholds", type=_parse_int_range, required=True)
+    p_th.add_argument("--bins", type=_parse_int_range, required=True)
     p_th.add_argument("--summary", type=_parse_float_pair, dest="summary_range",
                       metavar="LO:HI")
     return parser

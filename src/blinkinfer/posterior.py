@@ -60,11 +60,14 @@ _RATES = ("r_alpha", "r_beta")
 _MODELS = {"single": ("alpha", "beta"), "ctmc": _RATES, "multistep": _RATES}
 _AXIS_ORDER = {"alpha": 0, "r_alpha": 0, "beta": 1, "r_beta": 1, "lambda": 2, "mu": 3}
 _PROB_AXES = {"alpha", "beta"}
-# Cells per block: 129 x 512, not 2^16.  The forward kernel reads one row of
-# each step table per step, and a block's table rows lie a block of cells
-# apart; rows a large power of two apart fall into the same cache sets and
-# evict each other, which made the kernel half as fast on ctmc blocks.
+# Cells per block, the pool's unit of work: 129 x 512.  A block's weight
+# laws are computed once, and its step tables built and run one chunk of
+# cells at a time.
 _BLOCK_CELL_TARGET = 129 * 512
+# Bytes of one chunk's four step tables at most: one core's 2 MiB L2 on the
+# machine measured, so that the forward pass reads the tables the mixer has
+# just written from cache.  A chunk of one cell may exceed it.
+_CHUNK_BYTES = 2 << 20
 
 
 @dataclass(frozen=True)
@@ -193,11 +196,20 @@ class _EngineContext:
     Every model's step tables come from one builder.  An interval's entry
     [end, start] is the Poisson count law at rate mu + x*lam mixed over the
     law of the on-fraction x, so the context holds one emission table at
-    the model's on-fraction nodes, and ``tables`` mixes it over the
-    model's weight law w[start, end, pair, node]: the start state's node
-    for single, the smooth ctmc density on quadrature nodes plus the
-    switch-free point masses at 0 and 1, or the multistep on-count law at
-    n/d.
+    the model's on-fraction nodes, of shape (count, emission cell, node),
+    and ``weights`` gives the model's weight law of each switch pair over
+    the nodes: the start state's node for single, the smooth ctmc density
+    on quadrature nodes plus the switch-free point masses at 0 and 1, or
+    the multistep on-count law at n/d.  ``_mix_nodes`` mixes the two with
+    the compiled ``mix`` kernel, whose fixed order of summation makes every
+    entry depend on its own cell alone.
+
+    ``row_sets`` is the one route from a block of switch pairs to
+    log-likelihoods.  It takes the block's weights once and builds and runs
+    its tables one chunk at a time: the block's pairs by a run of emission
+    cells, the four tables within ``_CHUNK_BYTES``.  So no caller holds
+    more than one chunk's tables, and no cell's bits depend on the block
+    or chunk that holds it.
     """
 
     def __init__(self, trace, model, grid, prior, quad, d):
@@ -275,33 +287,79 @@ class _EngineContext:
     def _weights_multistep(self, a, b):
         return _multistep.on_count_weights(self.d, a, b)
 
+    def weights(self, a, b):
+        """The weight laws of switch pairs ``a``, ``b`` as ``mix`` reads
+        them: (4, node, pair), the first axis in step-matrix order [end,
+        start]: 00, 01, 10, 11."""
+        law = getattr(self, f"_weights_{self.model}")(a, b)
+        return np.ascontiguousarray(law.transpose(1, 0, 3, 2).reshape(4, -1, a.size))
+
+    def tables(self, a, b):
+        """The model's step tables for switch pairs ``a``, ``b`` at every
+        emission cell: four contiguous (D, cells) arrays, cells emission
+        cell-major."""
+        return _mix_nodes(self.emission_nodes, self.weights(a, b))
+
+    def chunks(self, pairs):
+        """The chunks of a block of ``pairs`` switch pairs: (pairs, runs)
+        for each run of pairs that shares one weight law, ``pairs`` its
+        slice and ``runs`` the slices of emission cells that cut it into
+        chunks.
+
+        A run's weights stay within the budget, and each chunk takes as
+        many emission cells as keep its tables within it, at least one.  A
+        cell count that is a multiple of 2048 is cut by one where it can
+        be: the forward pass reads one row of each table per step, and rows
+        a large power of two apart fall into the same cache sets and evict
+        each other.
+        """
+        column = 32 * len(self.distinct)  # bytes of one cell's four table entries
+        law = 32 * self.emission_nodes.shape[2]  # bytes of one pair's weights
+        run = _off_powers(min(pairs, max(1, _CHUNK_BYTES // max(column, law))), 1)
+        for lo in range(0, pairs, run):
+            span = slice(lo, min(lo + run, pairs))
+            width = span.stop - span.start
+            ems = _off_powers(min(self.n_em, max(1, _CHUNK_BYTES // (column * width))), width)
+            yield span, [slice(m, min(m + ems, self.n_em)) for m in range(0, self.n_em, ems)]
+
     def row_sets(self, a, b):
         """Forward-pass rows of the cells of switch pairs ``a``, ``b``, with
-        their log-likelihoods.
+        their log-likelihoods, one chunk at a time.
 
-        Returns a list of (tables, start, loglik, pinned) sets: four (D, rows)
+        Yields (pairs, ems, sets) for each chunk of ``chunks``: the chunk's
+        slices of the pairs and of the emission cells, and a list of
+        (tables, start, loglik, pinned) sets.  Each set holds four (D, rows)
         step tables, (2, rows) start vectors, each row's log-likelihood, its
         log weight plus ``_forward_cells`` of its tables, and a bool mask of
-        the start-pinned rows.  The first set has one row per cell, started
-        from (P(off), P(on)), stationary for its pair unless a prior was
-        given, with log weight 0.  A cell whose tables never send a start
-        state to both end states follows one hidden path per start state,
-        and a rescaled mix of the two can lose one for good; its row is
-        pinned to start off with log weight log P(off), and a second set,
-        present only if there are such cells, holds their rows pinned to
-        start on with log weight log P(on).  No other code tells a frozen
-        chain; the mask serves ``eval_block`` alone, to merge a pinned
-        cell's two rows.  The grid engine and the state smoother both take
-        their tables and forward pass from here.
+        the start-pinned rows.  The first set has one row per cell, emission
+        cell-major, so that row j * pairs + i is pair i at emission cell j
+        of the chunk, started from (P(off), P(on)), stationary for its pair
+        unless a prior was given, with log weight 0.  A cell whose tables
+        never send a start state to both end states follows one hidden path
+        per start state, and a rescaled mix of the two can lose one for
+        good; its row is pinned to start off with log weight log P(off),
+        and a second set, present only if there are such cells, holds their
+        rows pinned to start on with log weight log P(on).  No other code
+        tells a frozen chain; the mask serves ``eval_block`` alone, to merge
+        a pinned cell's two rows.  The grid engine, the scalar likelihoods
+        and the state smoother all take their tables and forward pass from
+        here.
         """
-        mats = self.tables(a, b)
         if self.prior is None:
             total = a + b
             safe = np.where(total > 0, total, 1.0)
             pair = np.where(total > 0, np.stack([b, a]) / safe, 0.5)
         else:
             pair = np.repeat(self.prior.vector[:, None], a.size, axis=1)
-        start = np.repeat(pair, self.n_em, axis=1)
+        for pairs, runs in self.chunks(a.size):
+            weights = self.weights(a[pairs], b[pairs])
+            for ems in runs:
+                mats = _mix_nodes(self.emission_nodes, weights, ems)
+                start = np.tile(pair[:, pairs], ems.stop - ems.start)
+                yield pairs, ems, self._row_sets(mats, start)
+
+    def _row_sets(self, mats, start):
+        """``row_sets``' sets of one chunk's tables and start vectors."""
         m00, m01, m10, m11 = mats
         pinned = ~np.any(((m00 > 0) & (m10 > 0)) | ((m01 > 0) & (m11 > 0)), axis=0)
         log_w = np.zeros(start.shape[1])
@@ -316,19 +374,22 @@ class _EngineContext:
             sets.append((sub, start_on, log_w_on, np.ones(log_w_on.size, dtype=bool)))
         return [(m, s, w + _forward_cells(*m, self.inv, s), p) for m, s, w, p in sets]
 
-    def tables(self, a, b):
-        """The model's step tables for switch pairs ``a``, ``b``: four
-        contiguous (D, cells) arrays, cells pair-major."""
-        weights = getattr(self, f"_weights_{self.model}")(a, b)
-        mixed = _mix_nodes(self.emission_nodes, weights)
-        return tuple(m.reshape(len(m), -1) for m in mixed)
-
     def eval_block(self, p_start, p_end):
         a, b = self.pair_params(p_start, p_end)
-        (_, _, acc, pinned), *on = self.row_sets(a, b)
-        if on:
-            acc[pinned] = np.logaddexp(acc[pinned], on[0][2])
-        return acc.reshape(a.size, self.n_em)
+        out = np.empty((a.size, self.n_em))
+        for pairs, ems, ((_, _, acc, pinned), *on) in self.row_sets(a, b):
+            if on:
+                acc[pinned] = np.logaddexp(acc[pinned], on[0][2])
+            out[pairs, ems] = acc.reshape(ems.stop - ems.start, -1).T
+        return out
+
+
+def _off_powers(count, times):
+    """``count``, less one while that leaves ``count * times`` a multiple of
+    2048 and ``count`` above 1."""
+    while count > 1 and count * times % 2048 == 0:
+        count -= 1
+    return count
 
 
 def _cell_context(trace, model, switch, emissions, prior=None, quad=None, d=None):
@@ -374,27 +435,30 @@ def _grid_context(trace, model, grid, prior, quad, d):
     return ctx
 
 
-def _mix_nodes(emission, weights):
-    """Entries of sum_k weights[start, end, p, k] * emission[D, m, k].
+def _mix_nodes(emission, weights, ems=slice(None)):
+    """Step tables of every model: the emission (D, emission cell, node) at
+    emission cells ``ems``, mixed over ``weights`` (4, node, pair).
 
-    The step tables of all three models: the emission at on-fraction node
-    k mixed over the weight law of the nodes.  One batched matmul, of the
-    (end, start)-ordered weights (4, 1, p, K) with the emission (D, K, m),
-    writes the four tables straight into one contiguous (4, D, p, m)
-    array, its first axis in step-matrix order [end, start]: 00, 01, 10,
-    11.  The order in which BLAS sums over k is its own choice, so ctmc
-    and multistep entries can move in the last bit with the block's
-    shape.  Single-step entries cannot: with K = 2 and one weight exactly
-    zero, every entry is one rounded product.
+    Runs the compiled ``mix`` kernel, which reads the emission cells in
+    place and writes the four tables, in step-matrix order [end, start]:
+    00, 01, 10, 11, into one (4, D, cells, pairs) array.  Each entry is
+    sum_k weights[q, k, p] * emission[D, m, k], its first product rounded
+    and every next one added by fma in the order of k, whatever the block,
+    chunk or tile: so a table entry depends on its own cell alone.  Returns
+    the four tables as contiguous (D, rows) views, emission cell-major.
     """
-    p, k = weights.shape[2:]
-    by_end = weights.transpose(1, 0, 2, 3).reshape(4, 1, p, k)
-    return np.matmul(by_end, emission.transpose(0, 2, 1))
+    depth, cells, nodes = emission.shape
+    first, stop, _ = ems.indices(cells)
+    pairs = weights.shape[2]
+    out = np.empty((4, depth, stop - first, pairs))
+    _forward_kernel().mix(depth, nodes, cells, first, stop - first, pairs, weights, emission, out)
+    return tuple(out.reshape(4, depth, -1))
 
 
 _LN2 = math.log(2.0)
 # -ffp-contract=off keeps a * b + c from fusing into one rounding, which
-# would move the results; no flag may flush subnormals to zero
+# would move the results: mix fuses only where it calls fma.  No flag may
+# flush subnormals to zero
 _CFLAGS = ("-O3", "-ffp-contract=off", "-fPIC", "-shared")
 _SOURCES = ("_forward.c", "_repr.c")
 
@@ -454,11 +518,18 @@ def _forward_kernel():
     """The package's compiled library, built with gcc on first use from
     ``_forward.c`` and ``_repr.c``.
 
-    Its ``forward`` kernel runs the grid engine's recursion, its ``smooth``
-    kernel the state smoother's forward-backward pass, and its
-    ``repr_doubles`` writes the floats of the posterior JSON and the state
-    CSV.  So ``infer`` and ``infer-state`` need it (and gcc, or a cached
-    build), while ``simulate`` and ``threshold`` never load it.
+    Its ``mix`` kernel builds every model's step tables, its ``forward``
+    kernel runs the grid engine's recursion, its ``smooth`` kernel the
+    state smoother's forward-backward pass, and its ``repr_doubles``
+    writes the floats of the posterior JSON and the state CSV.  So
+    ``infer`` and ``infer-state`` need it (and gcc, or a cached build),
+    while ``simulate`` and ``threshold`` never load it.
+
+    It is built with ``-march=native`` where gcc accepts that, else
+    without.  ``mix`` sums with explicit ``fma`` calls, each one IEEE
+    operation that rounds once, so both builds give the same bits; but
+    without ``-march=native`` the calls go to libm's software ``fma``,
+    and mixing runs some 40 times slower.
 
     The library is cached in ``$XDG_CACHE_HOME/blinkinfer`` (by default
     ``~/.cache/blinkinfer``), or in a per-user temp directory where that is
@@ -485,10 +556,11 @@ def _forward_kernel():
     types = (np.float64, np.int64, np.uint64, np.uint8)
     f8, i8, u8, u1 = (np.ctypeslib.ndpointer(t, flags="C") for t in types)
     c8 = ctypes.c_int64
+    lib.mix.argtypes = [c8, c8, c8, c8, c8, c8, f8, f8, f8]
     lib.forward.argtypes = [c8, c8, c8, f8, f8, f8, f8, i8, f8, f8, i8, i8]
     lib.smooth.argtypes = [c8, c8, c8, f8, f8, f8, f8, i8, f8, f8, f8, f8]
     lib.repr_doubles.argtypes = [c8, f8, c8, c8, u8, u8, u1]
-    lib.forward.restype = lib.smooth.restype = None
+    lib.mix.restype = lib.forward.restype = lib.smooth.restype = None
     lib.repr_doubles.restype = c8
     return lib
 
@@ -535,43 +607,10 @@ def _digest(*parts):
 
 _WORKER_CTX: _EngineContext | None = None  # set in each pool worker
 
-# OpenBLAS's thread-count calls, under the names its builds export
-_BLAS_SET = (
-    "scipy_openblas_set_num_threads64_",
-    "scipy_openblas_set_num_threads",
-    "openblas_set_num_threads64_",
-    "openblas_set_num_threads",
-)
-
-
-def _blas_function(names, argtypes, restype):
-    """The first of ``names`` that a loaded BLAS library exports, typed, or
-    None.
-
-    numpy loads its BLAS privately, so the library is found by its path in
-    ``/proc/self/maps``; where that cannot be read, there is none.
-    """
-    with contextlib.suppress(OSError), open("/proc/self/maps") as f:
-        paths = {ln.split()[-1] for ln in f if "blas" in ln.rpartition("/")[2]}
-        for path in sorted(paths):
-            with contextlib.suppress(OSError):
-                lib = ctypes.CDLL(path)
-                for name in names:
-                    if hasattr(lib, name):
-                        fn = getattr(lib, name)
-                        fn.argtypes, fn.restype = argtypes, restype
-                        return fn
-    return None
-
-
 def _worker_init(ctx):
-    """Sets a forked worker's context, which fork passes unpickled, and one
-    BLAS thread, so that no BLAS thread pool competes with other workers."""
+    """Sets a forked worker's context, which fork passes unpickled."""
     global _WORKER_CTX
     _WORKER_CTX = ctx
-    set_threads = _blas_function(_BLAS_SET, [ctypes.c_int], None)
-    if set_threads is not None:
-        set_threads(1)
 
 
 def _worker_eval(block):

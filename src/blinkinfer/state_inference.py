@@ -5,7 +5,7 @@ likelihood to paths passing through that state, so the ratio of a masked
 product to the full product is the state's posterior probability given the
 whole trace.  Computed for every position by a forward-backward pass on
 the grid engine's compiled kernel.  A weight pass runs the grid engine's
-blocks and their forward pass, one block of tables at a time, and keeps
+blocks and their forward pass, one chunk of tables at a time, and keeps
 only the rows whose likelihood lies within 746 nats of the running peak:
 every other row has weight exactly 0.  The kept rows then go heaviest
 first, in small blocks, through a forward pass that keeps each prefix
@@ -134,11 +134,11 @@ def _smooth(ctx):
     """On-probability at every boundary, averaged over the context's rows.
 
     The weight pass runs the grid engine's blocks, as ``evaluate_grid``
-    does: ``row_sets`` builds one block's tables and gives each row's
-    log-likelihood l.  After each block, with P_run the largest l so far,
-    only rows with l >= P_run - 746 keep their table columns, start and
-    log-likelihood, gathered from the block's tables, and rows kept from
-    earlier blocks that fall below a risen cut are dropped.
+    does: ``row_sets`` builds one chunk's tables at a time and gives each
+    row's log-likelihood l.  With P_run the largest l so far, only rows
+    with l >= P_run - 746 keep their table columns, start and
+    log-likelihood, gathered from the chunk's tables, and rows kept from
+    earlier chunks are dropped once P_run rises above them.
     The cut loses nothing.  The final peak P is at least P_run, so a
     dropped row has l < P - 746 up to the rounding of the cut, at most
     half an ulp of P: 1/8 while |P| < 2^50, which only a trace of some
@@ -146,38 +146,49 @@ def _smooth(ctx):
     and exp of it is 0.0, exp underflowing to 0 below about -745.13.  So
     the row weighs exactly 0 in ``_smooth_rows``, which never runs such a
     row and adds only +0.0 for it to the weight total; so does a row of
-    log-likelihood -inf, which is dropped too.  Memory is one block's
+    log-likelihood -inf, which is dropped too.  Memory is one chunk's
     tables plus the kept rows.
 
-    The kept rows stay in the order of one pass over the whole grid: every
-    block's start-off rows, cell by cell, then every block's pinned
-    start-on rows.  The stable heaviest-first sort then gives the kernel
-    the rows, and the sums their terms, in the same order whatever the
-    block size.  The kernel needs no pinned mask: a start-pinned row
-    follows one hidden path, and its prefixes give its state.
+    The kept rows go to ``_smooth_rows`` in the order of the grid's flat
+    cells: every start-off row, cell by cell, then every pinned start-on
+    row.  Chunks take a block's cells emission cell by emission cell, so
+    the rows are sorted by that key.  The stable heaviest-first sort then
+    gives the kernel the rows, and the sums their terms, in the same order
+    whatever the block and chunk sizes.  The kernel needs no pinned mask:
+    a start-pinned row follows one hidden path, and its prefixes give its
+    state.
     """
+    cells = ctx.n_pairs() * ctx.n_em
     peak = -np.inf
-    off, on = [], []  # start-off rows and pinned start-on rows, block by block
-    for blk in ctx.block_ranges():
-        sets = [s[:3] for s in ctx.row_sets(*ctx.pair_params(*blk))]
-        peak = max(peak, *(loglik.max() for _, _, loglik in sets))
-        off, on = (
-            [_heavy_rows(*rows, peak - 746.0) for rows in chunks]
-            for chunks in (off + sets[:1], on + sets[1:])
-        )
-        del sets  # so that the next block's tables are built with this one freed
-    chunks = off + on
-    tables = tuple(np.concatenate(ms, axis=1) for ms in zip(*(c[0] for c in chunks)))
-    start, loglik = (np.concatenate([c[i] for c in chunks], axis=-1) for i in (1, 2))
+    kept = []  # (key, tables, start, loglik) of each set's rows above the cut
+    for lo, hi in ctx.block_ranges():
+        for pairs, ems, sets in ctx.row_sets(*ctx.pair_params(lo, hi)):
+            pair_cells = np.arange(lo + pairs.start, lo + pairs.stop) * ctx.n_em
+            key = np.add.outer(np.arange(ems.start, ems.stop), pair_cells).ravel()
+            keys = (key, key[sets[0][3]] + cells)  # start-on rows after all others
+            top = max(loglik.max() for _, _, loglik, _ in sets)
+            if top > peak:
+                peak = top
+                kept = [_heavy_rows(*rows, peak - 746.0) for rows in kept]
+            kept += [_heavy_rows(k, *rows[:3], peak - 746.0) for k, rows in zip(keys, sets)]
+            del sets  # so that the next chunk's tables are built with this one freed
+    order = np.argsort(np.concatenate([rows[0] for rows in kept]))
+    tables = tuple(
+        np.concatenate(ms, axis=1).take(order, axis=1) for ms in zip(*(c[1] for c in kept))
+    )
+    start, loglik = (
+        np.concatenate([c[i] for c in kept], axis=-1).take(order, axis=-1) for i in (2, 3)
+    )
     return _smooth_rows(ctx.inv, tables, start, loglik)
 
 
-def _heavy_rows(tables, start, loglik, cut):
+def _heavy_rows(key, tables, start, loglik, cut):
     """The rows of finite log-likelihood at least ``cut``, in their order."""
     keep = np.flatnonzero((loglik >= cut) & (loglik > -np.inf))
     if keep.size == loglik.size:
-        return tables, start, loglik
-    return tuple(m.take(keep, axis=1) for m in tables), start.take(keep, axis=1), loglik[keep]
+        return key, tables, start, loglik
+    return (key[keep], tuple(m.take(keep, axis=1) for m in tables),
+            start.take(keep, axis=1), loglik[keep])
 
 
 def _smooth_rows(inv, tables, start, loglik):

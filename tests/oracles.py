@@ -304,6 +304,27 @@ def per_step_smooth(m00, m01, m10, m11, inv, start, log_w):
     return np.cumsum(terms, axis=1)[:, -1] / np.cumsum(w[order])[-1]
 
 
+def engine_rows(ctx, a, b):
+    """Every row that ``ctx.row_sets`` gives for switch pairs ``a``, ``b``,
+    in the flat cell order of a grid of those pairs, the start-on rows of
+    pinned cells last: the four (D, rows) tables, the (2, rows) starts, the
+    log-likelihoods and the pinned masks."""
+    keyed = []
+    for pairs, ems, sets in ctx.row_sets(a, b):
+        pair_cells = np.arange(pairs.start, pairs.stop) * ctx.n_em
+        key = np.add.outer(np.arange(ems.start, ems.stop), pair_cells).ravel()
+        keys = (key, key[sets[0][3]] + a.size * ctx.n_em)
+        keyed += [(k, *rows) for k, rows in zip(keys, sets)]
+    order = np.argsort(np.concatenate([c[0] for c in keyed]))
+    mats = tuple(
+        np.concatenate(ms, axis=1).take(order, axis=1) for ms in zip(*(c[1] for c in keyed))
+    )
+    start, loglik, pinned = (
+        np.concatenate([c[i] for c in keyed], axis=-1).take(order, axis=-1) for i in (2, 3, 4)
+    )
+    return mats, start, loglik, pinned
+
+
 def assert_heaviest_prefix(weight, start, sent_weight, sent_start, num):
     """Assert the smoother's stop rule on what its kernel was sent.
 

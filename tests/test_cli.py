@@ -550,11 +550,13 @@ class TestThreshold:
         assert f"argument --summary: empty range {summary!r}" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_requires_ranges(self, trace_file, tmp_path):
-        code = run(
-            ["threshold", "--in", str(trace_file), "--out", str(tmp_path / "s.csv")]
-        )
-        assert code == 1
+    def test_requires_ranges(self, trace_file, tmp_path, capsys):
+        # a missing required flag is a usage error
+        with pytest.raises(SystemExit) as exc:
+            run(["threshold", "--in", str(trace_file), "--out", str(tmp_path / "s.csv")])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "the following arguments are required: --thresholds, --bins" in err
 
 
 class TestCtmcCli:
@@ -697,6 +699,40 @@ class TestUnreadFlags:
             run(argv[command] + extra + ["--out", str(out)])
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, dropped",
+        [
+            ("simulate", "--out"),
+            ("infer", "--in"),
+            ("infer", "--out"),
+            ("infer-state", "--in"),
+            ("infer-state", "--out"),
+            ("threshold", "--in"),
+            ("threshold", "--out"),
+            ("threshold", "--thresholds"),
+            ("threshold", "--bins"),
+        ],
+    )
+    def test_missing_required_flag_exits_2(self, trace_file, tmp_path, capsys, command, dropped):
+        out = tmp_path / "out.csv"
+        argv = {
+            "simulate": ["simulate", "--model", "single", "--fix", "alpha=0.1",
+                         "--fix", "beta=0.1", "--fix", "lambda=20", "--fix", "mu=2",
+                         "--n", "10", "--out", str(out)],
+            "infer": ["infer", "--in", str(trace_file), "--model", "single",
+                      "--grid", "alpha=0.4:1:3", "--grid", "beta=0.5:1:3",
+                      "--fix", "lambda=20", "--fix", "mu=2", "--out", str(out)],
+            "threshold": ["threshold", "--in", str(trace_file), "--out", str(out),
+                          "--thresholds", "15:16", "--bins", "8:9"],
+        }
+        argv["infer-state"] = ["infer-state", *argv["infer"][1:]]
+        at = argv[command].index(dropped)
+        with pytest.raises(SystemExit) as exc:
+            run(argv[command][:at] + argv[command][at + 2 :])
+        assert exc.value.code == 2
+        assert f"the following arguments are required: {dropped}" in capsys.readouterr().err
         assert not out.exists()
 
 

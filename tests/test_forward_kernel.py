@@ -1,4 +1,5 @@
-"""The compiled kernels: block edges, scaled runs, tall tables and the build.
+"""The compiled kernels: block edges, scaled runs, tall tables, mixer tiles and
+the build.
 
 The forward kernel takes cells in blocks of ``BLOCK`` (read from its
 source), and the smoother kernel takes rows in blocks of at most
@@ -297,7 +298,7 @@ class TestZeroWeightRows:
             sent.append((args[5].copy(), args[6].copy(), args[8]))
             lib.smooth(n, rows, width, *args)
 
-        kernel = SimpleNamespace(forward=lib.forward, smooth=smooth)
+        kernel = SimpleNamespace(mix=lib.mix, forward=lib.forward, smooth=smooth)
         monkeypatch.setattr(posterior, "_forward_kernel", lambda: kernel)
         monkeypatch.setattr(state_inference, "_PREFIX_BUDGET", width * (n + 1))
         got = _smooth_rows(inv, mats, start, log_w)
@@ -332,7 +333,7 @@ class TestHeaviestFirst:
             sent.append(rows)
             lib.smooth(n, rows, width, *args)
 
-        kernel = SimpleNamespace(forward=lib.forward, smooth=smooth)
+        kernel = SimpleNamespace(mix=lib.mix, forward=lib.forward, smooth=smooth)
         monkeypatch.setattr(posterior, "_forward_kernel", lambda: kernel)
         monkeypatch.setattr(state_inference, "_PREFIX_BUDGET", len(inv) + 1)
         got = _smooth_rows(inv, mats, start, log_w)
@@ -453,6 +454,26 @@ FIRST_CALL = """
 
 def _libraries(cache):
     return sorted((cache / "blinkinfer").glob("*.so"))
+
+
+class TestMixTiles:
+    """The mixer sums each entry over the nodes in one order, whatever tile,
+    tile remainder or chunk it falls in: every entry of a table built over
+    many pairs and emission cells equals the table of its one cell."""
+
+    @pytest.mark.parametrize("pairs, cells", [(1, 1), (15, 9), (16, 8), (37, 13)])
+    def test_entries_do_not_depend_on_tiles(self, pairs, cells):
+        rng = np.random.default_rng(pairs)
+        emission = rng.random((3, cells + 2, 11)) * np.exp(-40.0 * rng.random((3, cells + 2, 11)))
+        weights = rng.random((4, 11, pairs))
+        weights[:, :4, ::3] = 0.0
+        whole = np.stack(posterior._mix_nodes(emission, weights, slice(1, cells + 1)))
+        whole = whole.reshape(4, 3, cells, pairs)
+        for m in range(cells):
+            for p in range(pairs):
+                one = posterior._mix_nodes(emission, weights[:, :, p : p + 1].copy(),
+                                           slice(m + 1, m + 2))
+                assert np.array_equal(np.stack(one)[..., 0], whole[:, :, m, p])
 
 
 class TestBuild:
@@ -597,10 +618,12 @@ class TestBuild:
         assert list((tmp_path / "blinkinfer").iterdir()) == built
 
 
-# Both kernels on the edges of their blocks, for a build under the
-# undefined-behaviour sanitizer: forward on 255, 256 and 257 cells, and
-# smooth at widths 1 and 32 on rows of which a third are frozen, each with
-# a subnormal table entry.  Prints the results' bytes in hex.
+# The kernels on the edges of their blocks and tiles, for a build under the
+# undefined-behaviour sanitizer: forward on 255, 256 and 257 cells, smooth
+# at widths 1 and 32 on rows of which a third are frozen, each with a
+# subnormal table entry, and mix on 1, 5, 16 and 37 pairs, over runs of 1,
+# 3 and 13 emission cells that end at the emission table's last cell, at 1
+# and 9 counts.  Prints the results' bytes in hex.
 SANITIZED_CASES = """
     import numpy as np
     import blinkinfer.posterior as posterior
@@ -629,6 +652,12 @@ SANITIZED_CASES = """
         loglik = posterior._forward_cells(*mats, inv, start) + rng.normal(0.0, 2.0, 70)
         state_inference._PREFIX_BUDGET = width * (n + 1)
         out.append(state_inference._smooth_rows(inv, tuple(mats), start, loglik))
+    for pairs, depth, width in ((1, 9, 13), (5, 1, 3), (16, 9, 1), (37, 9, 13), (37, 1, 1)):
+        emission = rng.random((depth, 20, 7))
+        emission[0, -1, 3] = 2.0**-1060
+        weights = rng.random((4, 7, pairs))
+        tables = posterior._mix_nodes(emission, weights, slice(20 - width, 20))
+        out += [m.ravel() for m in tables]
     print(np.concatenate(out).tobytes().hex())
 """
 

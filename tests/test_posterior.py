@@ -1,4 +1,3 @@
-import ctypes
 import math
 import os
 
@@ -29,10 +28,12 @@ from blinkinfer.posterior import (
     mode,
 )
 from blinkinfer.multistep import trace_loglik_multistep
+from blinkinfer.single_step import trace_loglik_single
 from blinkinfer.simulate import sim_ctmc, sim_dtmc_single
 from blinkinfer.state_inference import state_posterior_known
 from oracles import (
     assert_forward_matches,
+    engine_rows,
     log_forward_backward,
     path_sum_loglik,
     reference_loglik,
@@ -325,53 +326,29 @@ class TestEvaluateGrid:
         assert sizes == [2, 1]
         assert np.array_equal(one.log_post, capped.log_post)
 
-    def test_workers_run_one_blas_thread(self, monkeypatch, tmp_path):
-        getters = [name.replace("_set_", "_get_") for name in posterior._BLAS_SET]
-        get_threads = posterior._blas_function(getters, [], ctypes.c_int)
-        if get_threads is None:
-            pytest.skip("no OpenBLAS thread-count call in this numpy")
-        parent_threads = get_threads()
-        set_threads = posterior._blas_function(posterior._BLAS_SET, [ctypes.c_int], None)
-        set_threads(2)  # what workers would inherit on any machine
-        log = tmp_path / "threads.txt"
-        eval_block = posterior._EngineContext.eval_block
-
-        def reporting(ctx, p_start, p_end):
-            with open(log, "a") as f:
-                f.write(f"{os.getpid()} {get_threads()}\n")
-            return eval_block(ctx, p_start, p_end)
-
-        res = sim_ctmc(SwitchRates(1.0, 0.5), EM, 80, seed=3)
-        monkeypatch.setattr(posterior, "_BLOCK_CELL_TARGET", 18 * 16)
-        monkeypatch.setattr(posterior._EngineContext, "eval_block", reporting)
-        try:
-            evaluate_grid(res.trace, "ctmc", WORKER_GRID, workers=2)
-            assert get_threads() == 2
-        finally:
-            set_threads(parent_threads)
-        reports = [line.split() for line in log.read_text().splitlines()]
-        assert len(reports) == 2
-        assert str(os.getpid()) not in {pid for pid, _ in reports}
-        assert all(threads == "1" for _, threads in reports)
-
-    def test_single_step_bits_do_not_depend_on_block_size(self, monkeypatch):
-        # each single-step table entry is one rounded product, so a cell's
-        # log-likelihood cannot depend on which switch pairs share its
-        # block; ctmc and multistep entries are BLAS sums, which may
+    @pytest.mark.parametrize("model", ["single", "ctmc", "multistep"])
+    def test_bits_do_not_depend_on_block_size(self, monkeypatch, model):
+        # every table entry is summed over the nodes in one fixed order, so
+        # a cell's log-likelihood cannot depend on which switch pairs and
+        # emission cells share its block or its chunk
         res = sim_dtmc_single(SwitchProbs(0.3, 0.6, 1), EM, 400, seed=21)
+        hi = 1.0 if model == "single" else 3.0
         grid = GridSpec(
             axes=(
-                GridAxis("alpha", 0.0, 1.0, 6),
-                GridAxis("beta", 0.0, 1.0, 5),
+                GridAxis(posterior._MODELS[model][0], 0.0, hi, 6),
+                GridAxis(posterior._MODELS[model][1], 0.0, hi, 5),
                 GridAxis("lambda", 0.0, 30.0, 3),
                 GridAxis("mu", 0.0, 4.0, 2),
             )
         )
+        d = 4 if model == "multistep" else None
         assert posterior._BLOCK_CELL_TARGET == 129 * 512
-        whole = evaluate_grid(res.trace, "single", grid)
-        # 6 emission cells: blocks of 7 switch pairs, the last one of 2
+        whole = evaluate_grid(res.trace, model, grid, d=d)
+        # 6 emission cells: blocks of 7 switch pairs, the last one of 2,
+        # built in chunks of a few cells
         monkeypatch.setattr(posterior, "_BLOCK_CELL_TARGET", 43)
-        split = evaluate_grid(res.trace, "single", grid)
+        monkeypatch.setattr(posterior, "_CHUNK_BYTES", 5000)
+        split = evaluate_grid(res.trace, model, grid, d=d)
         assert np.isneginf(whole.log_post).any()
         assert np.array_equal(whole.log_post, split.log_post)
 
@@ -435,7 +412,8 @@ def _mixed_case(model, d, a, b, counts, n_lambda, n_mu):
     if model == "ctmc":
         e00 = e00 + np.einsum("p,dm->dpm", np.exp(-a), poisson_pmf(mu_c, dcol))
         e11 = e11 + np.einsum("p,dm->dpm", np.exp(-b), poisson_pmf(mu_c + lam_c, dcol))
-    want = [e.reshape(len(e), -1) for e in (e00, e01, e10, e11)]
+    # the engine's cells run emission cell-major
+    want = [e.transpose(0, 2, 1).reshape(len(e), -1) for e in (e00, e01, e10, e11)]
     got = ctx.tables(a, b)
     assert all(table.flags.c_contiguous for table in got)
     return got, want, x.size + 2 if model == "ctmc" else x.size
@@ -448,16 +426,13 @@ def _assert_within_rounding(got, want, k):
 
 
 class TestMixedTablesAgainstTensordot:
-    """The ctmc and multistep tables, one batched matmul over the on-fraction
-    nodes straight into the kernels' layout, against a tensordot over the
-    inner nodes with the ctmc point masses added after it.
+    """The ctmc and multistep tables, the compiled mixer's fixed-order sum
+    over the on-fraction nodes straight into the kernels' layout, against
+    a tensordot over the inner nodes with the ctmc point masses added
+    after it.
 
-    Both sum the same non-negative terms, but in different orders, and
-    BLAS may pick a different kernel for the two shapes.  The tables
-    therefore agree within the rounding of a sum of that many terms.
-    Whether they agree bit for bit depends on the BLAS build and the CPU,
-    so byte identity of posteriors is checked on the benchmark's grids, not
-    here.
+    Both sum the same non-negative terms, but in different orders, so the
+    tables agree within the rounding of a sum of that many terms.
     """
 
     @pytest.mark.parametrize("model, d", _MIXED_MODELS)
@@ -586,10 +561,8 @@ def _pair_tables(model, counts, a, b, lam, mu, d):
         quad=QuadratureSpec() if model == "ctmc" else None,
         d=d if model == "multistep" else None,
     )
-    sets = ctx.row_sets(np.asarray(a), np.asarray(b))
     # cells that never mix run a second time, started on
-    mats = tuple(np.concatenate(ms, axis=1) for ms in zip(*(s[0] for s in sets)))
-    start = np.concatenate([s[1] for s in sets], axis=1)
+    mats, start, *_ = engine_rows(ctx, np.asarray(a, float), np.asarray(b, float))
     return mats, ctx.inv, start
 
 
@@ -613,6 +586,79 @@ def test_forward_matches_per_step_oracle(model, counts, pairs, lam, mu, d):
         a, b = np.multiply(a, 4.0), np.multiply(b, 4.0)
     mats, inv, start = _pair_tables(model, counts, a, b, lam, mu, d)
     assert_forward_matches(mats, inv, start)
+
+
+def _scalar_loglik(model, trace, a, b, lam, mu, d):
+    em = EmissionRates(mu, lam)
+    if model == "single":
+        return trace_loglik_single(trace, SwitchProbs(a, b, 1), em)
+    if model == "ctmc":
+        return trace_loglik_ctmc(trace, SwitchRates(a, b), em)
+    return trace_loglik_multistep(trace, SwitchRates(a, b), em, d=d)
+
+
+@st.composite
+def _bit_cases(draw):
+    """A model, a trace with a positive count, and a small grid whose switch
+    axes start at 0 (pinned cells: a chain that never switches, and for
+    single-step one that always does) and whose emission cell lambda = mu
+    = 0 gives -inf, with the multistep d."""
+    model = draw(st.sampled_from(["single", "ctmc", "multistep"]))
+    top = 1.0 if model == "single" else 3.0
+    switch = [
+        GridAxis(name, 0.0, draw(st.sampled_from([top, 0.5 * top])), draw(st.integers(2, 3)))
+        for name in posterior._MODELS[model]
+    ]
+    lam = GridAxis("lambda", 0.0, draw(st.floats(1.0, 30.0)), draw(st.integers(2, 3)))
+    mu = GridAxis("mu", 0.0, draw(st.floats(0.5, 4.0)), 2)
+    counts = draw(st.lists(st.integers(0, 60), min_size=1, max_size=40))
+    counts[draw(st.integers(0, len(counts) - 1))] = draw(st.integers(1, 60))
+    d = draw(st.sampled_from([1, 2, 4])) if model == "multistep" else None
+    return model, CountTrace(counts), GridSpec(axes=(*switch, lam, mu)), d
+
+
+class TestEngineBits:
+    """Every table entry is summed over its nodes in one fixed order, so a
+    cell's log-likelihood is a function of that cell alone, bit for bit,
+    whatever grid, block or chunk computes it."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=_bit_cases(), target=st.integers(1, 40), budget=st.integers(1, 6000))
+    def test_cells_have_one_set_of_bits(self, case, target, budget):
+        model, trace, grid, d = case
+        coarse = []
+        tables = posterior._EngineContext.tables
+
+        def spy(ctx, a, b):
+            out = tables(ctx, a, b)
+            if ctx.quad.node_count == QuadratureSpec().node_count:
+                coarse.append(out)
+            return out
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(posterior._EngineContext, "tables", spy)
+            whole = evaluate_grid(trace, model, grid, d=d).log_post
+        assert np.isneginf(whole).any()
+        values = [ax.values for ax in grid.axes]
+        for index in np.ndindex(whole.shape):
+            cell = (float(v[i]) for v, i in zip(values, index))
+            assert _scalar_loglik(model, trace, *cell, d) == whole[index]
+        # any block and chunk sizes
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(posterior, "_BLOCK_CELL_TARGET", target)
+            mp.setattr(posterior, "_CHUNK_BYTES", budget)
+            assert np.array_equal(evaluate_grid(trace, model, grid, d=d).log_post, whole)
+        # a grid of which this one's points are a subset
+        first = grid.axes[0]
+        finer = GridSpec(axes=(GridAxis(first.name, first.lo, first.hi, 2 * first.n - 1),
+                               *grid.axes[1:]))
+        assert np.array_equal(evaluate_grid(trace, model, finer, d=d).log_post[::2], whole)
+        # the quadrature check's one-cell tables at the grid's corner, its last cell
+        if model == "ctmc":
+            ctx = posterior._grid_context(trace, model, grid, None, None, None)
+            mats, *_ = engine_rows(ctx, *ctx.pair_params(0, ctx.n_pairs()))
+            corner = [m[:, whole.size - 1 : whole.size] for m in mats]
+            assert coarse and all(np.array_equal(c, m) for c, m in zip(coarse[0], corner))
 
 
 class TestMarginalize:

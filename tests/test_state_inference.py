@@ -39,6 +39,7 @@ from blinkinfer.threshold import assign_states
 from oracles import (
     assert_heaviest_prefix,
     ctmc_expm_step_matrix,
+    engine_rows,
     log_forward_backward,
     log_forward_backward_mats,
     path_sum_loglik,
@@ -659,7 +660,7 @@ def _smooth_at(counts, grid, width):
         num[0] = args[8]
         lib.smooth(n, rows, width, *args)
 
-    kernel = SimpleNamespace(forward=lib.forward, smooth=smooth)
+    kernel = SimpleNamespace(mix=lib.mix, forward=lib.forward, smooth=smooth)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(posterior, "_forward_kernel", lambda: kernel)
         mp.setattr(state_inference, "_PREFIX_BUDGET", width * (len(counts) + 1))
@@ -672,19 +673,17 @@ def _smooth_at(counts, grid, width):
 
 
 def _rows(counts, grid, model="single", quad=None, d=None):
-    """``inv`` and every row of ``grid`` in the smoother's order, from one
-    ``row_sets`` call on the whole grid: step tables, start vectors, log
+    """``inv`` and every row of ``grid`` in the smoother's order, from
+    ``row_sets`` on the whole grid: step tables, start vectors, log
     weights, log-likelihoods and pinned masks, the start-on rows of pinned
     cells last.  The log weights are what ``row_sets`` adds to the forward
     pass, read with that pass stubbed out to zeros."""
     ctx = _EngineContext(CountTrace(counts), model, grid, None, quad, d)
     a, b = ctx.pair_params(0, ctx.n_pairs())
-    sets = ctx.row_sets(a, b)
+    mats, start, loglik, split = engine_rows(ctx, a, b)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(posterior, "_forward_cells", lambda *args: np.zeros(args[-1].shape[1]))
-        log_w = np.concatenate([s[2] for s in ctx.row_sets(a, b)])
-    mats = tuple(np.concatenate(ms, axis=1) for ms in zip(*(s[0] for s in sets)))
-    start, loglik, split = (np.concatenate([s[i] for s in sets], axis=-1) for i in (1, 2, 3))
+        log_w = engine_rows(ctx, a, b)[2]
     return ctx.inv, mats, start, log_w, loglik, split
 
 
@@ -833,16 +832,18 @@ def _block_trace(n, seed):
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestEngineBlocks:
     """The smoother's weight pass runs the grid engine's blocks: its row
-    log-likelihoods are the engine's, bit for bit, and it builds one block
+    log-likelihoods are the engine's, bit for bit, and it builds one chunk
     of tables at a time."""
 
     @pytest.mark.parametrize("model", ["single", "ctmc", "multistep"])
     def test_weights_match_the_engine(self, monkeypatch, model):
-        # 5 pairs of 6 emission cells per block: 4 blocks, and on a short
-        # trace every row lies within 746 nats of the peak, so every row
-        # reaches _smooth_rows.  Under ctmc, tables built for the whole
-        # grid at once give 2 of these 96 cells other bits
+        # 5 pairs of 6 emission cells per block: 4 blocks, built in chunks
+        # of 10 cells' tables at the trace's 12 distinct counts, so of 2
+        # emission cells, or of one pair where its ctmc weights outweigh
+        # that.  On a short trace every row lies within 746 nats of the
+        # peak, so every row reaches _smooth_rows
         monkeypatch.setattr(posterior, "_BLOCK_CELL_TARGET", 30)
+        monkeypatch.setattr(posterior, "_CHUNK_BYTES", 32 * 12 * 10)
         trace, grid = _block_trace(40, seed=5).trace, _BLOCK_GRIDS[model]
         d = 4 if model == "multistep" else None
         seen = []
@@ -860,28 +861,59 @@ class TestEngineBlocks:
         (loglik,) = seen
         acc, on = loglik[: want.size], loglik[want.size :]
         blocks = ctx.block_ranges()
-        split = np.concatenate([ctx.row_sets(*ctx.pair_params(*b))[0][3] for b in blocks])
+        split = np.concatenate(
+            [engine_rows(ctx, *ctx.pair_params(*b))[3][: (b[1] - b[0]) * ctx.n_em] for b in blocks]
+        )
         assert split.any() and on.size == np.count_nonzero(split)
         acc[split] = np.logaddexp(acc[split], on)
         np.testing.assert_array_equal(acc, want)
 
+    def test_no_table_outgrows_a_chunk(self, monkeypatch):
+        # 3 x 43 switch pairs at 32 x 16 emission cells: one block of
+        # 129 x 512 cells, whose tables at 40 distinct counts would take
+        # 85 MB.  Every table the engine and the smoother build fits the
+        # chunk budget
+        grid = GridSpec(
+            axes=(
+                GridAxis("r_alpha", 0.5, 2.0, 3),
+                GridAxis("r_beta", 0.2, 5.0, 43),
+                GridAxis("lambda", 5.0, 36.0, 32),
+                GridAxis("mu", 0.0, 7.5, 16),
+            )
+        )
+        trace = CountTrace(np.arange(40))
+        ctx = _grid_context(trace, "ctmc", grid, None, None, None)
+        assert ctx.block_ranges() == [(0, 129)] and ctx.n_em == 512
+        assert 32 * len(ctx.distinct) * 129 * 512 > 50e6
+        built = []
+        mix_nodes = posterior._mix_nodes
+
+        def spy(*args):
+            tables = mix_nodes(*args)
+            built.append(sum(m.nbytes for m in tables))
+            return tables
+
+        monkeypatch.setattr(posterior, "_mix_nodes", spy)
+        evaluate_grid(trace, "ctmc", grid)
+        state_posterior_marginal(trace, grid, model="ctmc")
+        # (the quadrature check builds tables of one cell, twice per run)
+        assert len(built) > 2 * 4 * 2
+        assert max(built) <= posterior._CHUNK_BYTES
+
     @pytest.mark.parametrize("model", ["single", "ctmc", "multistep"])
-    def test_one_block_of_tables_at_a_time(self, monkeypatch, model):
-        monkeypatch.setattr(posterior, "_BLOCK_CELL_TARGET", 30)
+    def test_rows_keep_the_flat_cell_order(self, monkeypatch, model):
+        # chunks take a block's cells emission cell by emission cell; the
+        # rows still reach the kernel in flat cell order, start-on rows
+        # last, as one pass over the whole grid gives them, so p_on is the
+        # oracle's on those rows, bit for bit, at any chunk budget
         trace, grid = _block_trace(40, seed=5).trace, _BLOCK_GRIDS[model]
         d = 4 if model == "multistep" else None
-        ctx = _grid_context(trace, model, grid, None, None, d)
-        built = []
-        tables = _EngineContext.tables
-
-        def spy(self, a, b):
-            built.append(a.size)
-            return tables(self, a, b)
-
-        monkeypatch.setattr(_EngineContext, "tables", spy)
-        state_posterior_marginal(trace, grid, model=model, d=d)
-        # (the ctmc quadrature check builds one pair twice more on its own)
-        assert max(built) <= ctx.pairs_per_block() < ctx.n_pairs()
+        inv, mats, start, log_w, *_ = _rows(trace.counts, grid, model, QuadratureSpec(), d)
+        want = per_step_smooth(*mats, inv, start, log_w)
+        for budget in (32 * 12 * 7, 32 * 12 * 40, posterior._CHUNK_BYTES):
+            monkeypatch.setattr(posterior, "_CHUNK_BYTES", budget)
+            got = state_posterior_marginal(trace, grid, model=model, d=d).p_on
+            np.testing.assert_array_equal(got, want)
 
     def test_cut_keeps_every_row_of_nonzero_weight(self):
         # the cell at alpha = 0 never turns on, so it adds 0 to every
