@@ -9,7 +9,8 @@
  * an entry's bits depend on its cell alone, never on the chunk, block or
  * register tile that computes it.  The explicit fma is no contraction that
  * -ffp-contract=off forbids; built without -march=native it calls libm's
- * software fma, with the same bits, some 40 times slower.
+ * software fma, with the same bits, some 40 times slower.  On x86, and there
+ * only, gcc builds mix alone with 512-bit vectors preferred.
  *
  * gcc builds this file and _repr.c, whose repr_doubles writes the floats of
  * the posterior JSON and the state CSV, into one library on first use.  So
@@ -120,6 +121,14 @@ static void rescale_tiny(int64_t w, double *q0, double *q1, int64_t *e)
     }
 }
 
+/* 512-bit vectors for mix alone, and on x86 only, the one target whose gcc
+ * knows the option and rejects it elsewhere: they made forward slower. */
+#if defined(__x86_64__) || defined(__i386__)
+#define WIDE_VECTORS __attribute__((target("prefer-vector-width=512")))
+#else
+#define WIDE_VECTORS
+#endif
+
 #define TILE_PAIRS 16 /* pairs per register tile: two 512-bit vectors */
 #define TILE_ROWS 8   /* (count, emission cell) rows per register tile */
 
@@ -196,9 +205,8 @@ mix_rows(int rows, int64_t t, int64_t nodes, int64_t cells, int64_t first,
  * bits depend on its own weights and emission column alone, not on the
  * pairs, cells or tiles it is built with.  A tile's rows run over counts as
  * well as cells, so that a chunk of one emission cell still reuses each
- * weight vector on TILE_ROWS rows.  512-bit vectors here only: they made
- * forward slower. */
-__attribute__((target("prefer-vector-width=512"))) void
+ * weight vector on TILE_ROWS rows. */
+WIDE_VECTORS void
 mix(int64_t depth, int64_t nodes, int64_t cells, int64_t first, int64_t width,
     int64_t pairs, const double *w, const double *e, double *out)
 {

@@ -322,28 +322,34 @@ class _EngineContext:
             ems = _off_powers(min(self.n_em, max(1, _CHUNK_BYTES // (column * width))), width)
             yield span, [slice(m, min(m + ems, self.n_em)) for m in range(0, self.n_em, ems)]
 
-    def row_sets(self, a, b):
+    def row_sets(self, a, b, first=0):
         """Forward-pass rows of the cells of switch pairs ``a``, ``b``, with
         their log-likelihoods, one chunk at a time.
 
         Yields (pairs, ems, sets) for each chunk of ``chunks``: the chunk's
         slices of the pairs and of the emission cells, and a list of
-        (tables, start, loglik, pinned) sets.  Each set holds four (D, rows)
-        step tables, (2, rows) start vectors, each row's log-likelihood, its
-        log weight plus ``_forward_cells`` of its tables, and a bool mask of
-        the start-pinned rows.  The first set has one row per cell, emission
-        cell-major, so that row j * pairs + i is pair i at emission cell j
-        of the chunk, started from (P(off), P(on)), stationary for its pair
-        unless a prior was given, with log weight 0.  A cell whose tables
-        never send a start state to both end states follows one hidden path
-        per start state, and a rescaled mix of the two can lose one for
-        good; its row is pinned to start off with log weight log P(off),
-        and a second set, present only if there are such cells, holds their
-        rows pinned to start on with log weight log P(on).  No other code
-        tells a frozen chain; the mask serves ``eval_block`` alone, to merge
-        a pinned cell's two rows.  The grid engine, the scalar likelihoods
-        and the state smoother all take their tables and forward pass from
-        here.
+        (cells, tables, start, loglik, pinned) sets.  Each set holds each
+        row's flat cell index in a grid whose pair ``first`` is pair 0 of
+        ``a``, four (D, rows) step tables, (2, rows) start vectors, each
+        row's log-likelihood, its log weight plus ``_forward_cells`` of its
+        tables, and a bool mask of the start-pinned rows.  The first set has
+        one row per cell, emission cell-major, so that row j * pairs + i is
+        pair i at emission cell j of the chunk, started from (P(off),
+        P(on)), stationary for its pair unless a prior was given, with log
+        weight 0.  A cell whose tables never send a start state to both end
+        states follows one hidden path per start state, and a rescaled mix
+        of the two can lose one for good; its row is pinned to start off
+        with log weight log P(off), and a second set, present only if there
+        are such cells, holds their rows pinned to start on with log weight
+        log P(on).  No other code tells a frozen chain; the mask serves
+        ``eval_block`` alone, to merge a pinned cell's two rows.  The grid
+        engine, the scalar likelihoods and the state smoother all take
+        their tables and forward pass from here.
+
+        A chunk's tables are referenced from its sets alone, so a caller
+        that drops them before asking for the next chunk holds one chunk's
+        tables at a time, and the allocator hands the next chunk the same
+        memory.
         """
         if self.prior is None:
             total = a + b
@@ -353,13 +359,17 @@ class _EngineContext:
             pair = np.repeat(self.prior.vector[:, None], a.size, axis=1)
         for pairs, runs in self.chunks(a.size):
             weights = self.weights(a[pairs], b[pairs])
+            run_start = pair[:, pairs]
+            run_cells = np.arange(first + pairs.start, first + pairs.stop) * self.n_em
             for ems in runs:
+                cells = np.add.outer(np.arange(ems.start, ems.stop), run_cells).ravel()
+                start = np.tile(run_start, ems.stop - ems.start)
                 mats = _mix_nodes(self.emission_nodes, weights, ems)
-                start = np.tile(pair[:, pairs], ems.stop - ems.start)
-                yield pairs, ems, self._row_sets(mats, start)
+                yield pairs, ems, self._row_sets(cells, mats, start)
+                del mats
 
-    def _row_sets(self, mats, start):
-        """``row_sets``' sets of one chunk's tables and start vectors."""
+    def _row_sets(self, cells, mats, start):
+        """``row_sets``' sets of one chunk's cells, tables and start vectors."""
         m00, m01, m10, m11 = mats
         pinned = ~np.any(((m00 > 0) & (m10 > 0)) | ((m01 > 0) & (m11 > 0)), axis=0)
         log_w = np.zeros(start.shape[1])
@@ -367,20 +377,22 @@ class _EngineContext:
             log_w[pinned] = np.log(start[0, pinned])
             log_w_on = np.log(start[1, pinned])
         start[:, pinned] = [[1.0], [0.0]]
-        sets = [(mats, start, log_w, pinned)]
+        sets = [(cells, mats, start, log_w, pinned)]
         if pinned.any():
             sub = tuple(np.ascontiguousarray(m[:, pinned]) for m in mats)
             start_on = np.tile([[0.0], [1.0]], log_w_on.size)
-            sets.append((sub, start_on, log_w_on, np.ones(log_w_on.size, dtype=bool)))
-        return [(m, s, w + _forward_cells(*m, self.inv, s), p) for m, s, w, p in sets]
+            sets.append((cells[pinned], sub, start_on, log_w_on, np.ones(log_w_on.size, dtype=bool)))
+        return [(c, m, s, w + _forward_cells(*m, self.inv, s), p) for c, m, s, w, p in sets]
 
     def eval_block(self, p_start, p_end):
         a, b = self.pair_params(p_start, p_end)
         out = np.empty((a.size, self.n_em))
-        for pairs, ems, ((_, _, acc, pinned), *on) in self.row_sets(a, b):
-            if on:
-                acc[pinned] = np.logaddexp(acc[pinned], on[0][2])
+        for pairs, ems, sets in self.row_sets(a, b):
+            acc, pinned = sets[0][3:]
+            if len(sets) > 1:
+                acc[pinned] = np.logaddexp(acc[pinned], sets[1][3])
             out[pairs, ems] = acc.reshape(ems.stop - ems.start, -1).T
+            del sets  # so that the next chunk's tables take this one's memory
         return out
 
 

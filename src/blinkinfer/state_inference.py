@@ -152,7 +152,9 @@ def _smooth(ctx):
     The kept rows go to ``_smooth_rows`` in the order of the grid's flat
     cells: every start-off row, cell by cell, then every pinned start-on
     row.  Chunks take a block's cells emission cell by emission cell, so
-    the rows are sorted by that key.  The stable heaviest-first sort then
+    the rows are sorted by the flat cell index that ``row_sets`` gives
+    each, start-on rows offset by the grid's cell count, into tables
+    written piece by piece.  The stable heaviest-first sort then
     gives the kernel the rows, and the sums their terms, in the same order
     whatever the block and chunk sizes.  The kernel needs no pinned mask:
     a start-pinned row follows one hidden path, and its prefixes give its
@@ -162,24 +164,38 @@ def _smooth(ctx):
     peak = -np.inf
     kept = []  # (key, tables, start, loglik) of each set's rows above the cut
     for lo, hi in ctx.block_ranges():
-        for pairs, ems, sets in ctx.row_sets(*ctx.pair_params(lo, hi)):
-            pair_cells = np.arange(lo + pairs.start, lo + pairs.stop) * ctx.n_em
-            key = np.add.outer(np.arange(ems.start, ems.stop), pair_cells).ravel()
-            keys = (key, key[sets[0][3]] + cells)  # start-on rows after all others
-            top = max(loglik.max() for _, _, loglik, _ in sets)
+        for _, _, sets in ctx.row_sets(*ctx.pair_params(lo, hi), first=lo):
+            top = max(rows[3].max() for rows in sets)
             if top > peak:
                 peak = top
                 kept = [_heavy_rows(*rows, peak - 746.0) for rows in kept]
-            kept += [_heavy_rows(k, *rows[:3], peak - 746.0) for k, rows in zip(keys, sets)]
-            del sets  # so that the next chunk's tables are built with this one freed
-    order = np.argsort(np.concatenate([rows[0] for rows in kept]))
-    tables = tuple(
-        np.concatenate(ms, axis=1).take(order, axis=1) for ms in zip(*(c[1] for c in kept))
-    )
-    start, loglik = (
-        np.concatenate([c[i] for c in kept], axis=-1).take(order, axis=-1) for i in (2, 3)
-    )
-    return _smooth_rows(ctx.inv, tables, start, loglik)
+            # start-on rows after all others
+            kept += [_heavy_rows(rows[0] + i * cells, *rows[1:4], peak - 746.0)
+                     for i, rows in enumerate(sets)]
+            del sets  # so that the next chunk's tables take this one's memory
+    return _smooth_rows(ctx.inv, *_sorted_rows(kept, len(ctx.distinct)))
+
+
+def _sorted_rows(kept, depth):
+    """The tables, starts and log-likelihoods of the ``kept`` rows, in the
+    order of their keys.  Each piece is written to its rows' ranks and then
+    dropped, so that the rows are held about once, not twice."""
+    keys = np.concatenate([piece[0] for piece in kept])
+    rank = np.empty(keys.size, dtype=np.intp)
+    rank[np.argsort(keys)] = np.arange(keys.size)
+    tables = np.empty((4, depth, keys.size))
+    start = np.empty((2, keys.size))
+    loglik = np.empty(keys.size)
+    end = keys.size
+    while kept:
+        _, mats, piece_start, piece_loglik = kept.pop()
+        cols = rank[end - piece_loglik.size : end]
+        end -= piece_loglik.size
+        for table, m in zip(tables, mats):
+            table[:, cols] = m
+        start[:, cols] = piece_start
+        loglik[cols] = piece_loglik
+    return tuple(tables), start, loglik
 
 
 def _heavy_rows(key, tables, start, loglik, cut):

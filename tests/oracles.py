@@ -310,11 +310,8 @@ def engine_rows(ctx, a, b):
     pinned cells last: the four (D, rows) tables, the (2, rows) starts, the
     log-likelihoods and the pinned masks."""
     keyed = []
-    for pairs, ems, sets in ctx.row_sets(a, b):
-        pair_cells = np.arange(pairs.start, pairs.stop) * ctx.n_em
-        key = np.add.outer(np.arange(ems.start, ems.stop), pair_cells).ravel()
-        keys = (key, key[sets[0][3]] + a.size * ctx.n_em)
-        keyed += [(k, *rows) for k, rows in zip(keys, sets)]
+    for _, _, sets in ctx.row_sets(a, b):
+        keyed += [(rows[0] + i * a.size * ctx.n_em, *rows[1:]) for i, rows in enumerate(sets)]
     order = np.argsort(np.concatenate([c[0] for c in keyed]))
     mats = tuple(
         np.concatenate(ms, axis=1).take(order, axis=1) for ms in zip(*(c[1] for c in keyed))

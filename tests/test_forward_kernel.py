@@ -686,6 +686,23 @@ class TestSourceBuild:
         built = subprocess.run(cmd, capture_output=True, text=True)
         assert built.returncode == 0, built.stderr
 
+    @pytest.mark.skipif(shutil.which("gcc") is None, reason="needs gcc")
+    def test_x86_target_attribute_is_x86_only(self, tmp_path):
+        # gcc for any other architecture rejects the x86 target option, so
+        # the preprocessed source may carry it only where __x86_64__ or
+        # __i386__ is defined.  Empty system headers keep the host's out
+        for header in ("math.h", "stdint.h", "string.h"):
+            (tmp_path / header).write_text("")
+        base = ["gcc", "-E", "-nostdinc", "-I", str(tmp_path), "-U__x86_64__", "-U__i386__"]
+
+        def attributes(*defines):
+            out = subprocess.run([*base, *defines, str(SOURCE)], capture_output=True, text=True)
+            assert out.returncode == 0, out.stderr
+            return out.stdout.count("prefer-vector-width")
+
+        assert attributes() == 0
+        assert attributes("-D__x86_64__") == attributes("-D__i386__") == 1
+
     def test_kernels_run_clean_under_ubsan(self, tmp_path):
         if not _links_ubsan(tmp_path):
             pytest.skip("gcc cannot link -fsanitize=undefined")

@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -868,21 +869,24 @@ class TestEngineBlocks:
         acc[split] = np.logaddexp(acc[split], on)
         np.testing.assert_array_equal(acc, want)
 
-    def test_no_table_outgrows_a_chunk(self, monkeypatch):
+    @pytest.mark.parametrize("model", ["single", "ctmc", "multistep"])
+    def test_no_table_outgrows_a_chunk(self, monkeypatch, model):
         # 3 x 43 switch pairs at 32 x 16 emission cells: one block of
         # 129 x 512 cells, whose tables at 40 distinct counts would take
         # 85 MB.  Every table the engine and the smoother build fits the
         # chunk budget
+        switch = ("alpha", 0.05, 0.95) if model == "single" else ("r_alpha", 0.5, 2.0)
         grid = GridSpec(
             axes=(
-                GridAxis("r_alpha", 0.5, 2.0, 3),
-                GridAxis("r_beta", 0.2, 5.0, 43),
+                GridAxis(*switch, 3),
+                GridAxis("beta" if model == "single" else "r_beta", 0.05, 0.95, 43),
                 GridAxis("lambda", 5.0, 36.0, 32),
                 GridAxis("mu", 0.0, 7.5, 16),
             )
         )
+        d = 4 if model == "multistep" else None
         trace = CountTrace(np.arange(40))
-        ctx = _grid_context(trace, "ctmc", grid, None, None, None)
+        ctx = _grid_context(trace, model, grid, None, None, d)
         assert ctx.block_ranges() == [(0, 129)] and ctx.n_em == 512
         assert 32 * len(ctx.distinct) * 129 * 512 > 50e6
         built = []
@@ -894,9 +898,9 @@ class TestEngineBlocks:
             return tables
 
         monkeypatch.setattr(posterior, "_mix_nodes", spy)
-        evaluate_grid(trace, "ctmc", grid)
-        state_posterior_marginal(trace, grid, model="ctmc")
-        # (the quadrature check builds tables of one cell, twice per run)
+        evaluate_grid(trace, model, grid, d=d)
+        state_posterior_marginal(trace, grid, model=model, d=d)
+        # (the ctmc quadrature check builds tables of one cell, twice per run)
         assert len(built) > 2 * 4 * 2
         assert max(built) <= posterior._CHUNK_BYTES
 
@@ -914,6 +918,36 @@ class TestEngineBlocks:
             monkeypatch.setattr(posterior, "_CHUNK_BYTES", budget)
             got = state_posterior_marginal(trace, grid, model=model, d=d).p_on
             np.testing.assert_array_equal(got, want)
+
+    def test_sorting_holds_the_kept_rows_about_once(self):
+        # each kept piece is written to its rows' ranks and dropped, so the
+        # sort adds one copy of the rows, not a concatenation besides
+        rng = np.random.default_rng(3)
+        depth, sizes = 20, (3000, 1000, 4000, 2000)
+        keys = rng.permutation(sum(sizes))
+        kept, at = [], 0
+        for n in sizes:
+            mats = tuple(rng.random((depth, n)) for _ in range(4))
+            kept.append((keys[at : at + n], mats, rng.random((2, n)), rng.random(n)))
+            at += n
+        del mats
+        order = np.argsort(keys)
+        want = (
+            [np.concatenate(ms, axis=1)[:, order] for ms in zip(*(c[1] for c in kept))],
+            *(np.concatenate([c[i] for c in kept], axis=-1)[..., order] for i in (2, 3)),
+        )
+        tracemalloc.start()
+        try:
+            tables, start, loglik = state_inference._sorted_rows(kept, depth)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        rows_bytes = sum(sizes) * 8 * (4 * depth + 3)
+        assert peak < 1.1 * rows_bytes and not kept
+        for got, wanted in zip(tables, want[0]):
+            np.testing.assert_array_equal(got, wanted)
+        np.testing.assert_array_equal(start, want[1])
+        np.testing.assert_array_equal(loglik, want[2])
 
     def test_cut_keeps_every_row_of_nonzero_weight(self):
         # the cell at alpha = 0 never turns on, so it adds 0 to every
