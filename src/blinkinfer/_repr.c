@@ -21,6 +21,11 @@
  * first digit's left edge, positional when -4 < decpt <= 16 (".0" on
  * integral values), d.ddde+XX otherwise, and -0.0 for negative zero.
  *
+ * repr_rows writes the rows of the state CSV: "t,repr(x)\n" for each of n
+ * doubles, with t counting up from first, and returns the number of bytes
+ * written, at most 46 per row (20 digits of t, the comma, 24 of repr and
+ * the newline).
+ *
  * gcc builds this file into one library with _forward.c, on first use by
  * infer and infer-state; simulate and threshold never load it.
  */
@@ -254,6 +259,33 @@ int64_t repr_doubles(int64_t n, const double *x, int64_t sep, int64_t json,
         if (i)
             *p++ = (char)sep;
         p = write_repr(p, x[i], json != 0, pow5, pow5_inv);
+    }
+    return p - out;
+}
+
+/* The decimal digits of v, with no leading zeros. */
+static char *write_uint(char *p, uint64_t v)
+{
+    char digits[20];
+    int n = 0;
+    do {
+        digits[n++] = (char)('0' + v % 10);
+        v /= 10;
+    } while (v);
+    while (n)
+        *p++ = digits[--n];
+    return p;
+}
+
+int64_t repr_rows(int64_t n, const double *x, int64_t first, const uint64_t *pow5,
+                  const uint64_t *pow5_inv, char *out)
+{
+    char *p = out;
+    for (int64_t i = 0; i < n; i++) {
+        p = write_uint(p, (uint64_t)first + (uint64_t)i);
+        *p++ = ',';
+        p = write_repr(p, x[i], 0, pow5, pow5_inv);
+        *p++ = '\n';
     }
     return p - out;
 }

@@ -14,9 +14,14 @@ required flag exit 2.
 Every command is deterministic given its arguments: reruns produce
 byte-identical files, and inference output does not depend on ``--workers``.
 Floats are serialised with Python's shortest round-trip repr, so loading a
-file and re-serialising it reproduces the bytes exactly; in the posterior
-JSON and the state CSV the compiled ``repr_doubles`` writes them, with the
-same bytes as ``repr``.
+file and re-serialising it reproduces the bytes exactly.  Neither the
+trace reader nor the two writers of inference output make a Python call
+per row or per float: a canonical trace CSV is parsed in one numpy pass
+(numpy only, so ``threshold`` never loads the compiled library), the
+compiled ``repr_doubles`` writes the floats of the posterior JSON a chunk
+of each array at a time, straight to the file, and the compiled
+``repr_rows`` writes the state CSV's rows, each with the bytes of
+``f"{t},{p!r}\n"``.
 """
 
 from __future__ import annotations
@@ -65,7 +70,7 @@ __all__ = [
 ]
 
 POSTERIOR_FORMAT_VERSION = 1
-_CSV_CHUNK = 1024  # state CSV rows formatted per call
+_WRITE_CHUNK = 1 << 15  # floats formatted per call of the compiled writers
 
 
 # ---------------------------------------------------------------------------
@@ -86,7 +91,63 @@ def read_trace_csv(path: str) -> CountTrace:
     After the header ``t,count``, every non-blank row holds exactly two
     integers ``t,count``, with t = 1, 2, ... in order.  Raises
     ``ValueError`` naming the file and the first line that breaks this.
+    A canonical file (see ``_canonical_counts``) is parsed in one numpy
+    pass; any other goes through ``_read_rows``, one line at a time.
     """
+    with open(path, "rb", buffering=0) as fh:
+        counts = _canonical_counts(fh)
+    if counts is None:
+        counts = _read_rows(path)
+    return CountTrace(np.asarray(counts, dtype=np.int64))
+
+
+def _canonical_counts(fh):
+    """The counts of the binary file ``fh``, with no Python call per row,
+    or None where the file is not canonical: the header ``t,count`` and
+    rows ``t,count``, each field 1 to 18 ASCII digits with no leading zero,
+    each row ending in ``\n``, and t = 1, 2, ..., N.
+
+    ``np.fromstring`` saturates a value beyond int64, and at a token it
+    cannot read it stops or raises, by numpy version.  So the bytes are
+    checked before it parses them, and what it returns after: 2N values,
+    t = 1..N, and counts below 10^18.  Every check is a bytes method or a
+    numpy pass, and none holds more than a few copies of the file.
+    """
+    if fh.read(8) != b"t,count\n":
+        return None
+    body = fh.read()
+    rows = body.count(b"\n")
+    if (
+        not body.endswith(b"\n")
+        or body.translate(None, b"0123456789,\n")
+        or body.translate(None, b"0123456789") != b",\n" * rows
+    ):
+        return None
+    text = body.replace(b"\n", b",")
+    del body
+    # no field is empty, and none starts with 0 unless it is the digit 0
+    if (
+        text.startswith((b",", b"0"))
+        or b",," in text
+        or text.count(b",0") != text.count(b",0,")
+    ):
+        return None
+    values = np.fromstring(text, dtype=np.int64, sep=",")
+    del text
+    counts = values[1::2]
+    if (
+        values.size != 2 * rows
+        or not np.array_equal(values[::2], np.arange(1, rows + 1))
+        or counts.max() >= 10**18
+    ):
+        return None
+    return counts
+
+
+def _read_rows(path: str) -> list[int]:
+    """The counts of a trace CSV, read one line at a time: accepts blank
+    lines, spaces around values, any line ending, and any integer
+    ``int`` reads, and raises ``ValueError`` at the first bad line."""
     with open(path) as fh:
         header = fh.readline().strip()
         if header != "t,count":
@@ -109,7 +170,7 @@ def read_trace_csv(path: str) -> CountTrace:
                     f"{path}, line {number}: expected t = {len(counts) + 1}, got {line.strip()!r}"
                 )
             counts.append(count)
-    return CountTrace(np.asarray(counts, dtype=np.int64))
+    return counts
 
 
 def write_truth_csv(path: str, result) -> None:
@@ -124,13 +185,11 @@ def write_truth_csv(path: str, result) -> None:
 
 
 def write_state_csv(path: str, p_on) -> None:
-    """State CSV: header ``t,p_on``, 1-based boundary index, p_on's repr.
-    Rows are formatted a chunk at a time, to hold few row strings at once."""
+    """State CSV: header ``t,p_on``, 1-based boundary index, p_on's repr."""
     with open(path, "wb") as fh:
         fh.write(b"t,p_on\n")
-        for lo in range(0, len(p_on), _CSV_CHUNK):
-            values = _reprs(p_on[lo : lo + _CSV_CHUNK], b"\n").split(b"\n")
-            fh.write(b"".join(b"%d,%s\n" % row for row in enumerate(values, lo + 1)))
+        for lo in range(0, len(p_on), _WRITE_CHUNK):
+            fh.write(_state_rows(p_on[lo : lo + _WRITE_CHUNK], lo + 1))
 
 
 @functools.cache
@@ -159,25 +218,47 @@ def _reprs(values, sep: bytes, as_json: bool = False) -> bytes:
     return out[:size].tobytes()
 
 
-def _json_bytes(doc) -> bytes:
-    """``json.dumps(doc, sort_keys=True, separators=(",", ":"))`` and a
-    newline, where ``doc`` may hold 1-d float arrays as well as JSON values:
-    float arrays and float scalars are written by ``_reprs``, with no Python
-    call per float, and every other leaf by ``json.dumps``."""
-    return _json_value(doc) + b"\n"
+def _state_rows(p_on, first: int) -> bytes:
+    """The state CSV rows ``t,repr(p)``, each ending in a newline, of the
+    values ``p_on`` with t counting up from ``first``.  Written by the
+    compiled library's ``repr_rows``."""
+    x = np.ascontiguousarray(p_on, dtype=np.float64).ravel()
+    out = np.empty(46 * x.size, dtype=np.uint8)
+    size = _forward_kernel().repr_rows(x.size, x, first, *_pow5_tables(), out)
+    return out[:size].tobytes()
 
 
-def _json_value(obj) -> bytes:
+def _json_parts(obj):
+    """The bytes of ``json.dumps(obj, sort_keys=True, separators=(",", ":"))``
+    in pieces, where ``obj`` may hold 1-d float arrays as well as JSON
+    values: float arrays and float scalars are written by ``_reprs``, with
+    no Python call per float and ``_WRITE_CHUNK`` floats per piece, and
+    every other leaf by ``json.dumps``."""
     if isinstance(obj, dict):
-        items = (json.dumps(k).encode() + b":" + _json_value(obj[k]) for k in sorted(obj))
-        return b"{" + b",".join(items) + b"}"
-    if isinstance(obj, list):
-        return b"[" + b",".join(map(_json_value, obj)) + b"]"
-    if isinstance(obj, np.ndarray):
-        return b"[" + _reprs(obj, b",", as_json=True) + b"]"
-    if isinstance(obj, float):
-        return _reprs(obj, b",", as_json=True)
-    return json.dumps(obj).encode()
+        yield b"{"
+        for i, key in enumerate(sorted(obj)):
+            yield (b"," if i else b"") + json.dumps(key).encode() + b":"
+            yield from _json_parts(obj[key])
+        yield b"}"
+    elif isinstance(obj, list):
+        yield b"["
+        for i, item in enumerate(obj):
+            if i:
+                yield b","
+            yield from _json_parts(item)
+        yield b"]"
+    elif isinstance(obj, np.ndarray):
+        x = obj.ravel()
+        yield b"["
+        for lo in range(0, x.size, _WRITE_CHUNK):
+            if lo:
+                yield b","
+            yield _reprs(x[lo : lo + _WRITE_CHUNK], b",", as_json=True)
+        yield b"]"
+    elif isinstance(obj, float):
+        yield _reprs(obj, b",", as_json=True)
+    else:
+        yield json.dumps(obj).encode()
 
 
 def write_posterior_json(path: str, posterior, levels) -> None:
@@ -219,7 +300,8 @@ def write_posterior_json(path: str, posterior, levels) -> None:
             for r in regions
         ]
     with open(path, "wb") as fh:
-        fh.write(_json_bytes(doc))
+        fh.writelines(_json_parts(doc))
+        fh.write(b"\n")
 
 
 def read_posterior_json(path: str) -> dict:

@@ -532,10 +532,10 @@ def _forward_kernel():
 
     Its ``mix`` kernel builds every model's step tables, its ``forward``
     kernel runs the grid engine's recursion, its ``smooth`` kernel the
-    state smoother's forward-backward pass, and its ``repr_doubles``
-    writes the floats of the posterior JSON and the state CSV.  So
-    ``infer`` and ``infer-state`` need it (and gcc, or a cached build),
-    while ``simulate`` and ``threshold`` never load it.
+    state smoother's forward-backward pass; its ``repr_doubles`` writes
+    the floats of the posterior JSON and its ``repr_rows`` the rows of the
+    state CSV.  So ``infer`` and ``infer-state`` need it (and gcc, or a
+    cached build), while ``simulate`` and ``threshold`` never load it.
 
     It is built with ``-march=native`` where gcc accepts that, else
     without.  ``mix`` sums with explicit ``fma`` calls, each one IEEE
@@ -572,8 +572,9 @@ def _forward_kernel():
     lib.forward.argtypes = [c8, c8, c8, f8, f8, f8, f8, i8, f8, f8, i8, i8]
     lib.smooth.argtypes = [c8, c8, c8, f8, f8, f8, f8, i8, f8, f8, f8, f8]
     lib.repr_doubles.argtypes = [c8, f8, c8, c8, u8, u8, u1]
+    lib.repr_rows.argtypes = [c8, f8, c8, u8, u8, u1]
     lib.mix.restype = lib.forward.restype = lib.smooth.restype = None
-    lib.repr_doubles.restype = c8
+    lib.repr_doubles.restype = lib.repr_rows.restype = c8
     return lib
 
 

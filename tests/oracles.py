@@ -91,8 +91,9 @@ def reference_loglik(model, trace, switch, emissions, prior=None, d=None):
 def tensordot_mix(emission, weights):
     """Entries of sum_k weights[start, end, p, k] * emission[D, m, k].
 
-    One ``np.tensordot`` over k, then a transpose: the engine's mixing as it
-    was before it became one batched matmul.  Returns four (D, p, m) arrays
+    One ``np.tensordot`` over k, then a transpose: a reference for the
+    engine's compiled ``mix`` kernel that sums in BLAS's order, not mix's
+    fixed one, so the two agree to rounding.  Returns four (D, p, m) arrays
     in step-matrix order [end, start]: 00, 01, 10, 11.
     """
     joint = np.tensordot(emission, weights, axes=([2], [3]))

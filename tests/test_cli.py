@@ -1,12 +1,16 @@
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import blinkinfer.cli as cli
 from blinkinfer.cli import main, read_posterior_json, read_trace_csv
 from blinkinfer.ctmc import QuadratureSpec
+from blinkinfer.kernels import CountTrace
 from blinkinfer.multistep import choose_subinterval_count
 from blinkinfer.posterior import _MODELS, GridAxis, GridSpec, _check_levels, _check_model_options
 from blinkinfer.state_inference import state_posterior_marginal
@@ -172,11 +176,11 @@ class TestInfer:
         # the writer the compiled formatter replaced: json.dumps of plain lists
         monkeypatch.setattr(
             cli,
-            "_json_bytes",
-            lambda doc: (
+            "_json_parts",
+            lambda doc: [
                 json.dumps(doc, sort_keys=True, separators=(",", ":"),
-                           default=np.ndarray.tolist) + "\n"
-            ).encode(),
+                           default=np.ndarray.tolist).encode()
+            ],
         )
         assert run(args + ["--out", str(old)]) == 0
         raw = new.read_bytes()
@@ -385,6 +389,116 @@ class TestInfer:
             ]
         )
         assert code == 1
+
+
+def _mutated_trace(counts, mutations):
+    """A trace CSV of ``counts``, with each (kind, row, value) mutation
+    applied in turn; ``value`` is a count of 18 to 20 digits, and its
+    parity picks the field or the variant of some mutations."""
+    rows = [[str(t), str(c), "\n"] for t, c in enumerate(counts, start=1)]
+    for kind, i, value in mutations:
+        if kind == "header only":
+            rows = []
+        if not rows:
+            continue
+        row = rows[i % len(rows)]
+        if kind == "blank line":
+            rows.insert(i % len(rows), ["", "", " \n" if value % 2 else "\n"])
+        elif kind == "crlf":
+            row[2] = "\r\n"
+        elif kind == "spaces":
+            row[:2] = [f" {row[0]} ", f" {row[1]}\t"]
+        elif kind == "no final newline":
+            rows[-1][2] = ""
+        elif kind in ("leading zero", "plus sign"):
+            row[value % 2] = ("0" if kind == "leading zero" else "+") + row[value % 2]
+        elif kind == "negative":
+            row[1] = "-" + row[1]
+        elif kind == "long count":
+            row[1] = str(value)
+        elif kind in ("skipped t", "repeated t"):
+            row[0] = str(int(row[0] or 0) + (1 if kind == "skipped t" else -1))
+        elif kind == "non-ascii digit":
+            zero = (0x660, 0x6F0, 0x966, 0xFF10)[value % 4]
+            row[0] = "".join(chr(zero + int(d)) if d.isdigit() else d for d in row[0])
+    return "t,count\n" + "".join(f"{t},{c}{end}" if t or c else end for t, c, end in rows)
+
+
+_MUTATIONS = (
+    "blank line", "crlf", "spaces", "no final newline", "leading zero", "plus sign",
+    "negative", "long count", "skipped t", "repeated t", "header only", "non-ascii digit",
+)
+# 18 digits (the longest canonical count), 19 below and above 2^63, and 20
+_LONG_COUNTS = (10**18 - 1, 10**18, 2**63 - 1, 2**63, 10**19 - 1, 10**19, 2**64)
+
+
+def _outcome(read):
+    try:
+        return read().counts.tolist()
+    except ValueError as exc:
+        return str(exc)
+
+
+class TestTraceReader:
+    """``read_trace_csv`` parses a canonical file in one numpy pass and sends
+    any other to the line-by-line loop ``_read_rows``: on every file both
+    give the loop's counts, or its ValueError text."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        counts=st.lists(
+            st.integers(0, 30) | st.integers(0, 10**18 - 1), min_size=1, max_size=30
+        ),
+        mutations=st.lists(
+            st.tuples(
+                st.sampled_from(_MUTATIONS), st.integers(0, 100), st.sampled_from(_LONG_COUNTS)
+            ),
+            max_size=3,
+        ),
+    )
+    def test_matches_line_loop(self, tmp_path_factory, counts, mutations):
+        path = tmp_path_factory.mktemp("trace") / "trace.csv"
+        path.write_bytes(_mutated_trace(counts, mutations).encode())
+        loop = _outcome(lambda: CountTrace(np.asarray(cli._read_rows(path), dtype=np.int64)))
+        assert _outcome(lambda: read_trace_csv(path)) == loop
+        if not mutations:
+            assert loop == counts
+            with open(path, "rb", buffering=0) as fh:
+                assert cli._canonical_counts(fh).tolist() == counts
+
+    @pytest.mark.parametrize(
+        "body",
+        ["", "1,4\n2,7", "1,04\n", "01,4\n", "1,+4\n", "1,-4\n", "1,,4\n", "1,4,\n",
+         ",4\n", "1,\n", "1,4\n\n", "1,4\r\n", "1, 4\n", "0,4\n", "2,4\n",
+         "1,4\n1,5\n", "1,1000000000000000000\n", "1,4\n2,\u0663\n"],
+    )
+    def test_non_canonical_goes_to_the_loop(self, tmp_path, body):
+        path = tmp_path / "trace.csv"
+        path.write_bytes(("t,count\n" + body).encode())
+        with open(path, "rb", buffering=0) as fh:
+            assert cli._canonical_counts(fh) is None
+
+    def test_canonical_read_holds_a_few_copies_of_the_file(self, tmp_path, monkeypatch):
+        # 200 000 rows in one numpy pass, never through the loop: the bytes,
+        # their copy with commas and the parsed pairs come to about 3 times
+        # the file's size
+        counts = np.random.default_rng(4).poisson(6.0, 200_000)
+        path = tmp_path / "long.csv"
+        rows = (f"{t},{c}\n" for t, c in enumerate(counts.tolist(), start=1))
+        path.write_text("t,count\n" + "".join(rows))
+
+        def loop(path):
+            raise AssertionError("a canonical file reached the line-by-line loop")
+
+        monkeypatch.setattr(cli, "_read_rows", loop)
+        tracemalloc.start()
+        try:
+            trace = read_trace_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(trace.counts, counts)
+        assert peak < 4 * path.stat().st_size
 
 
 class TestInferState:

@@ -10,13 +10,15 @@ and values on both sides of repr's layout boundaries 1e-4 and 1e16.
 
 import json
 import math
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from blinkinfer.cli import _json_bytes, _reprs, write_state_csv
+import blinkinfer.cli as cli
+from blinkinfer.cli import _json_parts, _reprs, _state_rows, write_state_csv
 
 
 def _assert_reprs(values):
@@ -89,19 +91,53 @@ def test_non_finite_spellings():
     assert _reprs([], b",") == b""
 
 
-@settings(max_examples=100)
-@given(arrays(np.float64, st.integers(1, 50), elements=st.floats(0.0, 1.0)))
-def test_state_csv_rows_are_repr(tmp_path_factory, p_on):
-    path = tmp_path_factory.mktemp("states") / "states.csv"
-    write_state_csv(str(path), p_on)
+def _state_csv(p_on):
     rows = "".join(f"{t},{p!r}\n" for t, p in enumerate(p_on.tolist(), start=1))
-    assert path.read_bytes() == ("t,p_on\n" + rows).encode()
+    return ("t,p_on\n" + rows).encode()
+
+
+@settings(max_examples=100)
+@given(
+    arrays(np.float64, st.integers(1, 50), elements=st.floats(0.0, 1.0)),
+    st.integers(1, 12),
+)
+def test_state_csv_rows_are_repr(tmp_path_factory, p_on, chunk):
+    # with a small chunk the rows cross the writer's chunk boundaries, and
+    # t its step from 9 to 10 digits
+    path = tmp_path_factory.mktemp("states") / "states.csv"
+    with mock.patch.object(cli, "_WRITE_CHUNK", chunk):
+        write_state_csv(str(path), p_on)
+    assert path.read_bytes() == _state_csv(p_on)
+
+
+def test_state_csv_rows_cross_digit_counts(tmp_path):
+    # t from 99 999 to 100 000 and on, at the writer's own chunk and a
+    # chunk that ends inside a digit count
+    p_on = np.random.default_rng(27).random(100_003)
+    p_on[[0, 9, 99_999]] = [0.0, 1.0, 5e-324]
+    for chunk in (cli._WRITE_CHUNK, 99_998):
+        path = tmp_path / f"states-{chunk}.csv"
+        with mock.patch.object(cli, "_WRITE_CHUNK", chunk):
+            write_state_csv(str(path), p_on)
+        assert path.read_bytes() == _state_csv(p_on)
+
+
+def test_state_rows_number_from_first():
+    values = np.array([0.25, -0.0, math.inf, math.nan, 2.0**-1074, 1e16])
+    for first in (1, 7, 99_998, 10**18 - 3, 2**63 - values.size):
+        rows = "".join(f"{t},{p!r}\n" for t, p in enumerate(values.tolist(), start=first))
+        assert _state_rows(values, first) == rows.encode()
+    assert _state_rows([], 1) == b""
+
+
+def _json_bytes(doc):
+    return b"".join(_json_parts(doc))
 
 
 def _json_dumps(doc):
     """The writer the emitter replaces: json.dumps of plain lists."""
     text = json.dumps(doc, sort_keys=True, separators=(",", ":"), default=np.ndarray.tolist)
-    return (text + "\n").encode()
+    return text.encode()
 
 
 _leaves = st.one_of(
@@ -140,3 +176,11 @@ def test_json_bytes_of_a_posterior_shaped_document():
     }
     assert _json_bytes(doc) == _json_dumps(doc)
     assert b'"log_posterior":[-Infinity,-1e-320,-0.0,1234.5678]' in _json_bytes(doc)
+
+
+def test_json_arrays_cross_chunk_boundaries():
+    # each float array is written a chunk at a time, with a comma between chunks
+    doc = {"a": [np.arange(n, dtype=np.float64) / 3 for n in range(8)], "b": np.zeros(5)}
+    for chunk in (1, 2, 3, 7):
+        with mock.patch.object(cli, "_WRITE_CHUNK", chunk):
+            assert _json_bytes(doc) == _json_dumps(doc)

@@ -623,9 +623,14 @@ class TestBuild:
 # at widths 1 and 32 on rows of which a third are frozen, each with a
 # subnormal table entry, and mix on 1, 5, 16 and 37 pairs, over runs of 1,
 # 3 and 13 emission cells that end at the emission table's last cell, at 1
-# and 9 counts.  Prints the results' bytes in hex.
+# and 9 counts.  Then the float formatter, as repr and as JSON, and the state
+# CSV's row writer, on subnormals, signed zeros, infinities, nan and the
+# neighbours of 2^53 and of every power of ten, with row numbers that cross
+# from 9 to 10, 99 999 to 100 000, 18 to 19 digits and past 2^63.  Prints
+# the results' bytes in hex.
 SANITIZED_CASES = """
     import numpy as np
+    import blinkinfer.cli as cli
     import blinkinfer.posterior as posterior
     import blinkinfer.state_inference as state_inference
     rng = np.random.default_rng(11)
@@ -659,6 +664,18 @@ SANITIZED_CASES = """
         tables = posterior._mix_nodes(emission, weights, slice(20 - width, 20))
         out += [m.ravel() for m in tables]
     print(np.concatenate(out).tobytes().hex())
+
+    tiny = np.ldexp(1.0, -1074)
+    subnormals = tiny * np.array([1.0, 2.0, 3.0, 2.0**51, 2.0**52 - 1, 2.0**52])
+    edges = np.array([2.0**53, 2.0**53 + 2] + [float(f"1e{k}") for k in range(-324, 309)])
+    values = np.concatenate([
+        subnormals, -subnormals, [0.0, -0.0, np.inf, -np.inf, np.nan],
+        edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf), -edges,
+    ])
+    print(cli._reprs(values, b",").hex())
+    print(cli._reprs(values, b",", as_json=True).hex())
+    for first in (1, 8, 99_990, 10**18 - 5, 2**63 - 3):
+        print(cli._state_rows(values[:: 7 if first > 1 else 1], first).hex())
 """
 
 
