@@ -8,10 +8,11 @@ axes of their own and summing them out.
 
 Cells are independent, which the engine exploits twice: the grid is cut
 into fixed blocks of switch-parameter pairs whose forward recursions run
-vectorised across all cells of a block, and blocks can be farmed out to
-worker processes.  Block boundaries depend only on the grid, never on the
-worker count, so the resulting tensor is bitwise identical however many
-workers run.
+vectorised across all cells of a block, and blocks can run side by side on
+threads of one process, since the compiled kernels and numpy's float loops
+release the interpreter lock.  Block boundaries depend only on the grid,
+never on the worker count, so the resulting tensor is bitwise identical
+however many threads run.
 """
 
 from __future__ import annotations
@@ -26,9 +27,8 @@ import platform
 import shutil
 import subprocess
 import tempfile
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from multiprocessing import get_context
 from pathlib import Path
 
 import numpy as np
@@ -60,7 +60,7 @@ _RATES = ("r_alpha", "r_beta")
 _MODELS = {"single": ("alpha", "beta"), "ctmc": _RATES, "multistep": _RATES}
 _AXIS_ORDER = {"alpha": 0, "r_alpha": 0, "beta": 1, "r_beta": 1, "lambda": 2, "mu": 3}
 _PROB_AXES = {"alpha", "beta"}
-# Cells per block, the pool's unit of work: 129 x 512.  A block's weight
+# Cells per block, a thread's unit of work: 129 x 512.  A block's weight
 # laws are computed once, and its step tables built and run one chunk of
 # cells at a time.
 _BLOCK_CELL_TARGET = 129 * 512
@@ -191,7 +191,8 @@ class CredibleRegion:
 
 
 class _EngineContext:
-    """Everything a worker needs, built once and inherited through fork.
+    """Everything a block needs, built once and read-only after ``__init__``,
+    so that threads share it.
 
     Every model's step tables come from one builder.  An interval's entry
     [end, start] is the Poisson count law at rate mu + x*lam mixed over the
@@ -618,18 +619,6 @@ def _digest(*parts):
     return hashlib.sha256(repr(parts).encode()).hexdigest()[:16]
 
 
-_WORKER_CTX: _EngineContext | None = None  # set in each pool worker
-
-def _worker_init(ctx):
-    """Sets a forked worker's context, which fork passes unpickled."""
-    global _WORKER_CTX
-    _WORKER_CTX = ctx
-
-
-def _worker_eval(block):
-    return block, _WORKER_CTX.eval_block(*block)
-
-
 def evaluate_grid(
     trace: CountTrace,
     model: str,
@@ -649,8 +638,9 @@ def evaluate_grid(
 
     ``prior`` defaults to the per-cell stationary state distribution.  For
     the multistep model ``d`` defaults to the applicability rule evaluated
-    at the largest grid rates.  Results do not depend on ``workers``; at
-    most one worker per block and per CPU is started.
+    at the largest grid rates.  Results do not depend on ``workers``: blocks
+    run on at most ``workers`` threads, one per block and per CPU at most,
+    and on the calling thread alone where that leaves one.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
@@ -661,23 +651,17 @@ def evaluate_grid(
     blocks = probe.block_ranges()
     flat = np.empty((probe.n_pairs(), probe.n_em))
 
-    _forward_kernel()  # built before any fork, so that workers share it
-    if workers <= 1 or len(blocks) == 1:
-        for blk in blocks:
-            flat[blk[0] : blk[1]] = probe.eval_block(*blk)
-    else:
-        # the fork context starts every worker at once, so start no idle
-        # one, and no more than there are CPUs: a worker beyond them only
-        # takes CPU time from the others
-        pool = ProcessPoolExecutor(
-            max_workers=min(workers, len(blocks), os.cpu_count() or 1),
-            mp_context=get_context("fork"),
-            initializer=_worker_init,
-            initargs=(probe,),
-        )
-        with pool:
-            for blk, result in pool.map(_worker_eval, blocks):
-                flat[blk[0] : blk[1]] = result
+    # built before any thread starts: functools.cache has no lock, so two
+    # threads on a cold cache would both build it
+    _forward_kernel()
+    # no thread beyond the CPUs, where it only takes time from the others;
+    # the executor starts threads on submit alone, so where one is left the
+    # blocks run on the calling thread and none starts
+    threads = min(workers, len(blocks), os.cpu_count() or 1)
+    with ThreadPoolExecutor(threads) as pool:
+        results = (map if threads == 1 else pool.map)(lambda blk: probe.eval_block(*blk), blocks)
+        for (lo, hi), result in zip(blocks, results):
+            flat[lo:hi] = result
 
     # fixed parameters hold one value each, so the flat (pair, emission)
     # order is the row-major order of the free axes

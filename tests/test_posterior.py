@@ -1,5 +1,10 @@
 import math
 import os
+import subprocess
+import sys
+import textwrap
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -296,18 +301,42 @@ class TestEvaluateGrid:
         with pytest.raises(ValueError, match="workers must be >= 1"):
             evaluate_grid(CountTrace([1, 2]), "single", grid, workers=workers)
 
-    def test_worker_count_invariance(self):
-        res = sim_ctmc(SwitchRates(1.0, 0.5), EM, 80, seed=3)
-        one = evaluate_grid(res.trace, "ctmc", WORKER_GRID, workers=1)
-        two = evaluate_grid(res.trace, "ctmc", WORKER_GRID, workers=2)
-        assert np.array_equal(one.log_post, two.log_post)
+    @pytest.mark.parametrize("model", ["single", "ctmc", "multistep"])
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_worker_count_invariance(self, monkeypatch, model, workers):
+        # switch values at 0 and 1 pin rows (a frozen chain, and for single
+        # an alternating one) and emissions at 0 give -inf cells; 6 emission
+        # cells to blocks of 7 switch pairs, so several blocks run at once
+        res = sim_dtmc_single(SwitchProbs(0.3, 0.6, 1), EM, 200, seed=21)
+        grid = GridSpec(
+            axes=(
+                GridAxis(posterior._MODELS[model][0], 0.0, 1.0, 6),
+                GridAxis(posterior._MODELS[model][1], 0.0, 1.0, 6),
+                GridAxis("lambda", 0.0, 30.0, 3),
+                GridAxis("mu", 0.0, 4.0, 2),
+            )
+        )
+        d = 4 if model == "multistep" else None
+        monkeypatch.setattr(posterior, "_BLOCK_CELL_TARGET", 43)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        one = evaluate_grid(res.trace, model, grid, d=d, workers=1)
+        # threads switch often, so that a block writing shared state would
+        # show in the bits
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            many = evaluate_grid(res.trace, model, grid, d=d, workers=workers)
+        finally:
+            sys.setswitchinterval(interval)
+        assert np.isneginf(one.log_post).any()
+        assert np.array_equal(one.log_post, many.log_post)
 
     def test_pool_starts_no_idle_worker(self, monkeypatch):
         # 6 x 6 switch pairs at 16 emission cells, 18 pairs to a block: two
-        # blocks, so eight workers asked for start two processes
+        # blocks, so eight workers asked for start two threads
         sizes = []
 
-        class Recording(posterior.ProcessPoolExecutor):
+        class Recording(posterior.ThreadPoolExecutor):
             def __init__(self, max_workers, **kwargs):
                 sizes.append(max_workers)
                 super().__init__(max_workers, **kwargs)
@@ -315,7 +344,7 @@ class TestEvaluateGrid:
         res = sim_ctmc(SwitchRates(1.0, 0.5), EM, 80, seed=3)
         monkeypatch.setattr(posterior, "_BLOCK_CELL_TARGET", 18 * 16)
         one = evaluate_grid(res.trace, "ctmc", WORKER_GRID, workers=1)
-        monkeypatch.setattr(posterior, "ProcessPoolExecutor", Recording)
+        monkeypatch.setattr(posterior, "ThreadPoolExecutor", Recording)
         monkeypatch.setattr(os, "cpu_count", lambda: 8)
         eight = evaluate_grid(res.trace, "ctmc", WORKER_GRID, workers=8)
         assert sizes == [2]
@@ -325,6 +354,58 @@ class TestEvaluateGrid:
         capped = evaluate_grid(res.trace, "ctmc", WORKER_GRID, workers=8)
         assert sizes == [2, 1]
         assert np.array_equal(one.log_post, capped.log_post)
+
+    def test_one_worker_starts_no_thread(self, monkeypatch):
+        # one thread's share of the blocks runs on the calling thread
+        def refuse(self):
+            raise RuntimeError("thread started")
+
+        res = sim_ctmc(SwitchRates(1.0, 0.5), EM, 80, seed=3)
+        monkeypatch.setattr(posterior, "_BLOCK_CELL_TARGET", 18 * 16)
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        one = evaluate_grid(res.trace, "ctmc", WORKER_GRID, workers=1)
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        capped = evaluate_grid(res.trace, "ctmc", WORKER_GRID, workers=8)
+        assert np.array_equal(one.log_post, capped.log_post)
+        assert np.isfinite(trace_loglik_ctmc(res.trace, SwitchRates(1.0, 0.5), EM))
+
+    def test_engine_never_forks(self):
+        # blocks run on threads of the calling process: with os.fork
+        # refused, two workers still give one worker's bits
+        code = """
+            import os
+            import numpy as np
+            import blinkinfer.posterior as posterior
+            from blinkinfer.kernels import CountTrace
+            from blinkinfer.posterior import GridAxis, GridSpec, evaluate_grid
+
+            def refuse():
+                raise OSError("fork called")
+
+            os.fork = refuse
+            os.cpu_count = lambda: 2
+            posterior._BLOCK_CELL_TARGET = 4
+            trace = CountTrace(np.random.default_rng(3).poisson(6.0, 300))
+            grid = GridSpec(
+                axes=(
+                    GridAxis("alpha", 0.1, 0.8, 4),
+                    GridAxis("beta", 0.1, 0.8, 4),
+                    GridAxis("lambda", 2.0, 9.0, 3),
+                ),
+                fixed={"mu": 1.0},
+            )
+            two = evaluate_grid(trace, "single", grid, workers=2)
+            one = evaluate_grid(trace, "single", grid, workers=1)
+            print(two.log_post.tobytes() == one.log_post.tobytes())
+        """
+        src = str(Path(posterior.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        run = subprocess.run(
+            [sys.executable, "-c", textwrap.dedent(code)],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.strip() == "True"
 
     @pytest.mark.parametrize("model", ["single", "ctmc", "multistep"])
     def test_bits_do_not_depend_on_block_size(self, monkeypatch, model):
