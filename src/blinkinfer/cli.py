@@ -309,6 +309,13 @@ def read_posterior_json(path: str) -> dict:
         return json.load(fh)
 
 
+def _g(value):
+    """``value`` as ``:g`` writes it where that reads back as the same
+    float, else as its shortest round-trip ``repr``."""
+    text = f"{value:g}"
+    return text if float(text) == value else repr(float(value))
+
+
 def write_threshold_csv(path: str, rules, sweep) -> None:
     """Sweep CSV with the literature thresholds and summary as comment lines."""
     with open(path, "w") as fh:
@@ -322,7 +329,7 @@ def write_threshold_csv(path: str, rules, sweep) -> None:
         if sweep.summary is not None:
             s = sweep.summary
             fh.write(
-                f"# summary_range={s.threshold_range[0]:g}:{s.threshold_range[1]:g}"
+                f"# summary_range={_g(s.threshold_range[0])}:{_g(s.threshold_range[1])}"
                 f" rows={s.n_rows}"
                 f" alpha_mean={repr(s.alpha_mean)} alpha_std={repr(s.alpha_std)}"
                 f" beta_mean={repr(s.beta_mean)} beta_std={repr(s.beta_std)}\n"
@@ -330,7 +337,7 @@ def write_threshold_csv(path: str, rules, sweep) -> None:
         fh.write("threshold,bins,alpha_hat,beta_hat\n")
         for row in sweep.rows:
             fh.write(
-                f"{row.threshold:g},{row.bins},"
+                f"{_g(row.threshold)},{row.bins},"
                 f"{repr(row.alpha_hat)},{repr(row.beta_hat)}\n"
             )
 

@@ -211,7 +211,7 @@ def trace_loglik_ctmc(
 
     switch = (rates.r_alpha, rates.r_beta)
     ctx = _cell_context(trace, "ctmc", switch, emissions, prior, quad)
-    return float(ctx.eval_block(0, 1)[0, 0])
+    return float(ctx.logliks()[0, 0])
 
 
 def avg_count_prob(count: int, emissions: EmissionRates) -> float:
@@ -258,10 +258,9 @@ def check_quadrature_convergence(
     switch = (rates.r_alpha, rates.r_beta)
     coarse = _cell_context(counts, "ctmc", switch, emissions, quad=quad)
     refined = _cell_context(counts, "ctmc", switch, emissions, quad=fine)
-    one = coarse.pair_params(0, 1)
     # tables (m00, m01, m10, m11) hold one column, entry [end, start];
     # report in count, start, end order
-    diff = np.abs(np.subtract(coarse.tables(*one), refined.tables(*one)))
+    diff = np.abs(np.subtract(coarse.tables(), refined.tables()))
     diff = diff[:, :, 0].T.reshape(-1, 2, 2).transpose(0, 2, 1)
     k, a, b = np.unravel_index(np.argmax(diff), diff.shape)
     worst = float(diff[k, a, b])

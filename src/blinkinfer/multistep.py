@@ -211,4 +211,4 @@ def trace_loglik_multistep(
 
     switch = (rates.r_alpha, rates.r_beta)
     ctx = _cell_context(trace, "multistep", switch, emissions, prior, d=d)
-    return float(ctx.eval_block(0, 1)[0, 0])
+    return float(ctx.logliks()[0, 0])

@@ -7,12 +7,12 @@ end.  Unknown emission rates are handled by putting lambda and mu on grid
 axes of their own and summing them out.
 
 Cells are independent, which the engine exploits twice: the grid is cut
-into fixed blocks of switch-parameter pairs whose forward recursions run
-vectorised across all cells of a block, and blocks can run side by side on
+into chunks of switch pairs by emission cells whose forward recursions run
+vectorised across all cells of a chunk, and chunks can run side by side on
 threads of one process, since the compiled kernels and numpy's float loops
-release the interpreter lock.  Block boundaries depend only on the grid,
-never on the worker count, so the resulting tensor is bitwise identical
-however many threads run.
+release the interpreter lock.  Chunk boundaries depend only on the grid,
+never on the worker count, and no cell's bits depend on its chunk, so the
+resulting tensor is bitwise identical however many threads run.
 """
 
 from __future__ import annotations
@@ -60,13 +60,10 @@ _RATES = ("r_alpha", "r_beta")
 _MODELS = {"single": ("alpha", "beta"), "ctmc": _RATES, "multistep": _RATES}
 _AXIS_ORDER = {"alpha": 0, "r_alpha": 0, "beta": 1, "r_beta": 1, "lambda": 2, "mu": 3}
 _PROB_AXES = {"alpha", "beta"}
-# Cells per block, a thread's unit of work: 129 x 512.  A block's weight
-# laws are computed once, and its step tables built and run one chunk of
-# cells at a time.
-_BLOCK_CELL_TARGET = 129 * 512
-# Bytes of one chunk's four step tables at most: one core's 2 MiB L2 on the
-# machine measured, so that the forward pass reads the tables the mixer has
-# just written from cache.  A chunk of one cell may exceed it.
+# Bytes of one chunk's four step tables at most, a chunk being a thread's
+# unit of work: one core's 2 MiB L2 on the machine measured, so that the
+# forward pass reads the tables the mixer has just written from cache.  A
+# chunk of one cell may exceed it.
 _CHUNK_BYTES = 2 << 20
 
 
@@ -191,7 +188,7 @@ class CredibleRegion:
 
 
 class _EngineContext:
-    """Everything a block needs, built once and read-only after ``__init__``,
+    """Everything a chunk needs, built once and read-only after ``__init__``,
     so that threads share it.
 
     Every model's step tables come from one builder.  An interval's entry
@@ -205,12 +202,14 @@ class _EngineContext:
     the compiled ``mix`` kernel, whose fixed order of summation makes every
     entry depend on its own cell alone.
 
-    ``row_sets`` is the one route from a block of switch pairs to
-    log-likelihoods.  It takes the block's weights once and builds and runs
-    its tables one chunk at a time: the block's pairs by a run of emission
-    cells, the four tables within ``_CHUNK_BYTES``.  So no caller holds
-    more than one chunk's tables, and no cell's bits depend on the block
-    or chunk that holds it.
+    ``a`` and ``b`` hold every switch pair's parameters, pair i being
+    (a[i], b[i]), and the grid's flat cell p * n_em + m is pair p at
+    emission cell m.  ``chunks`` cuts the grid into chunks: a run of pairs
+    by a run of emission cells, the four tables within ``_CHUNK_BYTES``.
+    ``row_sets`` is the one route from a chunk to log-likelihoods, and
+    ``logliks`` runs every chunk.  So no caller holds more than one chunk's
+    tables per thread, and no cell's bits depend on the chunk that holds
+    it.
     """
 
     def __init__(self, trace, model, grid, prior, quad, d):
@@ -226,17 +225,16 @@ class _EngineContext:
                 f"model {model!r} needs parameters {sorted(expected)}, "
                 f"got {sorted(roles)}"
             )
-        self.avals = roles[switch_a]
-        self.bvals = roles[switch_b]
+        a_grid, b_grid = np.meshgrid(roles[switch_a], roles[switch_b], indexing="ij")
+        self.a = a_grid.ravel()
+        self.b = b_grid.ravel()
         lam_grid, mu_grid = np.meshgrid(roles["lambda"], roles["mu"], indexing="ij")
         self.lam_flat = lam_grid.ravel()
         self.mu_flat = mu_grid.ravel()
         self.n_em = self.lam_flat.size
 
         if model == "multistep" and d is None:
-            d = _multistep.choose_subinterval_count(
-                float(self.avals.max()), float(self.bvals.max())
-            )
+            d = _multistep.choose_subinterval_count(float(self.a.max()), float(self.b.max()))
         self.d = d
 
         # the on-fraction nodes x of the emission table, at rate mu + x*lam
@@ -252,22 +250,6 @@ class _EngineContext:
         self.distinct, self.inv = np.unique(counts, return_inverse=True)
         rate = self.mu_flat[:, None] + self.lam_flat[:, None] * nodes
         self.emission_nodes = poisson_pmf(rate, self.distinct[:, None, None])
-
-    def pairs_per_block(self) -> int:
-        return max(1, _BLOCK_CELL_TARGET // self.n_em)
-
-    def n_pairs(self) -> int:
-        return self.avals.size * self.bvals.size
-
-    def block_ranges(self):
-        step = self.pairs_per_block()
-        total = self.n_pairs()
-        return [(s, min(s + step, total)) for s in range(0, total, step)]
-
-    def pair_params(self, p_start, p_end):
-        nb = self.bvals.size
-        idx = np.arange(p_start, p_end)
-        return self.avals[idx // nb], self.bvals[idx % nb]
 
     # -- on-fraction laws w[start, end, pair, node] of the step tables --
 
@@ -295,82 +277,73 @@ class _EngineContext:
         law = getattr(self, f"_weights_{self.model}")(a, b)
         return np.ascontiguousarray(law.transpose(1, 0, 3, 2).reshape(4, -1, a.size))
 
-    def tables(self, a, b):
-        """The model's step tables for switch pairs ``a``, ``b`` at every
-        emission cell: four contiguous (D, cells) arrays, cells emission
-        cell-major."""
-        return _mix_nodes(self.emission_nodes, self.weights(a, b))
+    def tables(self):
+        """The step tables of a grid of one chunk, such as one cell's: four
+        contiguous (D, cells) arrays, cells emission cell-major."""
+        ((_, ems, weights),) = self.chunks()
+        return _mix_nodes(self.emission_nodes, weights, ems)
 
-    def chunks(self, pairs):
-        """The chunks of a block of ``pairs`` switch pairs: (pairs, runs)
-        for each run of pairs that shares one weight law, ``pairs`` its
-        slice and ``runs`` the slices of emission cells that cut it into
-        chunks.
+    def chunks(self):
+        """The grid's chunks: (pairs, ems, weights) for each, ``pairs`` and
+        ``ems`` its slices of the switch pairs and of the emission cells,
+        and ``weights`` the weight laws of its pairs, computed once for
+        each run of pairs and shared by the run's chunks.
 
-        A run's weights stay within the budget, and each chunk takes as
-        many emission cells as keep its tables within it, at least one.  A
-        cell count that is a multiple of 2048 is cut by one where it can
-        be: the forward pass reads one row of each table per step, and rows
-        a large power of two apart fall into the same cache sets and evict
-        each other.
+        A run takes as many pairs as keep its weights and its tables at one
+        emission cell within the budget together, the grid's pairs split
+        into runs of even size: a run of a few pairs would mix slowly, as
+        the mixer's register tiles are 16 pairs wide.  Each chunk takes as
+        many emission cells as keep its tables within the budget, at least
+        one.  A cell count that is a multiple of 2048 is cut by one where it
+        can be: the forward pass reads one row of each table per step, and
+        rows a large power of two apart fall into the same cache sets and
+        evict each other.
         """
+        total = self.a.size
         column = 32 * len(self.distinct)  # bytes of one cell's four table entries
         law = 32 * self.emission_nodes.shape[2]  # bytes of one pair's weights
-        run = _off_powers(min(pairs, max(1, _CHUNK_BYTES // max(column, law))), 1)
-        for lo in range(0, pairs, run):
-            span = slice(lo, min(lo + run, pairs))
-            width = span.stop - span.start
+        runs = -(-total // max(1, _CHUNK_BYTES // (column + law)))
+        run = _off_powers(-(-total // runs), 1)
+        for lo in range(0, total, run):
+            pairs = slice(lo, min(lo + run, total))
+            weights = self.weights(self.a[pairs], self.b[pairs])
+            width = pairs.stop - lo
             ems = _off_powers(min(self.n_em, max(1, _CHUNK_BYTES // (column * width))), width)
-            yield span, [slice(m, min(m + ems, self.n_em)) for m in range(0, self.n_em, ems)]
+            for m in range(0, self.n_em, ems):
+                yield pairs, slice(m, min(m + ems, self.n_em)), weights
 
-    def row_sets(self, a, b, first=0):
-        """Forward-pass rows of the cells of switch pairs ``a``, ``b``, with
-        their log-likelihoods, one chunk at a time.
+    def row_sets(self, pairs, ems, weights):
+        """The forward-pass rows of one chunk of ``chunks``, with their
+        log-likelihoods: a list of (cells, tables, start, loglik, pinned)
+        sets.
 
-        Yields (pairs, ems, sets) for each chunk of ``chunks``: the chunk's
-        slices of the pairs and of the emission cells, and a list of
-        (cells, tables, start, loglik, pinned) sets.  Each set holds each
-        row's flat cell index in a grid whose pair ``first`` is pair 0 of
-        ``a``, four (D, rows) step tables, (2, rows) start vectors, each
-        row's log-likelihood, its log weight plus ``_forward_cells`` of its
-        tables, and a bool mask of the start-pinned rows.  The first set has
-        one row per cell, emission cell-major, so that row j * pairs + i is
-        pair i at emission cell j of the chunk, started from (P(off),
-        P(on)), stationary for its pair unless a prior was given, with log
-        weight 0.  A cell whose tables never send a start state to both end
-        states follows one hidden path per start state, and a rescaled mix
-        of the two can lose one for good; its row is pinned to start off
-        with log weight log P(off), and a second set, present only if there
-        are such cells, holds their rows pinned to start on with log weight
-        log P(on).  No other code tells a frozen chain; the mask serves
-        ``eval_block`` alone, to merge a pinned cell's two rows.  The grid
-        engine, the scalar likelihoods and the state smoother all take
-        their tables and forward pass from here.
-
-        A chunk's tables are referenced from its sets alone, so a caller
-        that drops them before asking for the next chunk holds one chunk's
-        tables at a time, and the allocator hands the next chunk the same
-        memory.
+        Each set holds each row's flat cell index in the grid, four (D,
+        rows) step tables, (2, rows) start vectors, each row's log weight
+        plus ``_forward_cells`` of its tables, and a bool mask of the
+        start-pinned rows.  The first set has one row per cell, emission
+        cell-major, so that row j * pairs + i is pair i at emission cell j
+        of the chunk, started from (P(off), P(on)), stationary for its pair
+        unless a prior was given, with log weight 0.  A cell whose tables
+        never send a start state to both end states follows one hidden path
+        per start state, and a rescaled mix of the two can lose one for
+        good; its row is pinned to start off with log weight log P(off), and
+        a second set, present only if there are such cells, holds their rows
+        pinned to start on with log weight log P(on).  No other code tells a
+        frozen chain.  The chunk's tables are referenced from its sets
+        alone, so a caller that drops them before the next chunk holds one
+        chunk's tables at a time.
         """
+        a, b = self.a[pairs], self.b[pairs]
         if self.prior is None:
             total = a + b
             safe = np.where(total > 0, total, 1.0)
-            pair = np.where(total > 0, np.stack([b, a]) / safe, 0.5)
+            start = np.where(total > 0, np.stack([b, a]) / safe, 0.5)
         else:
-            pair = np.repeat(self.prior.vector[:, None], a.size, axis=1)
-        for pairs, runs in self.chunks(a.size):
-            weights = self.weights(a[pairs], b[pairs])
-            run_start = pair[:, pairs]
-            run_cells = np.arange(first + pairs.start, first + pairs.stop) * self.n_em
-            for ems in runs:
-                cells = np.add.outer(np.arange(ems.start, ems.stop), run_cells).ravel()
-                start = np.tile(run_start, ems.stop - ems.start)
-                mats = _mix_nodes(self.emission_nodes, weights, ems)
-                yield pairs, ems, self._row_sets(cells, mats, start)
-                del mats
-
-    def _row_sets(self, cells, mats, start):
-        """``row_sets``' sets of one chunk's cells, tables and start vectors."""
+            start = np.repeat(self.prior.vector[:, None], a.size, axis=1)
+        start = np.tile(start, ems.stop - ems.start)
+        pair_cells = np.arange(pairs.start, pairs.stop) * self.n_em
+        cells = np.add.outer(np.arange(ems.start, ems.stop), pair_cells).ravel()
+        mats = _mix_nodes(self.emission_nodes, weights, ems)
         m00, m01, m10, m11 = mats
         pinned = ~np.any(((m00 > 0) & (m10 > 0)) | ((m01 > 0) & (m11 > 0)), axis=0)
         log_w = np.zeros(start.shape[1])
@@ -385,15 +358,33 @@ class _EngineContext:
             sets.append((cells[pinned], sub, start_on, log_w_on, np.ones(log_w_on.size, dtype=bool)))
         return [(c, m, s, w + _forward_cells(*m, self.inv, s), p) for c, m, s, w, p in sets]
 
-    def eval_block(self, p_start, p_end):
-        a, b = self.pair_params(p_start, p_end)
-        out = np.empty((a.size, self.n_em))
-        for pairs, ems, sets in self.row_sets(a, b):
+    def logliks(self, workers=1):
+        """Every cell's log-likelihood, a (pair, emission cell) array.
+
+        Each chunk writes its own cells, a pinned cell's two rows merged,
+        on ``min(workers, chunks, CPUs)`` threads: no thread beyond the
+        CPUs, where it only takes time from the others.  The executor
+        starts threads on submit alone, so where one is left the chunks
+        run through the builtin ``map`` on the calling thread and none
+        starts.
+        """
+        out = np.empty((self.a.size, self.n_em))
+
+        def write(chunk):
+            pairs, ems, _ = chunk
+            sets = self.row_sets(*chunk)
             acc, pinned = sets[0][3:]
             if len(sets) > 1:
                 acc[pinned] = np.logaddexp(acc[pinned], sets[1][3])
             out[pairs, ems] = acc.reshape(ems.stop - ems.start, -1).T
-            del sets  # so that the next chunk's tables take this one's memory
+
+        chunks = list(self.chunks())
+        # built before any thread starts: functools.cache has no lock, so two
+        # threads on a cold cache would both build it
+        _forward_kernel()
+        threads = min(workers, len(chunks), os.cpu_count() or 1)
+        with ThreadPoolExecutor(threads) as pool:
+            list((map if threads == 1 else pool.map)(write, chunks))
         return out
 
 
@@ -442,7 +433,7 @@ def _grid_context(trace, model, grid, prior, quad, d):
         quad = _ctmc.QuadratureSpec()
     ctx = _EngineContext(trace, model, grid, prior, quad, d)
     if model == "ctmc":
-        corner = SwitchRates(float(ctx.avals.max()), float(ctx.bvals.max()))
+        corner = SwitchRates(float(ctx.a.max()), float(ctx.b.max()))
         corner_em = EmissionRates(float(ctx.mu_flat.max()), float(ctx.lam_flat.max()))
         _ctmc.check_quadrature_convergence(corner, corner_em, quad, ctx.distinct)
     return ctx
@@ -456,9 +447,9 @@ def _mix_nodes(emission, weights, ems=slice(None)):
     place and writes the four tables, in step-matrix order [end, start]:
     00, 01, 10, 11, into one (4, D, cells, pairs) array.  Each entry is
     sum_k weights[q, k, p] * emission[D, m, k], its first product rounded
-    and every next one added by fma in the order of k, whatever the block,
-    chunk or tile: so a table entry depends on its own cell alone.  Returns
-    the four tables as contiguous (D, rows) views, emission cell-major.
+    and every next one added by fma in the order of k, whatever the chunk
+    or tile: so a table entry depends on its own cell alone.  Returns the
+    four tables as contiguous (D, rows) views, emission cell-major.
     """
     depth, cells, nodes = emission.shape
     first, stop, _ = ems.indices(cells)
@@ -638,35 +629,18 @@ def evaluate_grid(
 
     ``prior`` defaults to the per-cell stationary state distribution.  For
     the multistep model ``d`` defaults to the applicability rule evaluated
-    at the largest grid rates.  Results do not depend on ``workers``: blocks
-    run on at most ``workers`` threads, one per block and per CPU at most,
-    and on the calling thread alone where that leaves one.
+    at the largest grid rates.  Results do not depend on ``workers``: the
+    grid's chunks run on at most ``workers`` threads, one per chunk and per
+    CPU at most, and on the calling thread alone where that leaves one.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
     if len(grid.axes) == 0:
         raise ValueError("grid has no free axes")
     probe = _grid_context(trace, model, grid, prior, quad, d)
-
-    blocks = probe.block_ranges()
-    flat = np.empty((probe.n_pairs(), probe.n_em))
-
-    # built before any thread starts: functools.cache has no lock, so two
-    # threads on a cold cache would both build it
-    _forward_kernel()
-    # no thread beyond the CPUs, where it only takes time from the others;
-    # the executor starts threads on submit alone, so where one is left the
-    # blocks run on the calling thread and none starts
-    threads = min(workers, len(blocks), os.cpu_count() or 1)
-    with ThreadPoolExecutor(threads) as pool:
-        results = (map if threads == 1 else pool.map)(lambda blk: probe.eval_block(*blk), blocks)
-        for (lo, hi), result in zip(blocks, results):
-            flat[lo:hi] = result
-
     # fixed parameters hold one value each, so the flat (pair, emission)
     # order is the row-major order of the free axes
-    log_post = flat.reshape(grid.shape)
-
+    log_post = probe.logliks(workers).reshape(grid.shape)
     return _finalize(grid, model, log_post, probe.d)
 
 

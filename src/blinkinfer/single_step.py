@@ -97,7 +97,7 @@ def trace_loglik_single(
         raise ValueError("single-step model requires d = 1")
     switch = (probs.alpha, probs.beta)
     ctx = _cell_context(trace, "single", switch, emissions, prior)
-    return float(ctx.eval_block(0, 1)[0, 0])
+    return float(ctx.logliks()[0, 0])
 
 
 def brute_force_loglik(

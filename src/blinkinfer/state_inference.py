@@ -5,7 +5,7 @@ likelihood to paths passing through that state, so the ratio of a masked
 product to the full product is the state's posterior probability given the
 whole trace.  Computed for every position by a forward-backward pass on
 the grid engine's compiled kernel.  A weight pass runs the grid engine's
-blocks and their forward pass, one chunk of tables at a time, and keeps
+chunks and their forward pass, one chunk of tables at a time, and keeps
 only the rows whose likelihood lies within 746 nats of the running peak:
 every other row has weight exactly 0.  The kept rows then go heaviest
 first, in small blocks, through a forward pass that keeps each prefix
@@ -133,9 +133,9 @@ def state_posterior_marginal(
 def _smooth(ctx):
     """On-probability at every boundary, averaged over the context's rows.
 
-    The weight pass runs the grid engine's blocks, as ``evaluate_grid``
-    does: ``row_sets`` builds one chunk's tables at a time and gives each
-    row's log-likelihood l.  With P_run the largest l so far, only rows
+    The weight pass runs the grid engine's chunks, as ``evaluate_grid``
+    does, one at a time: ``row_sets`` builds each chunk's tables and gives
+    each row's log-likelihood l.  With P_run the largest l so far, only rows
     with l >= P_run - 746 keep their table columns, start and
     log-likelihood, gathered from the chunk's tables, and rows kept from
     earlier chunks are dropped once P_run rises above them.
@@ -151,28 +151,28 @@ def _smooth(ctx):
 
     The kept rows go to ``_smooth_rows`` in the order of the grid's flat
     cells: every start-off row, cell by cell, then every pinned start-on
-    row.  Chunks take a block's cells emission cell by emission cell, so
-    the rows are sorted by the flat cell index that ``row_sets`` gives
-    each, start-on rows offset by the grid's cell count, into tables
-    written piece by piece.  The stable heaviest-first sort then
-    gives the kernel the rows, and the sums their terms, in the same order
-    whatever the block and chunk sizes.  The kernel needs no pinned mask:
+    row.  Chunks take a run of pairs' cells emission cell by emission
+    cell, so the rows are sorted by the flat cell index that ``row_sets``
+    gives each, start-on rows offset by the grid's cell count, into tables
+    written piece by piece.  The stable heaviest-first sort then gives the
+    kernel the rows, and the sums their terms, in the same order whatever
+    the chunk sizes.  The kernel needs no pinned mask:
     a start-pinned row follows one hidden path, and its prefixes give its
     state.
     """
-    cells = ctx.n_pairs() * ctx.n_em
+    cells = ctx.a.size * ctx.n_em
     peak = -np.inf
     kept = []  # (key, tables, start, loglik) of each set's rows above the cut
-    for lo, hi in ctx.block_ranges():
-        for _, _, sets in ctx.row_sets(*ctx.pair_params(lo, hi), first=lo):
-            top = max(rows[3].max() for rows in sets)
-            if top > peak:
-                peak = top
-                kept = [_heavy_rows(*rows, peak - 746.0) for rows in kept]
-            # start-on rows after all others
-            kept += [_heavy_rows(rows[0] + i * cells, *rows[1:4], peak - 746.0)
-                     for i, rows in enumerate(sets)]
-            del sets  # so that the next chunk's tables take this one's memory
+    for chunk in ctx.chunks():
+        sets = ctx.row_sets(*chunk)
+        top = max(rows[3].max() for rows in sets)
+        if top > peak:
+            peak = top
+            kept = [_heavy_rows(*rows, peak - 746.0) for rows in kept]
+        # start-on rows after all others
+        kept += [_heavy_rows(rows[0] + i * cells, *rows[1:4], peak - 746.0)
+                 for i, rows in enumerate(sets)]
+        del sets  # so that the next chunk's tables take this one's memory
     return _smooth_rows(ctx.inv, *_sorted_rows(kept, len(ctx.distinct)))
 
 

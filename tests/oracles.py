@@ -305,14 +305,15 @@ def per_step_smooth(m00, m01, m10, m11, inv, start, log_w):
     return np.cumsum(terms, axis=1)[:, -1] / np.cumsum(w[order])[-1]
 
 
-def engine_rows(ctx, a, b):
-    """Every row that ``ctx.row_sets`` gives for switch pairs ``a``, ``b``,
-    in the flat cell order of a grid of those pairs, the start-on rows of
-    pinned cells last: the four (D, rows) tables, the (2, rows) starts, the
-    log-likelihoods and the pinned masks."""
+def engine_rows(ctx):
+    """Every row that ``ctx.row_sets`` gives over the chunks of ``ctx``, in
+    the grid's flat cell order, the start-on rows of pinned cells last: the
+    four (D, rows) tables, the (2, rows) starts, the log-likelihoods and
+    the pinned masks."""
     keyed = []
-    for _, _, sets in ctx.row_sets(a, b):
-        keyed += [(rows[0] + i * a.size * ctx.n_em, *rows[1:]) for i, rows in enumerate(sets)]
+    for chunk in ctx.chunks():
+        sets = ctx.row_sets(*chunk)
+        keyed += [(rows[0] + i * ctx.a.size * ctx.n_em, *rows[1:]) for i, rows in enumerate(sets)]
     order = np.argsort(np.concatenate([c[0] for c in keyed]))
     mats = tuple(
         np.concatenate(ms, axis=1).take(order, axis=1) for ms in zip(*(c[1] for c in keyed))

@@ -590,6 +590,30 @@ class TestInferState:
 
 
 class TestThreshold:
+    def test_thresholds_keep_every_digit(self, tmp_path):
+        # counts on both sides of 1.5e6: each threshold and the summary
+        # bounds read back as written, where :g gave 1.5e+06 to all; :g
+        # stays where it is exact
+        rng = np.random.default_rng(4)
+        levels = np.repeat(rng.integers(0, 2, 400), rng.integers(1, 6, 400))
+        counts = np.where(levels == 1, 1500010, 1499990) + rng.integers(-3, 4, levels.size)
+        tr = tmp_path / "t.csv"
+        tr.write_text("t,count\n" + "".join(f"{t},{c}\n" for t, c in enumerate(counts, 1)))
+        out = tmp_path / "sweep.csv"
+        code = run(
+            [
+                "threshold", "--in", str(tr), "--thresholds", "1500000:1500002",
+                "--bins", "8:8", "--summary", "1500000:1500001", "--out", str(out),
+            ]
+        )
+        assert code == 0
+        lines = out.read_text().splitlines()
+        assert "# summary_range=1.5e+06:1500001.0 rows=2 " in next(
+            line + " " for line in lines if line.startswith("# summary_range=")
+        )
+        rows = lines[lines.index("threshold,bins,alpha_hat,beta_hat") + 1 :]
+        assert [row.split(",")[0] for row in rows] == ["1.5e+06", "1500001.0", "1500002.0"]
+
     def test_sweep_table(self, tmp_path):
         tr = tmp_path / "t.csv"
         run(

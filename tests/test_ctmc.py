@@ -270,7 +270,7 @@ class TestEngineTablesAgainstExpm:
         counts = np.arange(61)
         em = EmissionRates(mu, lam)
         ctx = _cell_context(CountTrace(counts), "ctmc", (ra, rb), em, quad=QUAD)
-        tables = np.stack(ctx.tables(*ctx.pair_params(0, 1)), axis=-1).reshape(-1, 2, 2)
+        tables = np.stack(ctx.tables(), axis=-1).reshape(-1, 2, 2)
         got = tables[ctx.inv]
         ref = ctmc_expm_step_matrix(counts, ra, rb, mu, lam)
         np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-13)

@@ -576,7 +576,7 @@ class TestBuild:
             import blinkinfer.posterior as posterior
             from blinkinfer.kernels import CountTrace
             from blinkinfer.posterior import GridAxis, GridSpec, evaluate_grid
-            posterior._BLOCK_CELL_TARGET = 4  # several blocks, so the pool runs
+            posterior._CHUNK_BYTES = 2000  # several chunks, so the pool runs
             trace = CountTrace(np.random.default_rng(3).poisson(6.0, 300))
             grid = GridSpec(
                 axes=(
@@ -588,12 +588,14 @@ class TestBuild:
             )
             two = evaluate_grid(trace, "single", grid, workers=2)
             one = evaluate_grid(trace, "single", grid, workers=1)
-            print(two.log_post.tobytes() == one.log_post.tobytes())
+            ctx = posterior._grid_context(trace, "single", grid, None, None, None)
+            print(len(list(ctx.chunks())), two.log_post.tobytes() == one.log_post.tobytes())
             """,
             tmp_path,
         )
         assert run.returncode == 0, run.stderr
-        assert run.stdout.strip() == "True"
+        chunks, same = run.stdout.split()
+        assert int(chunks) >= 2 and same == "True"
         assert len(_libraries(tmp_path)) == 1
 
     def test_concurrent_cold_builds_leave_one_library(self, tmp_path):

@@ -59,6 +59,32 @@ WORKER_GRID = GridSpec(
 )
 
 
+
+def _chunk_count(trace, model, grid, d=None):
+    ctx = posterior._grid_context(trace, model, grid, None, None, d)
+    return sum(1 for _ in ctx.chunks())
+
+
+def _pool_sizes(monkeypatch):
+    """The thread counts of the engine's executors from now on, in order."""
+    sizes = []
+
+    class Recording(posterior.ThreadPoolExecutor):
+        def __init__(self, max_workers, **kwargs):
+            sizes.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(posterior, "ThreadPoolExecutor", Recording)
+    return sizes
+
+
+def _two_chunks(monkeypatch, trace):
+    """Shrink the chunk budget so that ``WORKER_GRID``, one run of its 36
+    switch pairs, takes two chunks of 8 emission cells."""
+    monkeypatch.setattr(posterior, "_CHUNK_BYTES", 32 * len(np.unique(trace.counts)) * 36 * 8)
+    assert _chunk_count(trace, "ctmc", WORKER_GRID) == 2
+
+
 def small_single_posterior(n=300, seed=4):
     res = sim_dtmc_single(SwitchProbs(0.3, 0.2, 1), EM, n, seed=seed)
     grid = GridSpec(
@@ -305,8 +331,8 @@ class TestEvaluateGrid:
     @pytest.mark.parametrize("workers", [2, 3])
     def test_worker_count_invariance(self, monkeypatch, model, workers):
         # switch values at 0 and 1 pin rows (a frozen chain, and for single
-        # an alternating one) and emissions at 0 give -inf cells; 6 emission
-        # cells to blocks of 7 switch pairs, so several blocks run at once
+        # an alternating one) and emissions at 0 give -inf cells; chunks of
+        # 5000 bytes of tables, so that several chunks run at once
         res = sim_dtmc_single(SwitchProbs(0.3, 0.6, 1), EM, 200, seed=21)
         grid = GridSpec(
             axes=(
@@ -317,10 +343,11 @@ class TestEvaluateGrid:
             )
         )
         d = 4 if model == "multistep" else None
-        monkeypatch.setattr(posterior, "_BLOCK_CELL_TARGET", 43)
+        monkeypatch.setattr(posterior, "_CHUNK_BYTES", 5000)
         monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        assert _chunk_count(res.trace, model, grid, d) >= 2 * workers
         one = evaluate_grid(res.trace, model, grid, d=d, workers=1)
-        # threads switch often, so that a block writing shared state would
+        # threads switch often, so that a chunk writing shared state would
         # show in the bits
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -332,19 +359,12 @@ class TestEvaluateGrid:
         assert np.array_equal(one.log_post, many.log_post)
 
     def test_pool_starts_no_idle_worker(self, monkeypatch):
-        # 6 x 6 switch pairs at 16 emission cells, 18 pairs to a block: two
-        # blocks, so eight workers asked for start two threads
-        sizes = []
-
-        class Recording(posterior.ThreadPoolExecutor):
-            def __init__(self, max_workers, **kwargs):
-                sizes.append(max_workers)
-                super().__init__(max_workers, **kwargs)
-
+        # 6 x 6 switch pairs at 16 emission cells, in chunks of 8 emission
+        # cells: two chunks, so eight workers asked for start two threads
         res = sim_ctmc(SwitchRates(1.0, 0.5), EM, 80, seed=3)
-        monkeypatch.setattr(posterior, "_BLOCK_CELL_TARGET", 18 * 16)
+        _two_chunks(monkeypatch, res.trace)
         one = evaluate_grid(res.trace, "ctmc", WORKER_GRID, workers=1)
-        monkeypatch.setattr(posterior, "ThreadPoolExecutor", Recording)
+        sizes = _pool_sizes(monkeypatch)
         monkeypatch.setattr(os, "cpu_count", lambda: 8)
         eight = evaluate_grid(res.trace, "ctmc", WORKER_GRID, workers=8)
         assert sizes == [2]
@@ -356,12 +376,12 @@ class TestEvaluateGrid:
         assert np.array_equal(one.log_post, capped.log_post)
 
     def test_one_worker_starts_no_thread(self, monkeypatch):
-        # one thread's share of the blocks runs on the calling thread
+        # one thread's share of the chunks runs on the calling thread
         def refuse(self):
             raise RuntimeError("thread started")
 
         res = sim_ctmc(SwitchRates(1.0, 0.5), EM, 80, seed=3)
-        monkeypatch.setattr(posterior, "_BLOCK_CELL_TARGET", 18 * 16)
+        _two_chunks(monkeypatch, res.trace)
         monkeypatch.setattr(threading.Thread, "start", refuse)
         one = evaluate_grid(res.trace, "ctmc", WORKER_GRID, workers=1)
         monkeypatch.setattr(os, "cpu_count", lambda: 1)
@@ -369,8 +389,42 @@ class TestEvaluateGrid:
         assert np.array_equal(one.log_post, capped.log_post)
         assert np.isfinite(trace_loglik_ctmc(res.trace, SwitchRates(1.0, 0.5), EM))
 
+    def test_small_grid_of_several_chunks_runs_on_two_threads(self, monkeypatch):
+        # 19 x 19 x 9 x 7 cells, fewer than 129 x 512, whose tables at some
+        # 60 distinct counts fill many 2 MiB chunks: two
+        # workers start two threads, and the first two chunks wait for each
+        # other, which only two running threads can do
+        rng = np.random.default_rng(8)
+        trace = CountTrace(rng.poisson(rng.uniform(0.0, 40.0, 2000)))
+        grid = GridSpec(
+            axes=(
+                GridAxis("alpha", 0.05, 0.95, 19),
+                GridAxis("beta", 0.05, 0.95, 19),
+                GridAxis("lambda", 0.0, 32.0, 9),
+                GridAxis("mu", 0.0, 6.0, 7),
+            )
+        )
+        assert math.prod(grid.shape) < 129 * 512
+        assert _chunk_count(trace, "single", grid) >= 2
+        one = evaluate_grid(trace, "single", grid, workers=1)
+        sizes = _pool_sizes(monkeypatch)
+        meet = threading.Barrier(2, timeout=20)
+        calls = iter(range(2))
+        row_sets = posterior._EngineContext.row_sets
+
+        def spy(ctx, *chunk):
+            if next(calls, None) is not None:
+                meet.wait()
+            return row_sets(ctx, *chunk)
+
+        monkeypatch.setattr(posterior._EngineContext, "row_sets", spy)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        two = evaluate_grid(trace, "single", grid, workers=2)
+        assert sizes == [2]
+        assert np.array_equal(one.log_post, two.log_post)
+
     def test_engine_never_forks(self):
-        # blocks run on threads of the calling process: with os.fork
+        # chunks run on threads of the calling process: with os.fork
         # refused, two workers still give one worker's bits
         code = """
             import os
@@ -384,7 +438,7 @@ class TestEvaluateGrid:
 
             os.fork = refuse
             os.cpu_count = lambda: 2
-            posterior._BLOCK_CELL_TARGET = 4
+            posterior._CHUNK_BYTES = 2000  # several chunks, so the pool runs
             trace = CountTrace(np.random.default_rng(3).poisson(6.0, 300))
             grid = GridSpec(
                 axes=(
@@ -394,6 +448,8 @@ class TestEvaluateGrid:
                 ),
                 fixed={"mu": 1.0},
             )
+            ctx = posterior._grid_context(trace, "single", grid, None, None, None)
+            print(len(list(ctx.chunks())))
             two = evaluate_grid(trace, "single", grid, workers=2)
             one = evaluate_grid(trace, "single", grid, workers=1)
             print(two.log_post.tobytes() == one.log_post.tobytes())
@@ -405,13 +461,14 @@ class TestEvaluateGrid:
             capture_output=True, text=True, env=env, timeout=300,
         )
         assert run.returncode == 0, run.stderr
-        assert run.stdout.strip() == "True"
+        chunks, same = run.stdout.split()
+        assert int(chunks) >= 2 and same == "True"
 
     @pytest.mark.parametrize("model", ["single", "ctmc", "multistep"])
-    def test_bits_do_not_depend_on_block_size(self, monkeypatch, model):
+    def test_bits_do_not_depend_on_chunk_size(self, monkeypatch, model):
         # every table entry is summed over the nodes in one fixed order, so
         # a cell's log-likelihood cannot depend on which switch pairs and
-        # emission cells share its block or its chunk
+        # emission cells share its chunk
         res = sim_dtmc_single(SwitchProbs(0.3, 0.6, 1), EM, 400, seed=21)
         hi = 1.0 if model == "single" else 3.0
         grid = GridSpec(
@@ -423,12 +480,12 @@ class TestEvaluateGrid:
             )
         )
         d = 4 if model == "multistep" else None
-        assert posterior._BLOCK_CELL_TARGET == 129 * 512
+        assert posterior._CHUNK_BYTES == 2 << 20
+        assert _chunk_count(res.trace, model, grid, d) == 1
         whole = evaluate_grid(res.trace, model, grid, d=d)
-        # 6 emission cells: blocks of 7 switch pairs, the last one of 2,
-        # built in chunks of a few cells
-        monkeypatch.setattr(posterior, "_BLOCK_CELL_TARGET", 43)
+        # chunks of a few cells, the last run of pairs shorter than the rest
         monkeypatch.setattr(posterior, "_CHUNK_BYTES", 5000)
+        assert _chunk_count(res.trace, model, grid, d) > 6
         split = evaluate_grid(res.trace, model, grid, d=d)
         assert np.isneginf(whole.log_post).any()
         assert np.array_equal(whole.log_post, split.log_post)
@@ -495,7 +552,7 @@ def _mixed_case(model, d, a, b, counts, n_lambda, n_mu):
         e11 = e11 + np.einsum("p,dm->dpm", np.exp(-b), poisson_pmf(mu_c + lam_c, dcol))
     # the engine's cells run emission cell-major
     want = [e.transpose(0, 2, 1).reshape(len(e), -1) for e in (e00, e01, e10, e11)]
-    got = ctx.tables(a, b)
+    got = posterior._mix_nodes(ctx.emission_nodes, ctx.weights(a, b))
     assert all(table.flags.c_contiguous for table in got)
     return got, want, x.size + 2 if model == "ctmc" else x.size
 
@@ -642,8 +699,10 @@ def _pair_tables(model, counts, a, b, lam, mu, d):
         quad=QuadratureSpec() if model == "ctmc" else None,
         d=d if model == "multistep" else None,
     )
-    # cells that never mix run a second time, started on
-    mats, start, *_ = engine_rows(ctx, np.asarray(a, float), np.asarray(b, float))
+    # the drawn switch pairs in place of the context's one; cells that
+    # never mix run a second time, started on
+    ctx.a, ctx.b = np.asarray(a, float), np.asarray(b, float)
+    mats, start, *_ = engine_rows(ctx)
     return mats, ctx.inv, start
 
 
@@ -701,17 +760,17 @@ def _bit_cases(draw):
 class TestEngineBits:
     """Every table entry is summed over its nodes in one fixed order, so a
     cell's log-likelihood is a function of that cell alone, bit for bit,
-    whatever grid, block or chunk computes it."""
+    whatever grid or chunk computes it."""
 
     @settings(max_examples=40, deadline=None)
-    @given(case=_bit_cases(), target=st.integers(1, 40), budget=st.integers(1, 6000))
-    def test_cells_have_one_set_of_bits(self, case, target, budget):
+    @given(case=_bit_cases(), budget=st.integers(1, 6000))
+    def test_cells_have_one_set_of_bits(self, case, budget):
         model, trace, grid, d = case
         coarse = []
         tables = posterior._EngineContext.tables
 
-        def spy(ctx, a, b):
-            out = tables(ctx, a, b)
+        def spy(ctx):
+            out = tables(ctx)
             if ctx.quad.node_count == QuadratureSpec().node_count:
                 coarse.append(out)
             return out
@@ -724,9 +783,8 @@ class TestEngineBits:
         for index in np.ndindex(whole.shape):
             cell = (float(v[i]) for v, i in zip(values, index))
             assert _scalar_loglik(model, trace, *cell, d) == whole[index]
-        # any block and chunk sizes
+        # any chunk size
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(posterior, "_BLOCK_CELL_TARGET", target)
             mp.setattr(posterior, "_CHUNK_BYTES", budget)
             assert np.array_equal(evaluate_grid(trace, model, grid, d=d).log_post, whole)
         # a grid of which this one's points are a subset
@@ -737,7 +795,7 @@ class TestEngineBits:
         # the quadrature check's one-cell tables at the grid's corner, its last cell
         if model == "ctmc":
             ctx = posterior._grid_context(trace, model, grid, None, None, None)
-            mats, *_ = engine_rows(ctx, *ctx.pair_params(0, ctx.n_pairs()))
+            mats, *_ = engine_rows(ctx)
             corner = [m[:, whole.size - 1 : whole.size] for m in mats]
             assert coarse and all(np.array_equal(c, m) for c, m in zip(coarse[0], corner))
 

@@ -150,7 +150,7 @@ class TestEngineTablesBitwise:
         trace = CountTrace(np.concatenate([[0, 0, 140], rng.poisson(9.0, 300)]))
         probs, em = SwitchProbs(alpha, beta), EmissionRates(mu, 12.0)
         ctx = _cell_context(trace, "single", (alpha, beta), em)
-        tables = np.stack(ctx.tables(*ctx.pair_params(0, 1)), axis=-1).reshape(-1, 2, 2)
+        tables = np.stack(ctx.tables(), axis=-1).reshape(-1, 2, 2)
         mats = [step_matrix_single(int(c), probs, em).entries for c in trace.counts]
         for t, m in enumerate(mats):
             assert np.array_equal(tables[ctx.inv[t]], m)

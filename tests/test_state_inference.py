@@ -680,11 +680,10 @@ def _rows(counts, grid, model="single", quad=None, d=None):
     cells last.  The log weights are what ``row_sets`` adds to the forward
     pass, read with that pass stubbed out to zeros."""
     ctx = _EngineContext(CountTrace(counts), model, grid, None, quad, d)
-    a, b = ctx.pair_params(0, ctx.n_pairs())
-    mats, start, loglik, split = engine_rows(ctx, a, b)
+    mats, start, loglik, split = engine_rows(ctx)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(posterior, "_forward_cells", lambda *args: np.zeros(args[-1].shape[1]))
-        log_w = engine_rows(ctx, a, b)[2]
+        log_w = engine_rows(ctx)[2]
     return ctx.inv, mats, start, log_w, loglik, split
 
 
@@ -804,7 +803,7 @@ class TestBlockedSmoother:
 
 # grids of each model with 16 switch pairs at 6 emission cells, a switch
 # axis reaching 0 so that the pair (0, 0) is pinned
-_BLOCK_GRIDS = {
+_CHUNK_GRIDS = {
     "single": GridSpec(
         axes=(
             GridAxis("alpha", 0.0, 0.6, 4),
@@ -822,30 +821,28 @@ _BLOCK_GRIDS = {
         )
     ),
 }
-_BLOCK_GRIDS["multistep"] = _BLOCK_GRIDS["ctmc"]
+_CHUNK_GRIDS["multistep"] = _CHUNK_GRIDS["ctmc"]
 
 
-def _block_trace(n, seed):
+def _chunk_trace(n, seed):
     """A single-step simulation of ``n`` intervals, emission bands overlapping."""
     return sim_dtmc_single(SwitchProbs(0.2, 0.3, 1), EmissionRates(mu=2.0, lam=5.0), n, seed=seed)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-class TestEngineBlocks:
-    """The smoother's weight pass runs the grid engine's blocks: its row
+class TestEngineChunks:
+    """The smoother's weight pass runs the grid engine's chunks: its row
     log-likelihoods are the engine's, bit for bit, and it builds one chunk
     of tables at a time."""
 
     @pytest.mark.parametrize("model", ["single", "ctmc", "multistep"])
     def test_weights_match_the_engine(self, monkeypatch, model):
-        # 5 pairs of 6 emission cells per block: 4 blocks, built in chunks
-        # of 10 cells' tables at the trace's 12 distinct counts, so of 2
-        # emission cells, or of one pair where its ctmc weights outweigh
-        # that.  On a short trace every row lies within 746 nats of the
-        # peak, so every row reaches _smooth_rows
-        monkeypatch.setattr(posterior, "_BLOCK_CELL_TARGET", 30)
+        # chunks of 10 cells' tables at the trace's 12 distinct counts, so
+        # runs of 10 pairs by one emission cell, or of one pair where its
+        # ctmc weights outweigh that.  On a short trace every row lies
+        # within 746 nats of the peak, so every row reaches _smooth_rows
         monkeypatch.setattr(posterior, "_CHUNK_BYTES", 32 * 12 * 10)
-        trace, grid = _block_trace(40, seed=5).trace, _BLOCK_GRIDS[model]
+        trace, grid = _chunk_trace(40, seed=5).trace, _CHUNK_GRIDS[model]
         d = 4 if model == "multistep" else None
         seen = []
         smooth_rows = state_inference._smooth_rows
@@ -857,24 +854,20 @@ class TestEngineBlocks:
         monkeypatch.setattr(state_inference, "_smooth_rows", spy)
         state_posterior_marginal(trace, grid, model=model, d=d)
         ctx = _grid_context(trace, model, grid, None, None, d)
-        assert len(ctx.block_ranges()) >= 3
+        assert len(list(ctx.chunks())) >= 3
         want = evaluate_grid(trace, model, grid, d=d).log_post.ravel()
         (loglik,) = seen
         acc, on = loglik[: want.size], loglik[want.size :]
-        blocks = ctx.block_ranges()
-        split = np.concatenate(
-            [engine_rows(ctx, *ctx.pair_params(*b))[3][: (b[1] - b[0]) * ctx.n_em] for b in blocks]
-        )
+        split = engine_rows(ctx)[3][: want.size]
         assert split.any() and on.size == np.count_nonzero(split)
         acc[split] = np.logaddexp(acc[split], on)
         np.testing.assert_array_equal(acc, want)
 
     @pytest.mark.parametrize("model", ["single", "ctmc", "multistep"])
     def test_no_table_outgrows_a_chunk(self, monkeypatch, model):
-        # 3 x 43 switch pairs at 32 x 16 emission cells: one block of
-        # 129 x 512 cells, whose tables at 40 distinct counts would take
-        # 85 MB.  Every table the engine and the smoother build fits the
-        # chunk budget
+        # 3 x 43 switch pairs at 32 x 16 emission cells, whose tables at 40
+        # distinct counts would take 85 MB.  Every table the engine and the
+        # smoother build fits the chunk budget
         switch = ("alpha", 0.05, 0.95) if model == "single" else ("r_alpha", 0.5, 2.0)
         grid = GridSpec(
             axes=(
@@ -887,7 +880,7 @@ class TestEngineBlocks:
         d = 4 if model == "multistep" else None
         trace = CountTrace(np.arange(40))
         ctx = _grid_context(trace, model, grid, None, None, d)
-        assert ctx.block_ranges() == [(0, 129)] and ctx.n_em == 512
+        assert ctx.a.size == 129 and ctx.n_em == 512
         assert 32 * len(ctx.distinct) * 129 * 512 > 50e6
         built = []
         mix_nodes = posterior._mix_nodes
@@ -906,11 +899,11 @@ class TestEngineBlocks:
 
     @pytest.mark.parametrize("model", ["single", "ctmc", "multistep"])
     def test_rows_keep_the_flat_cell_order(self, monkeypatch, model):
-        # chunks take a block's cells emission cell by emission cell; the
-        # rows still reach the kernel in flat cell order, start-on rows
+        # chunks take a run of pairs' cells emission cell by emission cell;
+        # the rows still reach the kernel in flat cell order, start-on rows
         # last, as one pass over the whole grid gives them, so p_on is the
         # oracle's on those rows, bit for bit, at any chunk budget
-        trace, grid = _block_trace(40, seed=5).trace, _BLOCK_GRIDS[model]
+        trace, grid = _chunk_trace(40, seed=5).trace, _CHUNK_GRIDS[model]
         d = 4 if model == "multistep" else None
         inv, mats, start, log_w, *_ = _rows(trace.counts, grid, model, QuadratureSpec(), d)
         want = per_step_smooth(*mats, inv, start, log_w)
@@ -966,12 +959,12 @@ class TestEngineBlocks:
         np.testing.assert_array_equal(p_on, per_step_smooth(*mats, inv, start, log_w))
         assert np.count_nonzero(p_on) > 0
 
-    def test_single_step_p_on_ignores_block_size(self, monkeypatch):
-        # single-step table entries do not depend on the block, so neither
-        # does p_on.  On 5 000 intervals some rows kept from early blocks
-        # are dropped once a later block raises the peak, and the rows
-        # kept in the end are the same at every block size
-        trace = _block_trace(5000, seed=6).trace
+    def test_single_step_p_on_ignores_chunk_size(self, monkeypatch):
+        # single-step table entries do not depend on the chunk, so neither
+        # does p_on.  On 5 000 intervals some rows kept from early chunks
+        # are dropped once a later chunk raises the peak, and the rows
+        # kept in the end are the same at every chunk size
+        trace = _chunk_trace(5000, seed=6).trace
         grid = GridSpec(
             axes=(
                 GridAxis("alpha", 0.0, 1.0, 9),
@@ -989,8 +982,8 @@ class TestEngineBlocks:
 
         monkeypatch.setattr(state_inference, "_smooth_rows", spy)
         whole = state_posterior_marginal(trace, grid).p_on
-        for target in (3, 20):
-            monkeypatch.setattr(posterior, "_BLOCK_CELL_TARGET", target)
+        for budget in (100, 2000):
+            monkeypatch.setattr(posterior, "_CHUNK_BYTES", budget)
             np.testing.assert_array_equal(state_posterior_marginal(trace, grid).p_on, whole)
         assert len(set(sizes)) == 1 and sizes[0] < 9 * 7 * 3
 
