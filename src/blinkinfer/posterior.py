@@ -27,6 +27,7 @@ import platform
 import shutil
 import subprocess
 import tempfile
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -208,8 +209,8 @@ class _EngineContext:
     by a run of emission cells, the four tables within ``_CHUNK_BYTES``.
     ``row_sets`` is the one route from a chunk to log-likelihoods, and
     ``logliks`` runs every chunk.  So no caller holds more than one chunk's
-    tables per thread, and no cell's bits depend on the chunk that holds
-    it.
+    tables and one run's weights per thread, and no cell's bits depend on
+    the chunk that holds it.
     """
 
     def __init__(self, trace, model, grid, prior, quad, d):
@@ -281,13 +282,13 @@ class _EngineContext:
         """The step tables of a grid of one chunk, such as one cell's: four
         contiguous (D, cells) arrays, cells emission cell-major."""
         ((_, ems, weights),) = self.chunks()
-        return _mix_nodes(self.emission_nodes, weights, ems)
+        return _mix_nodes(self.emission_nodes, weights(), ems)
 
     def chunks(self):
         """The grid's chunks: (pairs, ems, weights) for each, ``pairs`` and
         ``ems`` its slices of the switch pairs and of the emission cells,
-        and ``weights`` the weight laws of its pairs, computed once for
-        each run of pairs and shared by the run's chunks.
+        and ``weights`` a function, shared by each run's chunks, whose first
+        call computes the run's weight laws, freed with its last chunk.
 
         A run takes as many pairs as keep its weights and its tables at one
         emission cell within the budget together, the grid's pairs split
@@ -306,7 +307,7 @@ class _EngineContext:
         run = _off_powers(-(-total // runs), 1)
         for lo in range(0, total, run):
             pairs = slice(lo, min(lo + run, total))
-            weights = self.weights(self.a[pairs], self.b[pairs])
+            weights = _once(functools.partial(self.weights, self.a[pairs], self.b[pairs]))
             width = pairs.stop - lo
             ems = _off_powers(min(self.n_em, max(1, _CHUNK_BYTES // (column * width))), width)
             for m in range(0, self.n_em, ems):
@@ -343,7 +344,7 @@ class _EngineContext:
         start = np.tile(start, ems.stop - ems.start)
         pair_cells = np.arange(pairs.start, pairs.stop) * self.n_em
         cells = np.add.outer(np.arange(ems.start, ems.stop), pair_cells).ravel()
-        mats = _mix_nodes(self.emission_nodes, weights, ems)
+        mats = _mix_nodes(self.emission_nodes, weights(), ems)
         m00, m01, m10, m11 = mats
         pinned = ~np.any(((m00 > 0) & (m10 > 0)) | ((m01 > 0) & (m11 > 0)), axis=0)
         log_w = np.zeros(start.shape[1])
@@ -363,29 +364,47 @@ class _EngineContext:
 
         Each chunk writes its own cells, a pinned cell's two rows merged,
         on ``min(workers, chunks, CPUs)`` threads: no thread beyond the
-        CPUs, where it only takes time from the others.  The executor
-        starts threads on submit alone, so where one is left the chunks
-        run through the builtin ``map`` on the calling thread and none
-        starts.
+        CPUs, where it only takes time from the others.  The threads take
+        chunks from one generator as they go.  The executor starts threads
+        on submit alone, so where one is left the calling thread takes them
+        through the builtin ``map`` and none starts.
         """
         out = np.empty((self.a.size, self.n_em))
+        chunks, lock = self.chunks(), threading.Lock()
 
-        def write(chunk):
-            pairs, ems, _ = chunk
-            sets = self.row_sets(*chunk)
-            acc, pinned = sets[0][3:]
-            if len(sets) > 1:
-                acc[pinned] = np.logaddexp(acc[pinned], sets[1][3])
-            out[pairs, ems] = acc.reshape(ems.stop - ems.start, -1).T
+        def next_chunk():
+            with lock:
+                return next(chunks, None)
 
-        chunks = list(self.chunks())
-        # built before any thread starts: functools.cache has no lock, so two
-        # threads on a cold cache would both build it
+        def take(_):
+            while chunk := next_chunk():
+                pairs, ems, _ = chunk
+                sets = self.row_sets(*chunk)
+                acc, pinned = sets[0][3:]
+                if len(sets) > 1:
+                    acc[pinned] = np.logaddexp(acc[pinned], sets[1][3])
+                out[pairs, ems] = acc.reshape(ems.stop - ems.start, -1).T
+                del sets  # so that the next chunk's tables take this one's memory
+
+        # built before any thread starts, as functools.cache has no lock
         _forward_kernel()
-        threads = min(workers, len(chunks), os.cpu_count() or 1)
+        threads = min(workers, sum(1 for _ in self.chunks()), os.cpu_count() or 1)
         with ThreadPoolExecutor(threads) as pool:
-            list((map if threads == 1 else pool.map)(write, chunks))
+            list((map if threads == 1 else pool.map)(take, range(threads)))
         return out
+
+
+def _once(make):
+    """A function that returns ``make()``, computed once under a lock."""
+    lock, value = threading.Lock(), []
+
+    def get():
+        with lock:
+            if not value:
+                value.append(make())
+        return value[0]
+
+    return get
 
 
 def _off_powers(count, times):

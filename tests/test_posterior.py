@@ -4,6 +4,8 @@ import subprocess
 import sys
 import textwrap
 import threading
+import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -422,6 +424,55 @@ class TestEvaluateGrid:
         two = evaluate_grid(trace, "single", grid, workers=2)
         assert sizes == [2]
         assert np.array_equal(one.log_post, two.log_post)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_weights_are_made_as_chunks_run(self, monkeypatch, workers):
+        # 100 x 100 ctmc switch pairs at one emission cell: their weights
+        # over 66 nodes take 21 MB, and a thread may hold one chunk's
+        # tables and one run's weights, with what makes them, at a time
+        monkeypatch.setattr(posterior, "_CHUNK_BYTES", 256 << 10)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        trace = sim_ctmc(SwitchRates(1.0, 1.5), EM, 200, seed=1).trace
+        grid = GridSpec(
+            axes=(GridAxis("r_alpha", 0.1, 3, 100), GridAxis("r_beta", 0.1, 3, 100)),
+            fixed={"lambda": 20.0, "mu": 2.0},
+        )
+        ctx = posterior._grid_context(trace, "ctmc", grid, None, None, None)
+        assert sum(1 for _ in ctx.chunks()) > 100
+        tracemalloc.start()
+        try:
+            out = ctx.logliks(workers)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < out.nbytes + 8 * workers * posterior._CHUNK_BYTES
+        want = evaluate_grid(trace, "ctmc", grid).log_post.ravel()
+        assert np.array_equal(out.ravel(), want)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_thread_frees_its_tables_before_the_next_chunk(self, monkeypatch, workers):
+        # the chunks whose tables are alive when the mixer makes a chunk's
+        # tables, counted by finalizers on the tables' buffers: at most one
+        # per thread.  multistep, as ctmc's quadrature check holds two
+        # tables of its own
+        res = sim_ctmc(SwitchRates(1.0, 0.5), EM, 80, seed=3)
+        monkeypatch.setattr(posterior, "_CHUNK_BYTES", 5000)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        assert _chunk_count(res.trace, "multistep", WORKER_GRID, d=4) > 10
+        live, most, lock = set(), [], threading.Lock()
+        mix = posterior._mix_nodes
+
+        def spy(*args):
+            tables = mix(*args)
+            with lock:
+                live.add(key := object())
+                most.append(len(live))
+            weakref.finalize(tables[0].base, live.discard, key)
+            return tables
+
+        monkeypatch.setattr(posterior, "_mix_nodes", spy)
+        evaluate_grid(res.trace, "multistep", WORKER_GRID, d=4, workers=workers)
+        assert 1 <= max(most) <= workers and not live
 
     def test_engine_never_forks(self):
         # chunks run on threads of the calling process: with os.fork

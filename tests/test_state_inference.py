@@ -837,9 +837,10 @@ class TestEngineChunks:
 
     @pytest.mark.parametrize("model", ["single", "ctmc", "multistep"])
     def test_weights_match_the_engine(self, monkeypatch, model):
-        # chunks of 10 cells' tables at the trace's 12 distinct counts, so
-        # runs of 10 pairs by one emission cell, or of one pair where its
-        # ctmc weights outweigh that.  On a short trace every row lies
+        # chunks of 10 cells' tables at the trace's 12 distinct counts, a
+        # run's weights and one emission cell's tables within that: runs
+        # of 8 pairs (single) or of 6, 6 and 4 (multistep) by one emission
+        # cell, or one ctmc pair by all 6.  On a short trace every row lies
         # within 746 nats of the peak, so every row reaches _smooth_rows
         monkeypatch.setattr(posterior, "_CHUNK_BYTES", 32 * 12 * 10)
         trace, grid = _chunk_trace(40, seed=5).trace, _CHUNK_GRIDS[model]
