@@ -25,8 +25,19 @@
  * steps, so that a block's table columns stay in cache.  smooth runs the same
  * step forward over a block of rows, keeping every prefix, then backward on
  * the transposed tables, and adds each row's weighted on-probability at
- * every position into one sum per position.  None of the three allocates
- * memory.
+ * every position into one sum per position.  None of them allocates memory.
+ *
+ * The grid engine's recursion, run_block, takes its entries from one of two
+ * sources.  forward reads them from tables that mix wrote.
+ * forward_products, which the engine runs for single-step runs of many
+ * pairs, writes no table: a single-step entry is one weight times one
+ * emission value, as the other node's weight is zero and mix adds it as an
+ * exact zero, so the table entry is the one rounded product fl(w E).  Its
+ * block is up to BLOCK pairs at one emission cell, which at each step reads
+ * the row's two emission values as scalars and its pairs' four weights
+ * from L1, and forms each entry in registers with the table's bits.
+ * Everything below, the bound, its proof and the runs, holds for either
+ * source, as it reads only the entries' values.
  *
  * forward scales once per run of up to RUN steps, not at every step, where a
  * bound proves the bits the same.  Scaling by 2^F commutes exactly with a
@@ -61,8 +72,8 @@
  * reaches) >= 2^-1022.  A run's rows have entries < 2, so no value exceeds
  * 2^(3 + 4 RUN) unscaled, nor 8 per step.  Where not even one step fits,
  * forward takes the per-step step and rescale_tiny.  The bound is per
- * block, read from the tables once per block and from the vector once per
- * run.
+ * block, read from the block's entries once per block and from the vector
+ * once per run.
  *
  * smooth keeps per-step scaling.  It reads the vector at every position,
  * not only at a run's end, and its ratio g1 f1 / (g0 f0 + g1 f1) multiplies
@@ -77,23 +88,33 @@
 #define BLOCK 256
 #define RUN 16
 
+/* Entry i of a step's row m: the table entry itself, or on the product path
+ * the weight m[i] times the row's emission value x, one rounded product.
+ * prod is a constant wherever this is inlined. */
+static inline __attribute__((always_inline)) double
+entry(int prod, const double *restrict m, int64_t i, double x)
+{
+    return prod ? m[i] * x : m[i];
+}
+
 /* One step of w cells, scaled by the exact power of two built from the
  * exponent bits of each sum.  A zero sum adds nothing to the exponent.  A
  * subnormal sum gets 2^1022, exact there; returns nonzero if there was one.
- * Inline, or gcc stops inlining it once it has three callers, which slows
- * forward by about a tenth. */
-static inline int64_t step(int64_t w, const double *restrict a,
-                           const double *restrict b, const double *restrict c,
-                           const double *restrict d, const double *restrict p0,
-                           const double *restrict p1, double *restrict q0,
-                           double *restrict q1, int64_t *restrict e)
+ * The entries are a, b, c, d, on the product path times em0 at node 0 (a
+ * and c) and em1 at node 1 (b and d).  Always inline: gcc stops inlining it
+ * once it has three callers, which slows forward by about a tenth. */
+static inline __attribute__((always_inline)) int64_t
+step(int prod, int64_t w, const double *restrict a, const double *restrict b,
+     const double *restrict c, const double *restrict d, double em0, double em1,
+     const double *restrict p0, const double *restrict p1, double *restrict q0,
+     double *restrict q1, int64_t *restrict e)
 {
     int64_t tiny = 0;
     for (int64_t i = 0; i < w; i++) {
-        double x0 = a[i] * p0[i];
-        x0 = x0 + b[i] * p1[i];
-        double x1 = c[i] * p0[i];
-        x1 = x1 + d[i] * p1[i];
+        double x0 = entry(prod, a, i, em0) * p0[i];
+        x0 = x0 + entry(prod, b, i, em1) * p1[i];
+        double x1 = entry(prod, c, i, em0) * p0[i];
+        x1 = x1 + entry(prod, d, i, em1) * p1[i];
         double s = x0 + x1, scale;
         uint64_t bits;
         memcpy(&bits, &s, sizeof bits);
@@ -224,90 +245,152 @@ mix(int64_t depth, int64_t nodes, int64_t cells, int64_t first, int64_t width,
     }
 }
 
+/* Where a block's entries come from.  On the table path row r of entry t,
+ * in the order 00, 01, 10, 11, starts at m[t] + r * stride, the block's
+ * columns of four (D, cells) tables.  On the product path m[t] holds the
+ * block's pairs' weights of entry t, stride is 0, and entry t of row r is
+ * the weight times em[r * em_stride + (t & 1)], the row's emission at node
+ * 0 for 00 and 10 and at node 1 for 01 and 11. */
+struct source {
+    const double *m[4];
+    int64_t stride;
+    const double *em;
+    int64_t em_stride;
+};
+
+/* Adds to e (w) the exponents of n steps of a block of w cells from start
+ * vectors p0, p1 and writes the end vectors to end0, end1: runs of unscaled
+ * steps as the header proves them, each row's reach (depth) read from the
+ * block's entries.  The one recursion of forward and forward_products; prod
+ * is a constant wherever it is inlined, so each compiles to its own loops. */
+static inline __attribute__((always_inline)) void
+run_block(int prod, struct source s, int64_t n, int64_t depth, int64_t w,
+          const int64_t *inv, const double *p0, const double *p1, double *end0,
+          double *end1, int64_t *e, int64_t *reach)
+{
+    const uint64_t mag = ~(UINT64_C(1) << 63);
+    double buf[2][2][BLOCK];
+    for (int64_t r = 0; r < depth; r++) {
+        /* bits - 1 wraps a zero to the largest value, out of the min */
+        uint64_t least = UINT64_MAX, most = 0;
+        for (int t = 0; t < 4; t++) {
+            const double *m = s.m[t] + r * s.stride;
+            double x = prod ? s.em[r * s.em_stride + (t & 1)] : 1.0;
+            for (int64_t i = 0; i < w; i++) {
+                double v = entry(prod, m, i, x);
+                uint64_t bits;
+                memcpy(&bits, &v, sizeof bits);
+                bits &= mag;
+                least = bits - 1 < least ? bits - 1 : least;
+                most = bits > most ? bits : most;
+            }
+        }
+        /* a subnormal entry reads as 2^-1023, beyond any run's reach */
+        int64_t low = (int64_t)((least + 1) >> 52), high = (int64_t)(most >> 52);
+        if (least == UINT64_MAX)
+            reach[r] = 0;
+        else if (high > 1023)
+            reach[r] = -4096;
+        else
+            reach[r] = low - 1023 - (high > 1019 ? high - 1019 : 0);
+    }
+    /* the start is not scaled, so the first step is a run of one */
+    for (int64_t k = 0, least_exp = -1023; k < n;) {
+        int64_t run = 0;
+        for (int64_t sum = least_exp; run < RUN && k + run < n; run++) {
+            sum += reach[inv[k + run]];
+            if (sum < -1022)
+                break;
+        }
+        for (; run > 1; run--, k++) {
+            const double *restrict u0 = p0, *restrict u1 = p1;
+            double *restrict q0 = buf[k & 1][0], *restrict q1 = buf[k & 1][1];
+            int64_t r = inv[k];
+            const double *restrict a = s.m[0] + r * s.stride;
+            const double *restrict b = s.m[1] + r * s.stride;
+            const double *restrict c = s.m[2] + r * s.stride;
+            const double *restrict d = s.m[3] + r * s.stride;
+            double em0 = prod ? s.em[r * s.em_stride] : 1.0;
+            double em1 = prod ? s.em[r * s.em_stride + 1] : 1.0;
+            for (int64_t i = 0; i < w; i++) {
+                double x0 = entry(prod, a, i, em0) * u0[i];
+                x0 = x0 + entry(prod, b, i, em1) * u1[i];
+                double x1 = entry(prod, c, i, em0) * u0[i];
+                x1 = x1 + entry(prod, d, i, em1) * u1[i];
+                q0[i] = x0;
+                q1[i] = x1;
+            }
+            p0 = q0;
+            p1 = q1;
+        }
+        double *q0 = buf[k & 1][0], *q1 = buf[k & 1][1];
+        int64_t r = inv[k], row = r * s.stride;
+        double em0 = prod ? s.em[r * s.em_stride] : 1.0;
+        double em1 = prod ? s.em[r * s.em_stride + 1] : 1.0;
+        if (step(prod, w, s.m[0] + row, s.m[1] + row, s.m[2] + row, s.m[3] + row,
+                 em0, em1, p0, p1, q0, q1, e))
+            rescale_tiny(w, q0, q1, e);
+        p0 = q0;
+        p1 = q1;
+        k++;
+        uint64_t least = UINT64_MAX;
+        for (int64_t i = 0; i < w; i++) {
+            uint64_t b0, b1;
+            memcpy(&b0, p0 + i, sizeof b0);
+            memcpy(&b1, p1 + i, sizeof b1);
+            b0 = (b0 & mag) - 1;
+            b1 = (b1 & mag) - 1;
+            least = b0 < least ? b0 : least;
+            least = b1 < least ? b1 : least;
+        }
+        least_exp = (int64_t)((least + 1) >> 52) - 1023;
+    }
+    memcpy(end0, p0, w * sizeof(double));
+    memcpy(end1, p1, w * sizeof(double));
+}
+
 /* Adds to exps (cells) the exponents of n steps from start (2, cells) and
- * writes the end vectors (2, cells), from tables of depth rows.  Runs of
- * unscaled steps as the header proves them; reach (depth) is scratch. */
+ * writes the end vectors (2, cells), from tables of depth rows, in blocks
+ * of BLOCK cells; reach (depth) is scratch. */
 void forward(int64_t n, int64_t cells, int64_t depth, const double *m00,
              const double *m01, const double *m10, const double *m11,
              const int64_t *inv, const double *start, double *end,
              int64_t *exps, int64_t *reach)
 {
-    const double *tab[4] = {m00, m01, m10, m11};
-    const uint64_t mag = ~(UINT64_C(1) << 63);
-    double buf[2][2][BLOCK];
     for (int64_t lo = 0; lo < cells; lo += BLOCK) {
         int64_t w = cells - lo < BLOCK ? cells - lo : BLOCK;
-        int64_t *e = exps + lo;
-        const double *p0 = start + lo, *p1 = start + cells + lo;
-        for (int64_t r = 0; r < depth; r++) {
-            /* bits - 1 wraps a zero to the largest value, out of the min */
-            uint64_t least = UINT64_MAX, most = 0;
-            for (int t = 0; t < 4; t++) {
-                const double *m = tab[t] + r * cells + lo;
-                for (int64_t i = 0; i < w; i++) {
-                    uint64_t bits;
-                    memcpy(&bits, m + i, sizeof bits);
-                    bits &= mag;
-                    least = bits - 1 < least ? bits - 1 : least;
-                    most = bits > most ? bits : most;
-                }
-            }
-            /* a subnormal entry reads as 2^-1023, beyond any run's reach */
-            int64_t low = (int64_t)((least + 1) >> 52), high = (int64_t)(most >> 52);
-            if (least == UINT64_MAX)
-                reach[r] = 0;
-            else if (high > 1023)
-                reach[r] = -4096;
-            else
-                reach[r] = low - 1023 - (high > 1019 ? high - 1019 : 0);
-        }
-        /* the start is not scaled, so the first step is a run of one */
-        for (int64_t k = 0, least_exp = -1023; k < n;) {
-            int64_t run = 0;
-            for (int64_t sum = least_exp; run < RUN && k + run < n; run++) {
-                sum += reach[inv[k + run]];
-                if (sum < -1022)
-                    break;
-            }
-            for (; run > 1; run--, k++) {
-                const double *restrict u0 = p0, *restrict u1 = p1;
-                double *restrict q0 = buf[k & 1][0], *restrict q1 = buf[k & 1][1];
-                int64_t row = inv[k] * cells + lo;
-                const double *restrict a = m00 + row, *restrict b = m01 + row;
-                const double *restrict c = m10 + row, *restrict d = m11 + row;
-                for (int64_t i = 0; i < w; i++) {
-                    double x0 = a[i] * u0[i];
-                    x0 = x0 + b[i] * u1[i];
-                    double x1 = c[i] * u0[i];
-                    x1 = x1 + d[i] * u1[i];
-                    q0[i] = x0;
-                    q1[i] = x1;
-                }
-                p0 = q0;
-                p1 = q1;
-            }
-            double *q0 = buf[k & 1][0], *q1 = buf[k & 1][1];
-            int64_t row = inv[k] * cells + lo;
-            if (step(w, m00 + row, m01 + row, m10 + row, m11 + row, p0, p1, q0, q1, e))
-                rescale_tiny(w, q0, q1, e);
-            p0 = q0;
-            p1 = q1;
-            k++;
-            uint64_t least = UINT64_MAX;
-            for (int64_t i = 0; i < w; i++) {
-                uint64_t b0, b1;
-                memcpy(&b0, p0 + i, sizeof b0);
-                memcpy(&b1, p1 + i, sizeof b1);
-                b0 = (b0 & mag) - 1;
-                b1 = (b1 & mag) - 1;
-                least = b0 < least ? b0 : least;
-                least = b1 < least ? b1 : least;
-            }
-            least_exp = (int64_t)((least + 1) >> 52) - 1023;
-        }
-        memcpy(end + lo, p0, w * sizeof(double));
-        memcpy(end + cells + lo, p1, w * sizeof(double));
+        struct source s = {{m00 + lo, m01 + lo, m10 + lo, m11 + lo}, cells, NULL, 0};
+        run_block(0, s, n, depth, w, inv, start + lo, start + cells + lo, end + lo,
+                  end + cells + lo, exps + lo, reach);
     }
+}
+
+/* forward on the product path: the cells are pairs switch pairs by emission
+ * cells first .. first + ems - 1 of emission (depth, width, 2), emission
+ * cell-major, and the entries of pair i at emission cell j read row r as
+ * w00[i] E0, w01[i] E1, w10[i] E0 and w11[i] E1, (E0, E1) = emission[r,
+ * first + j]: each the one rounded product that mix writes to a
+ * single-step table.  Blocks take up to BLOCK pairs at one emission cell,
+ * the pairs split about evenly, so that no block is left a few pairs wide,
+ * in sizes rounded up to a multiple of 8, so that only the last block's
+ * loops end in a part vector. */
+void forward_products(int64_t n, int64_t pairs, int64_t first, int64_t ems,
+                      int64_t depth, int64_t width, const double *w00,
+                      const double *w01, const double *w10, const double *w11,
+                      const double *emission, const int64_t *inv,
+                      const double *start, double *end, int64_t *exps,
+                      int64_t *reach)
+{
+    int64_t cells = pairs * ems, blocks = (pairs + BLOCK - 1) / BLOCK;
+    int64_t size = blocks ? ((pairs + blocks - 1) / blocks + 7) / 8 * 8 : 0;
+    for (int64_t j = 0; j < ems; j++)
+        for (int64_t lo = 0; lo < pairs; lo += size) {
+            int64_t w = pairs - lo < size ? pairs - lo : size, c = j * pairs + lo;
+            struct source s = {{w00 + lo, w01 + lo, w10 + lo, w11 + lo}, 0,
+                               emission + 2 * (first + j), 2 * width};
+            run_block(1, s, n, depth, w, inv, start + c, start + cells + c, end + c,
+                      end + cells + c, exps + c, reach);
+        }
 }
 
 /* Adds to num[k - 1], k = 1..n, each row's weight times P(on at boundary k),
@@ -334,8 +417,8 @@ void smooth(int64_t n, int64_t rows, int64_t width, const double *m00,
             const double *p0 = pre + 2 * k * width;
             double *q0 = pre + 2 * (k + 1) * width;
             int64_t row = inv[k] * rows + lo;
-            if (step(w, m00 + row, m01 + row, m10 + row, m11 + row, p0, p0 + width,
-                     q0, q0 + width, e))
+            if (step(0, w, m00 + row, m01 + row, m10 + row, m11 + row, 1.0, 1.0, p0,
+                     p0 + width, q0, q0 + width, e))
                 rescale_tiny(w, q0, q0 + width, e);
         }
         for (int64_t i = 0; i < w; i++)
@@ -356,7 +439,8 @@ void smooth(int64_t n, int64_t rows, int64_t width, const double *m00,
                 break;
             double *h0 = g[cur ^ 1][0], *h1 = g[cur ^ 1][1];
             int64_t row = inv[k - 1] * rows + lo;
-            if (step(w, m00 + row, m10 + row, m01 + row, m11 + row, g0, g1, h0, h1, e))
+            if (step(0, w, m00 + row, m10 + row, m01 + row, m11 + row, 1.0, 1.0, g0, g1,
+                     h0, h1, e))
                 rescale_tiny(w, h0, h1, e);
         }
     }

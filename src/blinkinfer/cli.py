@@ -395,7 +395,7 @@ def cmd_infer(cfg: argparse.Namespace) -> None:
         print(f"d: {posterior.d}")
     write_posterior_json(cfg.out_path, posterior, cfg.levels)
     mode_str = ", ".join(
-        f"{name}={value:g}"
+        f"{name}={_g(value)}"
         for name, value in zip(posterior.spec.free_names, posterior.mode)
     )
     print(f"mode: {mode_str}")

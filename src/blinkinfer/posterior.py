@@ -66,6 +66,14 @@ _PROB_AXES = {"alpha", "beta"}
 # forward pass reads the tables the mixer has just written from cache.  A
 # chunk of one cell may exceed it.
 _CHUNK_BYTES = 2 << 20
+# Pairs per run from which a single-step run takes the product path, whose
+# blocks hold one emission cell's pairs, so that a narrow run steps narrow
+# blocks.  Product over table time of evaluating a grid, N = 1e4 and some
+# 40 count values, min of 15 on a 2-CPU Xeon (AVX-512, shared host): at 64
+# emission cells 2.7 at 4 pairs a run, 1.3 at 8, 0.87 at 16, 0.76 at 24,
+# 0.74 at 32 and 0.62 at 64; at 9 emission cells 1.0 at 16, 1.15 at 20 and
+# 0.77 at 32
+_PRODUCT_PAIRS = 32
 
 
 @dataclass(frozen=True)
@@ -211,6 +219,13 @@ class _EngineContext:
     ``logliks`` runs every chunk.  So no caller holds more than one chunk's
     tables and one run's weights per thread, and no cell's bits depend on
     the chunk that holds it.
+
+    A single-step entry is one weight times one emission value, so a wide
+    single-step run takes the product path, on which the forward kernel
+    forms each entry as it steps and no table is built unless a caller
+    asks ``row_sets``' sets for some rows' tables: the smoother for its
+    kept rows, ``tables`` and the tests.  Every table still comes from
+    ``_mix_nodes``.
     """
 
     def __init__(self, trace, model, grid, prior, quad, d):
@@ -252,31 +267,36 @@ class _EngineContext:
         rate = self.mu_flat[:, None] + self.lam_flat[:, None] * nodes
         self.emission_nodes = poisson_pmf(rate, self.distinct[:, None, None])
 
-    # -- on-fraction laws w[start, end, pair, node] of the step tables --
+    # -- on-fraction laws of the step tables, as ``mix`` reads them: (4,
+    # node, pair), the first axis in step-matrix order [end, start] --
 
     def _weights_single(self, a, b):
         # all weight on the start state's node, split over the end states
-        stay_go = np.stack([[1.0 - a, a], [b, 1.0 - b]])
-        return stay_go[..., None] * np.eye(2)[:, None, None, :]
+        law = np.zeros((4, 2, a.size))
+        law[0, 0], law[2, 0] = 1.0 - a, a
+        law[1, 1], law[3, 1] = b, 1.0 - b
+        return law
 
     def _weights_ctmc(self, a, b):
         x, w = self.quad.nodes_weights()
-        law = np.zeros((2, 2, a.size, x.size + 2))
-        law[..., 1:-1] = _ctmc._smooth_densities(a[:, None], b[:, None], x) * w
+        dens = _ctmc._smooth_densities(a[:, None], b[:, None], x)
+        law = np.zeros((4, x.size + 2, a.size))
+        for q, (end, start) in enumerate(np.ndindex(2, 2)):
+            np.multiply(dens[start, end], w, out=law[q, 1:-1].T)
         # switch-free histories: point masses at on-fraction 0 and 1
-        law[0, 0, :, 0] = np.exp(-a)
-        law[1, 1, :, -1] = np.exp(-b)
+        law[0, 0] = np.exp(-a)
+        law[3, -1] = np.exp(-b)
         return law
 
     def _weights_multistep(self, a, b):
-        return _multistep.on_count_weights(self.d, a, b)
+        law = _multistep.on_count_weights(self.d, a, b)  # [start, end, pair, node]
+        return np.ascontiguousarray(law.transpose(1, 0, 3, 2).reshape(4, -1, a.size))
 
     def weights(self, a, b):
         """The weight laws of switch pairs ``a``, ``b`` as ``mix`` reads
         them: (4, node, pair), the first axis in step-matrix order [end,
         start]: 00, 01, 10, 11."""
-        law = getattr(self, f"_weights_{self.model}")(a, b)
-        return np.ascontiguousarray(law.transpose(1, 0, 3, 2).reshape(4, -1, a.size))
+        return getattr(self, f"_weights_{self.model}")(a, b)
 
     def tables(self):
         """The step tables of a grid of one chunk, such as one cell's: four
@@ -318,10 +338,11 @@ class _EngineContext:
         log-likelihoods: a list of (cells, tables, start, loglik, pinned)
         sets.
 
-        Each set holds each row's flat cell index in the grid, four (D,
-        rows) step tables, (2, rows) start vectors, each row's log weight
-        plus ``_forward_cells`` of its tables, and a bool mask of the
-        start-pinned rows.  The first set has one row per cell, emission
+        Each set holds each row's flat cell index in the grid, a function
+        that maps an ascending array of the set's row indices to those
+        rows' four (D, k) step tables, (2, rows) start vectors, each row's
+        log weight plus its forward-pass log-likelihood, and a bool mask of
+        the start-pinned rows.  The first set has one row per cell, emission
         cell-major, so that row j * pairs + i is pair i at emission cell j
         of the chunk, started from (P(off), P(on)), stationary for its pair
         unless a prior was given, with log weight 0.  A cell whose tables
@@ -330,9 +351,17 @@ class _EngineContext:
         good; its row is pinned to start off with log weight log P(off), and
         a second set, present only if there are such cells, holds their rows
         pinned to start on with log weight log P(on).  No other code tells a
-        frozen chain.  The chunk's tables are referenced from its sets
-        alone, so a caller that drops them before the next chunk holds one
-        chunk's tables at a time.
+        frozen chain.
+
+        A single-step run of at least ``_PRODUCT_PAIRS`` pairs takes the
+        product path: ``_forward_products`` forms each entry as it steps,
+        and the pinned mask comes from the emission's largest value at each
+        node.  Its tables are mixed only for the rows a caller asks for,
+        and for the second set's few rows, which run on the table path.
+        Every other run mixes the chunk's tables and runs ``_forward_cells``
+        on them; they are then referenced from the sets alone, so a caller
+        that drops the sets before the next chunk holds one chunk's tables
+        at a time.  Both paths give the same bits.
         """
         a, b = self.a[pairs], self.b[pairs]
         if self.prior is None:
@@ -344,20 +373,56 @@ class _EngineContext:
         start = np.tile(start, ems.stop - ems.start)
         pair_cells = np.arange(pairs.start, pairs.stop) * self.n_em
         cells = np.add.outer(np.arange(ems.start, ems.stop), pair_cells).ravel()
-        mats = _mix_nodes(self.emission_nodes, weights(), ems)
-        m00, m01, m10, m11 = mats
-        pinned = ~np.any(((m00 > 0) & (m10 > 0)) | ((m01 > 0) & (m11 > 0)), axis=0)
+        law = weights()
+        if self.model == "single" and a.size >= _PRODUCT_PAIRS:
+            pinned = self._pinned_products(law, ems)
+            tables = functools.partial(self._row_tables, law, ems)
+            forward = functools.partial(_forward_products, self.emission_nodes, ems, law)
+        else:
+            mats = _mix_nodes(self.emission_nodes, law, ems)
+            m00, m01, m10, m11 = mats
+            pinned = ~np.any(((m00 > 0) & (m10 > 0)) | ((m01 > 0) & (m11 > 0)), axis=0)
+            tables = functools.partial(_columns, mats)
+            forward = functools.partial(_forward_cells, *mats)
         log_w = np.zeros(start.shape[1])
         with np.errstate(divide="ignore"):
             log_w[pinned] = np.log(start[0, pinned])
             log_w_on = np.log(start[1, pinned])
         start[:, pinned] = [[1.0], [0.0]]
-        sets = [(cells, mats, start, log_w, pinned)]
+        sets = [(cells, tables, start, log_w + forward(self.inv, start), pinned)]
         if pinned.any():
-            sub = tuple(np.ascontiguousarray(m[:, pinned]) for m in mats)
+            sub = tables(np.flatnonzero(pinned))
             start_on = np.tile([[0.0], [1.0]], log_w_on.size)
-            sets.append((cells[pinned], sub, start_on, log_w_on, np.ones(log_w_on.size, dtype=bool)))
-        return [(c, m, s, w + _forward_cells(*m, self.inv, s), p) for c, m, s, w, p in sets]
+            loglik_on = log_w_on + _forward_cells(*sub, self.inv, start_on)
+            on = np.ones(log_w_on.size, dtype=bool)
+            sets.append((cells[pinned], functools.partial(_columns, sub), start_on, loglik_on, on))
+        return sets
+
+    def _pinned_products(self, weights, ems):
+        """The pinned mask of a single-step chunk, with no table: a start
+        state branches at some row iff both its entries fl(w E) are > 0
+        there, and so iff they are at E = the largest emission value over
+        the rows at its node, as fl(w E) is monotone in E."""
+        top = self.emission_nodes[:, ems].max(axis=0)[:, :, None]  # (ems, node, 1)
+        off = (weights[0, 0] * top[:, 0] > 0) & (weights[2, 0] * top[:, 0] > 0)
+        on = (weights[1, 1] * top[:, 1] > 0) & (weights[3, 1] * top[:, 1] > 0)
+        return ~(off | on).ravel()
+
+    def _row_tables(self, weights, ems, rows):
+        """The step tables of the chunk's rows ``rows``, ascending: mixed
+        one emission cell at a time over those rows' pairs alone, with the
+        bits of the chunk's tables, as an entry's bits depend on its own
+        cell alone."""
+        if not rows.size:
+            return tuple(np.empty((len(self.distinct), 0)) for _ in range(4))
+        cell, pair = np.divmod(rows, weights.shape[2])
+        cell += ems.start
+        bounds = np.flatnonzero(np.diff(cell)) + 1
+        pieces = [
+            _mix_nodes(self.emission_nodes, weights.take(p, axis=2), slice(c[0], c[0] + 1))
+            for c, p in zip(np.split(cell, bounds), np.split(pair, bounds))
+        ]
+        return tuple(np.concatenate(ms, axis=1) for ms in zip(*pieces))
 
     def logliks(self, workers=1):
         """Every cell's log-likelihood, a (pair, emission cell) array.
@@ -367,7 +432,9 @@ class _EngineContext:
         CPUs, where it only takes time from the others.  The threads take
         chunks from one generator as they go.  The executor starts threads
         on submit alone, so where one is left the calling thread takes them
-        through the builtin ``map`` and none starts.
+        through the builtin ``map`` and none starts.  No set's tables are
+        read, so a chunk on the product path builds none but those of its
+        pinned cells' start-on rows.
         """
         out = np.empty((self.a.size, self.n_em))
         chunks, lock = self.chunks(), threading.Lock()
@@ -392,6 +459,14 @@ class _EngineContext:
         with ThreadPoolExecutor(threads) as pool:
             list((map if threads == 1 else pool.map)(take, range(threads)))
         return out
+
+
+def _columns(tables, cols):
+    """The columns ``cols``, ascending, of four (D, rows) tables: the tables
+    themselves where those are all of their columns."""
+    if cols.size == tables[0].shape[1]:
+        return tables
+    return tuple(m.take(cols, axis=1) for m in tables)
 
 
 def _once(make):
@@ -512,11 +587,42 @@ def _forward_cells(m00, m01, m10, m11, inv, start):
     """
     _check_rows((m00, m01, m10, m11), inv, start)
     cells = start.shape[1]
+    args = (cells, len(m00), m00, m01, m10, m11)
+    return _run_forward(_forward_kernel().forward, args, inv, start, len(m00))
+
+
+def _forward_products(emission, ems, weights, inv, start):
+    """``_forward_cells`` of the single-step tables that ``_mix_nodes``
+    would build from ``emission`` at emission cells ``ems`` and
+    ``weights`` (4, 2, pairs), bit for bit, with no table built.
+
+    A single-step entry is one weight times one emission value, so the
+    ``forward_products`` kernel forms each as it steps: pair i's weights
+    00 and 10 at node 0 and 01 and 11 at node 1, times the row's emission
+    at that node, the one rounded product that ``mix`` writes.  ``start``
+    is (2, pairs * emission cells), emission cell-major.
+    """
+    depth, width, nodes = emission.shape
+    first, stop, _ = ems.indices(width)
+    pairs = weights.shape[2]
+    if nodes != 2 or weights.shape != (4, 2, pairs) or start.shape != (2, pairs * (stop - first)):
+        raise ValueError("weights, emission and start vectors disagree in shape")
+    if len(inv) and not 0 <= inv.min() <= inv.max() < depth:
+        raise ValueError("an interval reads a row outside the emission table")
+    singles = (weights[0, 0], weights[1, 1], weights[2, 0], weights[3, 1])
+    args = (pairs, first, stop - first, depth, width, *singles, emission)
+    return _run_forward(_forward_kernel().forward_products, args, inv, start, depth)
+
+
+def _run_forward(kernel, args, inv, start, depth):
+    """Runs a forward kernel on ``args`` and returns each cell's
+    log-likelihood, e ln 2 + log(v0 + v1) of its end vector v and exponent
+    count e."""
+    cells = start.shape[1]
     end = np.empty((2, cells))
     exps = np.zeros(cells, dtype=np.int64)
-    reach = np.empty(len(m00), dtype=np.int64)  # the kernel's scratch, one per table row
-    kernel = _forward_kernel().forward
-    kernel(len(inv), cells, len(m00), m00, m01, m10, m11, inv, start, end, exps, reach)
+    reach = np.empty(depth, dtype=np.int64)  # the kernel's scratch, one per table row
+    kernel(len(inv), *args, inv, start, end, exps, reach)
     with np.errstate(divide="ignore"):
         return exps * _LN2 + np.log(end[0] + end[1])
 
@@ -581,10 +687,11 @@ def _forward_kernel():
     c8 = ctypes.c_int64
     lib.mix.argtypes = [c8, c8, c8, c8, c8, c8, f8, f8, f8]
     lib.forward.argtypes = [c8, c8, c8, f8, f8, f8, f8, i8, f8, f8, i8, i8]
+    lib.forward_products.argtypes = [c8] * 6 + [f8] * 5 + [i8, f8, f8, i8, i8]
     lib.smooth.argtypes = [c8, c8, c8, f8, f8, f8, f8, i8, f8, f8, f8, f8]
     lib.repr_doubles.argtypes = [c8, f8, c8, c8, u8, u8, u1]
     lib.repr_rows.argtypes = [c8, f8, c8, u8, u8, u1]
-    lib.mix.restype = lib.forward.restype = lib.smooth.restype = None
+    lib.mix.restype = lib.forward.restype = lib.forward_products.restype = lib.smooth.restype = None
     lib.repr_doubles.restype = lib.repr_rows.restype = c8
     return lib
 

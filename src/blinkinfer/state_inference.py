@@ -5,7 +5,7 @@ likelihood to paths passing through that state, so the ratio of a masked
 product to the full product is the state's posterior probability given the
 whole trace.  Computed for every position by a forward-backward pass on
 the grid engine's compiled kernel.  A weight pass runs the grid engine's
-chunks and their forward pass, one chunk of tables at a time, and keeps
+chunks and their forward pass, one chunk at a time, and keeps
 only the rows whose likelihood lies within 746 nats of the running peak:
 every other row has weight exactly 0.  The kept rows then go heaviest
 first, in small blocks, through a forward pass that keeps each prefix
@@ -28,6 +28,7 @@ prefix vectors, which follow its one path.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -134,11 +135,11 @@ def _smooth(ctx):
     """On-probability at every boundary, averaged over the context's rows.
 
     The weight pass runs the grid engine's chunks, as ``evaluate_grid``
-    does, one at a time: ``row_sets`` builds each chunk's tables and gives
-    each row's log-likelihood l.  With P_run the largest l so far, only rows
-    with l >= P_run - 746 keep their table columns, start and
-    log-likelihood, gathered from the chunk's tables, and rows kept from
-    earlier chunks are dropped once P_run rises above them.
+    does, one at a time: ``row_sets`` gives each row's log-likelihood l.
+    With P_run the largest l so far, only rows with l >= P_run - 746 keep
+    their table columns, start and log-likelihood, the columns asked of
+    their set, which mixes them then on the engine's product path, and
+    rows kept from earlier chunks are dropped once P_run rises above them.
     The cut loses nothing.  The final peak P is at least P_run, so a
     dropped row has l < P - 746 up to the rounding of the cut, at most
     half an ulp of P: 1/8 while |P| < 2^50, which only a trace of some
@@ -168,7 +169,8 @@ def _smooth(ctx):
         top = max(rows[3].max() for rows in sets)
         if top > peak:
             peak = top
-            kept = [_heavy_rows(*rows, peak - 746.0) for rows in kept]
+            kept = [_heavy_rows(key, functools.partial(_posterior._columns, mats), *rest,
+                                peak - 746.0) for key, mats, *rest in kept]
         # start-on rows after all others
         kept += [_heavy_rows(rows[0] + i * cells, *rows[1:4], peak - 746.0)
                  for i, rows in enumerate(sets)]
@@ -199,12 +201,12 @@ def _sorted_rows(kept, depth):
 
 
 def _heavy_rows(key, tables, start, loglik, cut):
-    """The rows of finite log-likelihood at least ``cut``, in their order."""
+    """The rows of finite log-likelihood at least ``cut``, in their order,
+    with the step tables that ``tables`` gives for their indices."""
     keep = np.flatnonzero((loglik >= cut) & (loglik > -np.inf))
     if keep.size == loglik.size:
-        return key, tables, start, loglik
-    return (key[keep], tuple(m.take(keep, axis=1) for m in tables),
-            start.take(keep, axis=1), loglik[keep])
+        return key, tables(keep), start, loglik
+    return key[keep], tables(keep), start.take(keep, axis=1), loglik[keep]
 
 
 def _smooth_rows(inv, tables, start, loglik):

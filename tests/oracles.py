@@ -308,12 +308,15 @@ def per_step_smooth(m00, m01, m10, m11, inv, start, log_w):
 def engine_rows(ctx):
     """Every row that ``ctx.row_sets`` gives over the chunks of ``ctx``, in
     the grid's flat cell order, the start-on rows of pinned cells last: the
-    four (D, rows) tables, the (2, rows) starts, the log-likelihoods and
-    the pinned masks."""
+    four (D, rows) tables, asked of each set for all its rows, the (2,
+    rows) starts, the log-likelihoods and the pinned masks."""
     keyed = []
     for chunk in ctx.chunks():
         sets = ctx.row_sets(*chunk)
-        keyed += [(rows[0] + i * ctx.a.size * ctx.n_em, *rows[1:]) for i, rows in enumerate(sets)]
+        keyed += [
+            (cells + i * ctx.a.size * ctx.n_em, tables(np.arange(cells.size)), *rest)
+            for i, (cells, tables, *rest) in enumerate(sets)
+        ]
     order = np.argsort(np.concatenate([c[0] for c in keyed]))
     mats = tuple(
         np.concatenate(ms, axis=1).take(order, axis=1) for ms in zip(*(c[1] for c in keyed))

@@ -229,6 +229,22 @@ class TestInfer:
         assert "d: 16" in stdout
         assert read_posterior_json(out)["d"] == 16
 
+    def test_mode_prints_values_that_read_back(self, tmp_path, capsys):
+        # every count is 1500001 and mu is 0, so the mode is lambda=1500001,
+        # which :g alone would print as 1.5e+06; its repr reads back
+        tr = tmp_path / "t.csv"
+        tr.write_text("t,count\n" + "".join(f"{t},1500001\n" for t in range(1, 6)))
+        code = run(
+            [
+                "infer", "--in", str(tr), "--model", "single",
+                "--grid", "lambda=1500001:3000002:2",
+                "--fix", "alpha=0.5", "--fix", "beta=0.5", "--fix", "mu=0",
+                "--out", str(tmp_path / "p.json"),
+            ]
+        )
+        assert code == 0
+        assert "mode: lambda=1500001.0\n" in capsys.readouterr().out
+
     def test_missing_file_rejected(self, tmp_path):
         code = run(
             [
@@ -417,7 +433,10 @@ def _mutated_trace(counts, mutations):
         elif kind == "long count":
             row[1] = str(value)
         elif kind in ("skipped t", "repeated t"):
-            row[0] = str(int(row[0] or 0) + (1 if kind == "skipped t" else -1))
+            try:
+                row[0] = str(int(row[0] or 0) + (1 if kind == "skipped t" else -1))
+            except ValueError:  # a blank line's t, made " " or "+" by an earlier mutation
+                pass
         elif kind == "non-ascii digit":
             zero = (0x660, 0x6F0, 0x966, 0xFF10)[value % 4]
             row[0] = "".join(chr(zero + int(d)) if d.isdigit() else d for d in row[0])

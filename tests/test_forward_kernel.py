@@ -476,6 +476,44 @@ class TestMixTiles:
                 assert np.array_equal(np.stack(one)[..., 0], whole[:, :, m, p])
 
 
+class TestProductBlockEdges:
+    """The product path forms each single-step entry as weight times
+    emission in blocks of pairs at one emission cell; on block edges, with
+    weights of 0 and 1, a cell of zero emissions and one subnormal, it
+    gives the bits of the forward pass on the mixer's tables, -inf
+    included."""
+
+    @pytest.mark.parametrize("pairs", [1, 7, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 8])
+    def test_matches_the_table_path(self, pairs):
+        rng = np.random.default_rng(pairs)
+        emission = rng.random((4, 6, 2))
+        emission[1, 3] = 0.0
+        emission[2, 4, 1] = 2.0**-1060
+        a, b = rng.random(pairs), rng.random(pairs)
+        a[::5], b[::7], a[1::9] = 0.0, 1.0, 1.0
+        weights = np.zeros((4, 2, pairs))
+        weights[0, 0], weights[2, 0], weights[1, 1], weights[3, 1] = 1.0 - a, a, b, 1.0 - b
+        ems = slice(2, 6)
+        start = rng.random((2, 4 * pairs))
+        start /= start.sum(axis=0)
+        start[:, ::3] = [[1.0], [0.0]]
+        inv = rng.integers(0, 4, 3 * RUN)
+        inv[0] = 2
+        want = posterior._forward_cells(*posterior._mix_nodes(emission, weights, ems), inv, start)
+        got = posterior._forward_products(emission, ems, weights, inv, start)
+        assert np.array_equal(got, want)
+        assert np.isneginf(want).any() and np.isfinite(want).any()
+
+    def test_rejects_mismatched_buffers(self):
+        emission, weights = np.ones((3, 4, 2)), np.ones((4, 2, 5))
+        inv, start = np.zeros(4, dtype=np.int64), np.full((2, 10), 0.5)
+        posterior._forward_products(emission, slice(1, 3), weights, inv, start)
+        with pytest.raises(ValueError, match="disagree"):
+            posterior._forward_products(emission, slice(1, 4), weights, inv, start)
+        with pytest.raises(ValueError, match="outside"):
+            posterior._forward_products(emission, slice(1, 3), weights, inv + 3, start)
+
+
 class TestBuild:
     def test_import_builds_nothing(self, tmp_path):
         run = _fresh("import blinkinfer.cli", tmp_path)
@@ -625,7 +663,8 @@ class TestBuild:
 # at widths 1 and 32 on rows of which a third are frozen, each with a
 # subnormal table entry, and mix on 1, 5, 16 and 37 pairs, over runs of 1,
 # 3 and 13 emission cells that end at the emission table's last cell, at 1
-# and 9 counts.  Then the float formatter, as repr and as JSON, and the state
+# and 9 counts, and forward_products on 1, 255, 256, 257 and 520 pairs at
+# the last 3 of 20 emission cells, one emission value subnormal.  Then the float formatter, as repr and as JSON, and the state
 # CSV's row writer, on subnormals, signed zeros, infinities, nan and the
 # neighbours of 2^53 and of every power of ten, with row numbers that cross
 # from 9 to 10, 99 999 to 100 000, 18 to 19 digits and past 2^63.  Prints
@@ -665,6 +704,14 @@ SANITIZED_CASES = """
         weights = rng.random((4, 7, pairs))
         tables = posterior._mix_nodes(emission, weights, slice(20 - width, 20))
         out += [m.ravel() for m in tables]
+    for pairs in (1, 255, 256, 257, 520):
+        emission = rng.random((3, 20, 2))
+        emission[1, -1, 1] = 2.0**-1060
+        weights = rng.random((4, 2, pairs))
+        start = rng.random((2, 3 * pairs))
+        inv = rng.integers(0, 3, n)
+        start /= start.sum(axis=0)
+        out.append(posterior._forward_products(emission, slice(17, 20), weights, inv, start))
     print(np.concatenate(out).tobytes().hex())
 
     tiny = np.ldexp(1.0, -1074)

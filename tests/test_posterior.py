@@ -851,6 +851,78 @@ class TestEngineBits:
             assert coarse and all(np.array_equal(c, m) for c, m in zip(coarse[0], corner))
 
 
+@st.composite
+def _product_cases(draw):
+    """A trace and a single-step grid for both paths: alpha and beta axes
+    that reach 0 and 1, of 4 to 81 pairs, around ``_PRODUCT_PAIRS``, with
+    lambda and mu fixed or free at 0, at 1e-3, where counts up to 200 give
+    zero and subnormal emissions, or beyond.  The emission cell lambda = mu
+    = 0 gives -inf wherever a count is positive."""
+    switch = [
+        GridAxis(name, draw(st.sampled_from([0.0, 0.3])), draw(st.sampled_from([0.7, 1.0])),
+                 draw(st.integers(2, 9)))
+        for name in ("alpha", "beta")
+    ]
+    axes, fixed = [], {}
+    for name, values in (("lambda", [0.0, 1e-3, 6.0, 40.0]), ("mu", [0.0, 1e-3, 2.0])):
+        if draw(st.booleans()):
+            axes.append(GridAxis(name, 0.0, draw(st.sampled_from(values[1:])), draw(st.integers(2, 3))))
+        else:
+            fixed[name] = draw(st.sampled_from(values))
+    counts = draw(st.lists(st.integers(0, 200), min_size=1, max_size=40))
+    return CountTrace(counts), GridSpec(axes=(*switch, *axes), fixed=fixed)
+
+
+class TestProductPath:
+    """Single-step runs of at least ``_PRODUCT_PAIRS`` pairs form each
+    entry in the kernel as weight times emission, with no table; every
+    cell's log-likelihood and pinned mask keep the table path's bits."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        case=_product_cases(),
+        budget=st.sampled_from([2 << 20, 3000]),
+        workers=st.sampled_from([1, 2]),
+    )
+    def test_paths_give_the_same_bits(self, case, budget, workers):
+        trace, grid = case
+        got = {}
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(posterior, "_CHUNK_BYTES", budget)
+            mp.setattr(os, "cpu_count", lambda: 2)
+            ctx = posterior._grid_context(trace, "single", grid, None, None, None)
+            # every run on the product path, the measured split, every run on tables
+            for width in (1, posterior._PRODUCT_PAIRS, 1 << 62):
+                mp.setattr(posterior, "_PRODUCT_PAIRS", width)
+                pinned = [ctx.row_sets(*chunk)[0][4] for chunk in ctx.chunks()]
+                got[width] = ctx.logliks(workers), np.concatenate(pinned)
+        (log, pinned), *others = got.values()
+        for other_log, other_pinned in others:
+            assert np.array_equal(log, other_log)
+            assert np.array_equal(pinned, other_pinned)
+
+    def test_single_step_grids_build_no_tables(self, monkeypatch):
+        # the benchmark's single_marg grid: no run reads a table, and the
+        # log-likelihoods are those of the table path
+        res = sim_dtmc_single(SwitchProbs(0.8, 0.9), EM, 2000, seed=2)
+        grid = GridSpec(
+            axes=(
+                GridAxis("alpha", 0.05, 0.95, 19),
+                GridAxis("beta", 0.05, 0.95, 19),
+                GridAxis("lambda", 0.0, 32.0, 9),
+                GridAxis("mu", 0.0, 6.0, 7),
+            )
+        )
+        built = []
+        mix = posterior._mix_nodes
+        monkeypatch.setattr(posterior, "_mix_nodes", lambda *args: built.append(1) or mix(*args))
+        fast = evaluate_grid(res.trace, "single", grid).log_post
+        assert not built
+        monkeypatch.setattr(posterior, "_PRODUCT_PAIRS", 1 << 62)
+        assert np.array_equal(evaluate_grid(res.trace, "single", grid).log_post, fast)
+        assert built
+
+
 class TestMarginalize:
     def test_keep_all_is_identity(self):
         _, grid, pg = small_single_posterior()

@@ -661,7 +661,9 @@ def _smooth_at(counts, grid, width):
         num[0] = args[8]
         lib.smooth(n, rows, width, *args)
 
-    kernel = SimpleNamespace(mix=lib.mix, forward=lib.forward, smooth=smooth)
+    kernel = SimpleNamespace(
+        mix=lib.mix, forward=lib.forward, forward_products=lib.forward_products, smooth=smooth
+    )
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(posterior, "_forward_kernel", lambda: kernel)
         mp.setattr(state_inference, "_PREFIX_BUDGET", width * (len(counts) + 1))
@@ -678,11 +680,12 @@ def _rows(counts, grid, model="single", quad=None, d=None):
     ``row_sets`` on the whole grid: step tables, start vectors, log
     weights, log-likelihoods and pinned masks, the start-on rows of pinned
     cells last.  The log weights are what ``row_sets`` adds to the forward
-    pass, read with that pass stubbed out to zeros."""
+    pass, read with both paths' passes stubbed out to zeros."""
     ctx = _EngineContext(CountTrace(counts), model, grid, None, quad, d)
     mats, start, loglik, split = engine_rows(ctx)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(posterior, "_forward_cells", lambda *args: np.zeros(args[-1].shape[1]))
+        for name in ("_forward_cells", "_forward_products"):
+            mp.setattr(posterior, name, lambda *args: np.zeros(args[-1].shape[1]))
         log_w = engine_rows(ctx)[2]
     return ctx.inv, mats, start, log_w, loglik, split
 
