@@ -9,13 +9,13 @@
  * an entry's bits depend on its cell alone, never on the chunk, block or
  * register tile that computes it.  The explicit fma is no contraction that
  * -ffp-contract=off forbids; built without -march=native it calls libm's
- * software fma, with the same bits, some 40 times slower.  On x86, and there
- * only, gcc builds mix alone with 512-bit vectors preferred.
+ * software fma, with the same bits, some 40 times slower.  -march=native
+ * alone may give every kernel 512-bit vectors (see WIDE_VECTORS).
  *
  * gcc builds this file and _repr.c, whose repr_doubles writes the floats of
- * the posterior JSON and the state CSV, into one library on first use.  So
- * infer and infer-state need gcc or a cached build; simulate and threshold
- * never load the library.
+ * the posterior JSON and repr_rows the state CSV's rows, into one library
+ * on first use.  So infer and infer-state need gcc or a cached build;
+ * simulate and threshold never load the library.
  *
  * Step k maps each cell's (off, on) vector v to M v, M's entries [end][start]
  * read from row inv[k] of four (D, cells) tables, then scales v by the power
@@ -142,8 +142,10 @@ static void rescale_tiny(int64_t w, double *q0, double *q1, int64_t *e)
     }
 }
 
-/* 512-bit vectors for mix alone, and on x86 only, the one target whose gcc
- * knows the option and rejects it elsewhere: they made forward slower. */
+/* 512-bit vectors preferred for mix, on x86 only: gcc rejects the option
+ * elsewhere.  On an AVX-512 Xeon under gcc 12.2 -march=native it changes no
+ * instruction: -fopt-info-vec-optimized lists 21 loops with 64-byte vectors,
+ * and objdump -d shows zmm registers in all four kernels, either way. */
 #if defined(__x86_64__) || defined(__i386__)
 #define WIDE_VECTORS __attribute__((target("prefer-vector-width=512")))
 #else
@@ -153,19 +155,20 @@ static void rescale_tiny(int64_t w, double *q0, double *q1, int64_t *e)
 #define TILE_PAIRS 16 /* pairs per register tile: two 512-bit vectors */
 #define TILE_ROWS 8   /* (count, emission cell) rows per register tile */
 
-/* A tile of rows table rows by TILE_PAIRS pairs: out[r][i] = e[r][0] w[0][i],
- * then fma(e[r][k], w[k][i], out[r][i]) for k = 1..nodes-1.  rows is a
- * constant wherever it is inlined, so the accumulators stay in registers.
- * The loops over pairs must stay loops, which gcc vectorises across pairs:
- * fully unrolled, they were vectorised across rows, with a shuffle at every
- * step. */
+/* A tile of rows table rows by TILE_PAIRS pairs, emission row r at e + r
+ * nodes: out[r][i] = e[r][0] w[0][i], then fma(e[r][k], w[k][i], out[r][i])
+ * for k = 1..nodes-1.  rows is a constant wherever it is inlined, so the
+ * accumulators stay in registers; read through an array of row pointers
+ * instead, gcc 12 kept one on the stack and mixed some 15% slower.  The loops
+ * over pairs must stay loops, which gcc vectorises across pairs: fully
+ * unrolled, they were vectorised across rows, with a shuffle at every step. */
 static inline __attribute__((always_inline)) void
 mix_tile(int rows, int64_t nodes, const double *restrict w,
-         const double *const *e, double *restrict out, int64_t pairs)
+         const double *restrict e, double *restrict out, int64_t pairs)
 {
     double acc[TILE_ROWS][TILE_PAIRS];
     for (int r = 0; r < rows; r++) {
-        double x = e[r][0];
+        double x = e[r * nodes];
 #pragma GCC unroll 1
         for (int i = 0; i < TILE_PAIRS; i++)
             acc[r][i] = x * w[i];
@@ -173,7 +176,7 @@ mix_tile(int rows, int64_t nodes, const double *restrict w,
     for (int64_t k = 1; k < nodes; k++) {
         const double *restrict wk = w + k * pairs;
         for (int r = 0; r < rows; r++) {
-            double x = e[r][k];
+            double x = e[r * nodes + k];
 #pragma GCC unroll 1
             for (int i = 0; i < TILE_PAIRS; i++)
                 acc[r][i] = fma(x, wk[i], acc[r][i]);
@@ -185,19 +188,16 @@ mix_tile(int rows, int64_t nodes, const double *restrict w,
             out[r * pairs + i] = acc[r][i];
 }
 
-/* Rows t .. t + rows - 1 of one table over every pair, row t being count
- * t / width at emission cell first + t % width: whole tiles, then, if pairs
- * is not a multiple of the tile, the last TILE_PAIRS pairs again, whose
+/* Rows t .. t + rows - 1 of one table over every pair, row t being the
+ * emission's row t, count t / cells at cell t % cells: whole tiles, then, if
+ * pairs is not a multiple of the tile, the last TILE_PAIRS pairs again, whose
  * shared entries come out with the same bits, or one pair at a time where
  * there are fewer pairs than a tile. */
 static inline __attribute__((always_inline)) void
-mix_rows(int rows, int64_t t, int64_t nodes, int64_t cells, int64_t first,
-         int64_t width, int64_t pairs, const double *restrict w,
-         const double *restrict e, double *restrict out)
+mix_rows(int rows, int64_t t, int64_t nodes, int64_t pairs,
+         const double *restrict w, const double *restrict e, double *restrict out)
 {
-    const double *row[TILE_ROWS];
-    for (int r = 0; r < rows; r++)
-        row[r] = e + ((t + r) / width * cells + first + (t + r) % width) * nodes;
+    const double *row = e + t * nodes;
     out += t * pairs;
     int64_t p = 0;
     for (; p + TILE_PAIRS <= pairs; p += TILE_PAIRS)
@@ -211,35 +211,34 @@ mix_rows(int rows, int64_t t, int64_t nodes, int64_t cells, int64_t first,
     }
     for (int r = 0; r < rows; r++)
         for (p = 0; p < pairs; p++) {
-            double acc = row[r][0] * w[p];
+            double acc = row[r * nodes] * w[p];
             for (int64_t k = 1; k < nodes; k++)
-                acc = fma(row[r][k], w[k * pairs + p], acc);
+                acc = fma(row[r * nodes + k], w[k * pairs + p], acc);
             out[r * pairs + p] = acc;
         }
 }
 
-/* The step tables out (4, depth, width, pairs) of emission cells first ..
- * first + width - 1 of e (depth, cells, nodes), mixed over the weights w
- * (4, nodes, pairs): out[q][d][j][p]
- * = sum over k of w[q][k][p] e[d][first + j][k], the product of k = 0
- * rounded, then each next one added by fma in the order of k.  So an entry's
- * bits depend on its own weights and emission column alone, not on the
- * pairs, cells or tiles it is built with.  A tile's rows run over counts as
- * well as cells, so that a chunk of one emission cell still reuses each
- * weight vector on TILE_ROWS rows. */
+/* The step tables out (4, depth, cells, pairs) of the emission e (depth,
+ * cells, nodes), mixed over the weights w (4, nodes, pairs): out[q][d][j][p]
+ * = sum over k of w[q][k][p] e[d][j][k], the product of k = 0 rounded, then
+ * each next one added by fma in the order of k.  So an entry's bits depend
+ * on its own weights and emission column alone, not on the pairs, cells or
+ * tiles it is built with.  A tile's rows run over counts as well as cells,
+ * so that a chunk of one emission cell still reuses each weight vector on
+ * TILE_ROWS rows. */
 WIDE_VECTORS void
-mix(int64_t depth, int64_t nodes, int64_t cells, int64_t first, int64_t width,
-    int64_t pairs, const double *w, const double *e, double *out)
+mix(int64_t depth, int64_t nodes, int64_t cells, int64_t pairs, const double *w,
+    const double *e, double *out)
 {
     for (int q = 0; q < 4; q++) {
         const double *wq = w + q * nodes * pairs;
-        double *o = out + q * depth * width * pairs;
-        int64_t t = 0, rows = depth * width;
+        int64_t t = 0, rows = depth * cells;
+        double *o = out + q * rows * pairs;
         for (; t + TILE_ROWS <= rows; t += TILE_ROWS)
-            mix_rows(TILE_ROWS, t, nodes, cells, first, width, pairs, wq, e, o);
+            mix_rows(TILE_ROWS, t, nodes, pairs, wq, e, o);
         for (int tail = TILE_ROWS / 2; tail > 0; tail /= 2)
             if (rows - t >= tail) {
-                mix_rows(tail, t, nodes, cells, first, width, pairs, wq, e, o);
+                mix_rows(tail, t, nodes, pairs, wq, e, o);
                 t += tail;
             }
     }
@@ -365,21 +364,19 @@ void forward(int64_t n, int64_t cells, int64_t depth, const double *m00,
     }
 }
 
-/* forward on the product path: the cells are pairs switch pairs by emission
- * cells first .. first + ems - 1 of emission (depth, width, 2), emission
- * cell-major, and the entries of pair i at emission cell j read row r as
- * w00[i] E0, w01[i] E1, w10[i] E0 and w11[i] E1, (E0, E1) = emission[r,
- * first + j]: each the one rounded product that mix writes to a
- * single-step table.  Blocks take up to BLOCK pairs at one emission cell,
- * the pairs split about evenly, so that no block is left a few pairs wide,
- * in sizes rounded up to a multiple of 8, so that only the last block's
- * loops end in a part vector. */
-void forward_products(int64_t n, int64_t pairs, int64_t first, int64_t ems,
-                      int64_t depth, int64_t width, const double *w00,
-                      const double *w01, const double *w10, const double *w11,
-                      const double *emission, const int64_t *inv,
-                      const double *start, double *end, int64_t *exps,
-                      int64_t *reach)
+/* forward on the product path: the cells are pairs switch pairs by the ems
+ * emission cells of emission (depth, ems, 2), emission cell-major, and the
+ * entries of pair i at emission cell j read row r as w00[i] E0, w01[i] E1,
+ * w10[i] E0 and w11[i] E1, (E0, E1) = emission[r, j]: each the one rounded
+ * product that mix writes to a single-step table.  Blocks take up to BLOCK
+ * pairs at one emission cell, the pairs split about evenly, so that no block
+ * is left a few pairs wide, in sizes rounded up to a multiple of 8, so that
+ * only the last block's loops end in a part vector. */
+void forward_products(int64_t n, int64_t pairs, int64_t ems, int64_t depth,
+                      const double *w00, const double *w01, const double *w10,
+                      const double *w11, const double *emission,
+                      const int64_t *inv, const double *start, double *end,
+                      int64_t *exps, int64_t *reach)
 {
     int64_t cells = pairs * ems, blocks = (pairs + BLOCK - 1) / BLOCK;
     int64_t size = blocks ? ((pairs + blocks - 1) / blocks + 7) / 8 * 8 : 0;
@@ -387,7 +384,7 @@ void forward_products(int64_t n, int64_t pairs, int64_t first, int64_t ems,
         for (int64_t lo = 0; lo < pairs; lo += size) {
             int64_t w = pairs - lo < size ? pairs - lo : size, c = j * pairs + lo;
             struct source s = {{w00 + lo, w01 + lo, w10 + lo, w11 + lo}, 0,
-                               emission + 2 * (first + j), 2 * width};
+                               emission + 2 * j, 2 * ems};
             run_block(1, s, n, depth, w, inv, start + c, start + cells + c, end + c,
                       end + cells + c, exps + c, reach);
         }

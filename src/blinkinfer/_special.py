@@ -25,6 +25,7 @@ square root, which numpy rounds exactly as C does, so they run vectorised.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -165,8 +166,9 @@ _I1_B = (
 )
 
 
+@functools.cache
 def _lgam(x: float) -> float:
-    """Cephes ``lgam`` at an integer x >= 1."""
+    """Cephes ``lgam`` at an integer x >= 1, cached for the engine's chunks."""
     if x < 13.0:
         # log of (x - 1)(x - 2)...2, which is exact in a double
         return math.log(float(math.factorial(int(x) - 1)))

@@ -202,23 +202,24 @@ class _EngineContext:
 
     Every model's step tables come from one builder.  An interval's entry
     [end, start] is the Poisson count law at rate mu + x*lam mixed over the
-    law of the on-fraction x, so the context holds one emission table at
-    the model's on-fraction nodes, of shape (count, emission cell, node),
-    and ``weights`` gives the model's weight law of each switch pair over
-    the nodes: the start state's node for single, the smooth ctmc density
-    on quadrature nodes plus the switch-free point masses at 0 and 1, or
-    the multistep on-count law at n/d.  ``_mix_nodes`` mixes the two with
-    the compiled ``mix`` kernel, whose fixed order of summation makes every
-    entry depend on its own cell alone.
+    law of the on-fraction x.  ``emission`` gives the count laws of a
+    chunk's emission cells at the model's on-fraction nodes, each entry a
+    function of its own count and rate alone, and ``weights`` the model's
+    weight law of each switch pair over the nodes: the start state's node
+    for single, the smooth ctmc density on quadrature nodes plus the
+    switch-free point masses at 0 and 1, or the multistep on-count law at
+    n/d.  ``_mix_nodes`` mixes the two with the compiled ``mix`` kernel,
+    whose fixed order of summation makes every entry depend on its own cell
+    alone.
 
     ``a`` and ``b`` hold every switch pair's parameters, pair i being
     (a[i], b[i]), and the grid's flat cell p * n_em + m is pair p at
     emission cell m.  ``chunks`` cuts the grid into chunks: a run of pairs
-    by a run of emission cells, the four tables within ``_CHUNK_BYTES``.
-    ``row_sets`` is the one route from a chunk to log-likelihoods, and
-    ``logliks`` runs every chunk.  So no caller holds more than one chunk's
-    tables and one run's weights per thread, and no cell's bits depend on
-    the chunk that holds it.
+    by a run of emission cells, the four tables and the emission entries
+    within ``_CHUNK_BYTES``.  ``row_sets`` is the one route from a chunk to
+    log-likelihoods, and ``logliks`` runs every chunk.  So no caller holds
+    more than one chunk's tables and emission entries and one run's weights
+    per thread, and no cell's bits depend on the chunk that holds it.
 
     A single-step entry is one weight times one emission value, so a wide
     single-step run takes the product path, on which the forward kernel
@@ -241,31 +242,32 @@ class _EngineContext:
                 f"model {model!r} needs parameters {sorted(expected)}, "
                 f"got {sorted(roles)}"
             )
-        a_grid, b_grid = np.meshgrid(roles[switch_a], roles[switch_b], indexing="ij")
-        self.a = a_grid.ravel()
-        self.b = b_grid.ravel()
-        lam_grid, mu_grid = np.meshgrid(roles["lambda"], roles["mu"], indexing="ij")
-        self.lam_flat = lam_grid.ravel()
-        self.mu_flat = mu_grid.ravel()
+        pairs = np.meshgrid(roles[switch_a], roles[switch_b], indexing="ij")
+        self.a, self.b = (values.ravel() for values in pairs)
+        cells = np.meshgrid(roles["lambda"], roles["mu"], indexing="ij")
+        self.lam_flat, self.mu_flat = (values.ravel() for values in cells)
         self.n_em = self.lam_flat.size
 
         if model == "multistep" and d is None:
             d = _multistep.choose_subinterval_count(float(self.a.max()), float(self.b.max()))
         self.d = d
 
-        # the on-fraction nodes x of the emission table, at rate mu + x*lam
+        # the on-fraction nodes x of the emission entries, at rate mu + x*lam
         if model == "single":
-            nodes = np.array([0.0, 1.0])
+            self.nodes = np.array([0.0, 1.0])
         elif model == "ctmc":
             self.quad = quad
-            nodes = np.concatenate([[0.0], quad.nodes_weights()[0], [1.0]])
+            self.nodes = np.concatenate([[0.0], quad.nodes_weights()[0], [1.0]])
         else:
             _multistep._check_subinterval_count(d)
-            nodes = np.arange(d + 1) / d
-        counts = np.asarray(trace.counts)
-        self.distinct, self.inv = np.unique(counts, return_inverse=True)
-        rate = self.mu_flat[:, None] + self.lam_flat[:, None] * nodes
-        self.emission_nodes = poisson_pmf(rate, self.distinct[:, None, None])
+            self.nodes = np.arange(d + 1) / d
+        self.distinct, self.inv = np.unique(np.asarray(trace.counts), return_inverse=True)
+
+    def emission(self, ems):
+        """Each distinct count's Poisson pmf at rate mu + x*lam, at every node
+        x and emission cell of the slice ``ems``: (count, cell, node)."""
+        rate = self.mu_flat[ems, None] + self.lam_flat[ems, None] * self.nodes
+        return poisson_pmf(rate, self.distinct[:, None, None])
 
     # -- on-fraction laws of the step tables, as ``mix`` reads them: (4,
     # node, pair), the first axis in step-matrix order [end, start] --
@@ -302,7 +304,7 @@ class _EngineContext:
         """The step tables of a grid of one chunk, such as one cell's: four
         contiguous (D, cells) arrays, cells emission cell-major."""
         ((_, ems, weights),) = self.chunks()
-        return _mix_nodes(self.emission_nodes, weights(), ems)
+        return _mix_nodes(self.emission(ems), weights())
 
     def chunks(self):
         """The grid's chunks: (pairs, ems, weights) for each, ``pairs`` and
@@ -314,22 +316,25 @@ class _EngineContext:
         emission cell within the budget together, the grid's pairs split
         into runs of even size: a run of a few pairs would mix slowly, as
         the mixer's register tiles are 16 pairs wide.  Each chunk takes as
-        many emission cells as keep its tables within the budget, at least
-        one.  A cell count that is a multiple of 2048 is cut by one where it
-        can be: the forward pass reads one row of each table per step, and
-        rows a large power of two apart fall into the same cache sets and
-        evict each other.
+        many emission cells as keep its tables and its emission entries,
+        which ``row_sets`` builds, within the budget, at least one.  A cell
+        count that is a multiple of 2048 is cut by one where it can be: the
+        forward pass reads one row of each table per step, and rows a large
+        power of two apart fall into the same cache sets and evict each
+        other.
         """
-        total = self.a.size
-        column = 32 * len(self.distinct)  # bytes of one cell's four table entries
-        law = 32 * self.emission_nodes.shape[2]  # bytes of one pair's weights
+        total, depth, nodes = self.a.size, len(self.distinct), self.nodes.size
+        column = 32 * depth  # bytes of one cell's four table entries
+        law = 32 * nodes  # bytes of one pair's weights
+        entries = 8 * depth * nodes  # bytes of one emission cell's emission entries
         runs = -(-total // max(1, _CHUNK_BYTES // (column + law)))
         run = _off_powers(-(-total // runs), 1)
         for lo in range(0, total, run):
             pairs = slice(lo, min(lo + run, total))
             weights = _once(functools.partial(self.weights, self.a[pairs], self.b[pairs]))
             width = pairs.stop - lo
-            ems = _off_powers(min(self.n_em, max(1, _CHUNK_BYTES // (column * width))), width)
+            ems = _CHUNK_BYTES // (column * width + entries)
+            ems = _off_powers(min(self.n_em, max(1, ems)), width)
             for m in range(0, self.n_em, ems):
                 yield pairs, slice(m, min(m + ems, self.n_em)), weights
 
@@ -373,13 +378,13 @@ class _EngineContext:
         start = np.tile(start, ems.stop - ems.start)
         pair_cells = np.arange(pairs.start, pairs.stop) * self.n_em
         cells = np.add.outer(np.arange(ems.start, ems.stop), pair_cells).ravel()
-        law = weights()
+        law, emission = weights(), self.emission(ems)
         if self.model == "single" and a.size >= _PRODUCT_PAIRS:
-            pinned = self._pinned_products(law, ems)
-            tables = functools.partial(self._row_tables, law, ems)
-            forward = functools.partial(_forward_products, self.emission_nodes, ems, law)
+            pinned = _pinned_products(law, emission)
+            tables = functools.partial(_row_tables, law, emission)
+            forward = functools.partial(_forward_products, emission, law)
         else:
-            mats = _mix_nodes(self.emission_nodes, law, ems)
+            mats = _mix_nodes(emission, law)
             m00, m01, m10, m11 = mats
             pinned = ~np.any(((m00 > 0) & (m10 > 0)) | ((m01 > 0) & (m11 > 0)), axis=0)
             tables = functools.partial(_columns, mats)
@@ -397,32 +402,6 @@ class _EngineContext:
             on = np.ones(log_w_on.size, dtype=bool)
             sets.append((cells[pinned], functools.partial(_columns, sub), start_on, loglik_on, on))
         return sets
-
-    def _pinned_products(self, weights, ems):
-        """The pinned mask of a single-step chunk, with no table: a start
-        state branches at some row iff both its entries fl(w E) are > 0
-        there, and so iff they are at E = the largest emission value over
-        the rows at its node, as fl(w E) is monotone in E."""
-        top = self.emission_nodes[:, ems].max(axis=0)[:, :, None]  # (ems, node, 1)
-        off = (weights[0, 0] * top[:, 0] > 0) & (weights[2, 0] * top[:, 0] > 0)
-        on = (weights[1, 1] * top[:, 1] > 0) & (weights[3, 1] * top[:, 1] > 0)
-        return ~(off | on).ravel()
-
-    def _row_tables(self, weights, ems, rows):
-        """The step tables of the chunk's rows ``rows``, ascending: mixed
-        one emission cell at a time over those rows' pairs alone, with the
-        bits of the chunk's tables, as an entry's bits depend on its own
-        cell alone."""
-        if not rows.size:
-            return tuple(np.empty((len(self.distinct), 0)) for _ in range(4))
-        cell, pair = np.divmod(rows, weights.shape[2])
-        cell += ems.start
-        bounds = np.flatnonzero(np.diff(cell)) + 1
-        pieces = [
-            _mix_nodes(self.emission_nodes, weights.take(p, axis=2), slice(c[0], c[0] + 1))
-            for c, p in zip(np.split(cell, bounds), np.split(pair, bounds))
-        ]
-        return tuple(np.concatenate(ms, axis=1) for ms in zip(*pieces))
 
     def logliks(self, workers=1):
         """Every cell's log-likelihood, a (pair, emission cell) array.
@@ -459,6 +438,32 @@ class _EngineContext:
         with ThreadPoolExecutor(threads) as pool:
             list((map if threads == 1 else pool.map)(take, range(threads)))
         return out
+
+
+def _pinned_products(weights, emission):
+    """The pinned mask of a single-step chunk, with no table: a start
+    state branches at some row iff both its entries fl(w E) are > 0
+    there, and so iff they are at E = the largest emission value over
+    the rows at its node, as fl(w E) is monotone in E."""
+    top = emission.max(axis=0)[:, :, None]  # (ems, node, 1)
+    off = (weights[0, 0] * top[:, 0] > 0) & (weights[2, 0] * top[:, 0] > 0)
+    on = (weights[1, 1] * top[:, 1] > 0) & (weights[3, 1] * top[:, 1] > 0)
+    return ~(off | on).ravel()
+
+
+def _row_tables(weights, emission, rows):
+    """The step tables of a chunk's rows ``rows``, ascending: mixed one
+    emission cell at a time over those rows' pairs alone, with the bits of
+    the chunk's tables, as an entry's bits depend on its own cell alone."""
+    if not rows.size:
+        return tuple(np.empty((len(emission), 0)) for _ in range(4))
+    cell, pair = np.divmod(rows, weights.shape[2])
+    bounds = np.flatnonzero(np.diff(cell)) + 1
+    pieces = [
+        _mix_nodes(emission.take(c[:1], axis=1), weights.take(p, axis=2))
+        for c, p in zip(np.split(cell, bounds), np.split(pair, bounds))
+    ]
+    return tuple(np.concatenate(ms, axis=1) for ms in zip(*pieces))
 
 
 def _columns(tables, cols):
@@ -533,23 +538,25 @@ def _grid_context(trace, model, grid, prior, quad, d):
     return ctx
 
 
-def _mix_nodes(emission, weights, ems=slice(None)):
-    """Step tables of every model: the emission (D, emission cell, node) at
-    emission cells ``ems``, mixed over ``weights`` (4, node, pair).
+def _mix_nodes(emission, weights):
+    """Step tables of every model: the emission (D, emission cell, node)
+    mixed over ``weights`` (4, node, pair).
 
-    Runs the compiled ``mix`` kernel, which reads the emission cells in
-    place and writes the four tables, in step-matrix order [end, start]:
-    00, 01, 10, 11, into one (4, D, cells, pairs) array.  Each entry is
-    sum_k weights[q, k, p] * emission[D, m, k], its first product rounded
-    and every next one added by fma in the order of k, whatever the chunk
-    or tile: so a table entry depends on its own cell alone.  Returns the
-    four tables as contiguous (D, rows) views, emission cell-major.
+    Runs the compiled ``mix`` kernel, which writes the four tables, in
+    step-matrix order [end, start]: 00, 01, 10, 11, into one (4, D, cells,
+    pairs) array.  Each entry is sum_k weights[q, k, p] * emission[D, m, k],
+    its first product rounded and every next one added by fma in the order
+    of k, whatever the chunk or tile: so a table entry depends on its own
+    cell alone.  Returns the four tables as contiguous (D, rows) views,
+    emission cell-major.  Raises ValueError, before the kernel runs, unless
+    the emission is 3-D and ``weights`` is (4, nodes, pairs).
     """
+    if emission.ndim != 3 or weights.ndim != 3 or weights.shape[:2] != (4, emission.shape[2]):
+        raise ValueError("weights and emission disagree in shape")
     depth, cells, nodes = emission.shape
-    first, stop, _ = ems.indices(cells)
     pairs = weights.shape[2]
-    out = np.empty((4, depth, stop - first, pairs))
-    _forward_kernel().mix(depth, nodes, cells, first, stop - first, pairs, weights, emission, out)
+    out = np.empty((4, depth, cells, pairs))
+    _forward_kernel().mix(depth, nodes, cells, pairs, weights, emission, out)
     return tuple(out.reshape(4, depth, -1))
 
 
@@ -572,18 +579,11 @@ def _forward_cells(m00, m01, m10, m11, inv, start):
     exactly zero.  ``start`` holds the (off, on) start vectors, shape
     (2, cells).
 
-    The kernel itself scales once per run of up to 16 steps.  A power of
-    two commutes exactly with every product and sum that stays a normal
-    double with and without it, so a run gives the per-step bits when none
-    of its values leaves the normal range.  For each block of cells it
-    takes, at a point just after a scaled step, e as the exponent of the
-    least nonzero component and, for each table row, lo and hi as the
-    exponents of its least and largest nonzero entry; every nonzero value
-    of a run is then at least 2^(e + sum of the rows' lo - max(0, hi + 4)),
-    in the unscaled and the per-step recursion alike, and the run is as
-    long as that stays >= 2^-1022.  A subnormal entry or component, or an
-    entry of 2 or more, leaves no room for a run, and the kernel scales
-    after the step.  The source's header gives the proof.
+    The kernel itself scales once per run of up to 16 steps, as long as a
+    bound read from each block's entries and vector proves that no value
+    of the run leaves the normal range, where a power of two commutes
+    exactly with every product and sum: so a run gives the per-step bits.
+    The source's header gives the bound and its proof.
     """
     _check_rows((m00, m01, m10, m11), inv, start)
     cells = start.shape[1]
@@ -591,10 +591,10 @@ def _forward_cells(m00, m01, m10, m11, inv, start):
     return _run_forward(_forward_kernel().forward, args, inv, start, len(m00))
 
 
-def _forward_products(emission, ems, weights, inv, start):
+def _forward_products(emission, weights, inv, start):
     """``_forward_cells`` of the single-step tables that ``_mix_nodes``
-    would build from ``emission`` at emission cells ``ems`` and
-    ``weights`` (4, 2, pairs), bit for bit, with no table built.
+    would build from ``emission`` (D, emission cells, 2) and ``weights``
+    (4, 2, pairs), bit for bit, with no table built.
 
     A single-step entry is one weight times one emission value, so the
     ``forward_products`` kernel forms each as it steps: pair i's weights
@@ -602,15 +602,14 @@ def _forward_products(emission, ems, weights, inv, start):
     at that node, the one rounded product that ``mix`` writes.  ``start``
     is (2, pairs * emission cells), emission cell-major.
     """
-    depth, width, nodes = emission.shape
-    first, stop, _ = ems.indices(width)
+    depth, ems, nodes = emission.shape
     pairs = weights.shape[2]
-    if nodes != 2 or weights.shape != (4, 2, pairs) or start.shape != (2, pairs * (stop - first)):
+    if nodes != 2 or weights.shape != (4, 2, pairs) or start.shape != (2, pairs * ems):
         raise ValueError("weights, emission and start vectors disagree in shape")
     if len(inv) and not 0 <= inv.min() <= inv.max() < depth:
-        raise ValueError("an interval reads a row outside the emission table")
+        raise ValueError("an interval reads a row outside the emission entries")
     singles = (weights[0, 0], weights[1, 1], weights[2, 0], weights[3, 1])
-    args = (pairs, first, stop - first, depth, width, *singles, emission)
+    args = (pairs, ems, depth, *singles, emission)
     return _run_forward(_forward_kernel().forward_products, args, inv, start, depth)
 
 
@@ -648,7 +647,8 @@ def _forward_kernel():
     ``_forward.c`` and ``_repr.c``.
 
     Its ``mix`` kernel builds every model's step tables, its ``forward``
-    kernel runs the grid engine's recursion, its ``smooth`` kernel the
+    and ``forward_products`` kernels run the grid engine's recursion on
+    tables and on single-step products, its ``smooth`` kernel the
     state smoother's forward-backward pass; its ``repr_doubles`` writes
     the floats of the posterior JSON and its ``repr_rows`` the rows of the
     state CSV.  So ``infer`` and ``infer-state`` need it (and gcc, or a
@@ -685,9 +685,9 @@ def _forward_kernel():
     types = (np.float64, np.int64, np.uint64, np.uint8)
     f8, i8, u8, u1 = (np.ctypeslib.ndpointer(t, flags="C") for t in types)
     c8 = ctypes.c_int64
-    lib.mix.argtypes = [c8, c8, c8, c8, c8, c8, f8, f8, f8]
+    lib.mix.argtypes = [c8, c8, c8, c8, f8, f8, f8]
     lib.forward.argtypes = [c8, c8, c8, f8, f8, f8, f8, i8, f8, f8, i8, i8]
-    lib.forward_products.argtypes = [c8] * 6 + [f8] * 5 + [i8, f8, f8, i8, i8]
+    lib.forward_products.argtypes = [c8] * 4 + [f8] * 5 + [i8, f8, f8, i8, i8]
     lib.smooth.argtypes = [c8, c8, c8, f8, f8, f8, f8, i8, f8, f8, f8, f8]
     lib.repr_doubles.argtypes = [c8, f8, c8, c8, u8, u8, u1]
     lib.repr_rows.argtypes = [c8, f8, c8, u8, u8, u1]

@@ -464,16 +464,30 @@ class TestMixTiles:
     @pytest.mark.parametrize("pairs, cells", [(1, 1), (15, 9), (16, 8), (37, 13)])
     def test_entries_do_not_depend_on_tiles(self, pairs, cells):
         rng = np.random.default_rng(pairs)
-        emission = rng.random((3, cells + 2, 11)) * np.exp(-40.0 * rng.random((3, cells + 2, 11)))
+        emission = rng.random((3, cells, 11)) * np.exp(-40.0 * rng.random((3, cells, 11)))
         weights = rng.random((4, 11, pairs))
         weights[:, :4, ::3] = 0.0
-        whole = np.stack(posterior._mix_nodes(emission, weights, slice(1, cells + 1)))
-        whole = whole.reshape(4, 3, cells, pairs)
+        whole = np.stack(posterior._mix_nodes(emission, weights)).reshape(4, 3, cells, pairs)
         for m in range(cells):
             for p in range(pairs):
-                one = posterior._mix_nodes(emission, weights[:, :, p : p + 1].copy(),
-                                           slice(m + 1, m + 2))
+                one = posterior._mix_nodes(emission[:, m : m + 1].copy(),
+                                           weights[:, :, p : p + 1].copy())
                 assert np.array_equal(np.stack(one)[..., 0], whole[:, :, m, p])
+
+    def test_rejects_mismatched_buffers(self, monkeypatch):
+        # checked before the kernel runs, which would read past the weights
+        # or the emission at any other shape
+        monkeypatch.setattr(posterior, "_forward_kernel", _no_kernel)
+        emission, weights = np.ones((3, 4, 5)), np.ones((4, 5, 2))
+        for bad in [
+            (emission, weights[:, :4].copy()),
+            (emission, weights[:3].copy()),
+            (emission, weights[..., 0].copy()),
+            (emission[..., 0].copy(), weights),
+            (emission[None], weights),
+        ]:
+            with pytest.raises(ValueError, match="disagree in shape"):
+                posterior._mix_nodes(*bad)
 
 
 class TestProductBlockEdges:
@@ -486,32 +500,31 @@ class TestProductBlockEdges:
     @pytest.mark.parametrize("pairs", [1, 7, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 8])
     def test_matches_the_table_path(self, pairs):
         rng = np.random.default_rng(pairs)
-        emission = rng.random((4, 6, 2))
-        emission[1, 3] = 0.0
-        emission[2, 4, 1] = 2.0**-1060
+        emission = rng.random((4, 4, 2))
+        emission[1, 1] = 0.0
+        emission[2, 2, 1] = 2.0**-1060
         a, b = rng.random(pairs), rng.random(pairs)
         a[::5], b[::7], a[1::9] = 0.0, 1.0, 1.0
         weights = np.zeros((4, 2, pairs))
         weights[0, 0], weights[2, 0], weights[1, 1], weights[3, 1] = 1.0 - a, a, b, 1.0 - b
-        ems = slice(2, 6)
         start = rng.random((2, 4 * pairs))
         start /= start.sum(axis=0)
         start[:, ::3] = [[1.0], [0.0]]
         inv = rng.integers(0, 4, 3 * RUN)
         inv[0] = 2
-        want = posterior._forward_cells(*posterior._mix_nodes(emission, weights, ems), inv, start)
-        got = posterior._forward_products(emission, ems, weights, inv, start)
+        want = posterior._forward_cells(*posterior._mix_nodes(emission, weights), inv, start)
+        got = posterior._forward_products(emission, weights, inv, start)
         assert np.array_equal(got, want)
         assert np.isneginf(want).any() and np.isfinite(want).any()
 
     def test_rejects_mismatched_buffers(self):
-        emission, weights = np.ones((3, 4, 2)), np.ones((4, 2, 5))
+        emission, weights = np.ones((3, 2, 2)), np.ones((4, 2, 5))
         inv, start = np.zeros(4, dtype=np.int64), np.full((2, 10), 0.5)
-        posterior._forward_products(emission, slice(1, 3), weights, inv, start)
+        posterior._forward_products(emission, weights, inv, start)
         with pytest.raises(ValueError, match="disagree"):
-            posterior._forward_products(emission, slice(1, 4), weights, inv, start)
+            posterior._forward_products(np.ones((3, 3, 2)), weights, inv, start)
         with pytest.raises(ValueError, match="outside"):
-            posterior._forward_products(emission, slice(1, 3), weights, inv + 3, start)
+            posterior._forward_products(emission, weights, inv + 3, start)
 
 
 class TestBuild:
@@ -661,10 +674,11 @@ class TestBuild:
 # The kernels on the edges of their blocks and tiles, for a build under the
 # undefined-behaviour sanitizer: forward on 255, 256 and 257 cells, smooth
 # at widths 1 and 32 on rows of which a third are frozen, each with a
-# subnormal table entry, and mix on 1, 5, 16 and 37 pairs, over runs of 1,
-# 3 and 13 emission cells that end at the emission table's last cell, at 1
-# and 9 counts, and forward_products on 1, 255, 256, 257 and 520 pairs at
-# the last 3 of 20 emission cells, one emission value subnormal.  Then the float formatter, as repr and as JSON, and the state
+# subnormal table entry, and mix on 1, 5, 16 and 37 pairs, over 1, 3 and
+# 13 emission cells, at 1 and 9 counts, the emission's last cell holding a
+# subnormal, and forward_products on 1, 255, 256, 257 and 520 pairs at 3
+# emission cells, one emission value subnormal, each in buffers of exactly
+# its size.  Then the float formatter, as repr and as JSON, and the state
 # CSV's row writer, on subnormals, signed zeros, infinities, nan and the
 # neighbours of 2^53 and of every power of ten, with row numbers that cross
 # from 9 to 10, 99 999 to 100 000, 18 to 19 digits and past 2^63.  Prints
@@ -699,19 +713,19 @@ SANITIZED_CASES = """
         state_inference._PREFIX_BUDGET = width * (n + 1)
         out.append(state_inference._smooth_rows(inv, tuple(mats), start, loglik))
     for pairs, depth, width in ((1, 9, 13), (5, 1, 3), (16, 9, 1), (37, 9, 13), (37, 1, 1)):
-        emission = rng.random((depth, 20, 7))
+        emission = rng.random((depth, width, 7))
         emission[0, -1, 3] = 2.0**-1060
         weights = rng.random((4, 7, pairs))
-        tables = posterior._mix_nodes(emission, weights, slice(20 - width, 20))
+        tables = posterior._mix_nodes(emission, weights)
         out += [m.ravel() for m in tables]
     for pairs in (1, 255, 256, 257, 520):
-        emission = rng.random((3, 20, 2))
+        emission = rng.random((3, 3, 2))
         emission[1, -1, 1] = 2.0**-1060
         weights = rng.random((4, 2, pairs))
         start = rng.random((2, 3 * pairs))
         inv = rng.integers(0, 3, n)
         start /= start.sum(axis=0)
-        out.append(posterior._forward_products(emission, slice(17, 20), weights, inv, start))
+        out.append(posterior._forward_products(emission, weights, inv, start))
     print(np.concatenate(out).tobytes().hex())
 
     tiny = np.ldexp(1.0, -1074)

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import poisson
 
@@ -82,8 +82,10 @@ def _pool_sizes(monkeypatch):
 
 def _two_chunks(monkeypatch, trace):
     """Shrink the chunk budget so that ``WORKER_GRID``, one run of its 36
-    switch pairs, takes two chunks of 8 emission cells."""
-    monkeypatch.setattr(posterior, "_CHUNK_BYTES", 32 * len(np.unique(trace.counts)) * 36 * 8)
+    switch pairs, takes two chunks of 8 emission cells: each cell's tables
+    and emission entries at 66 ctmc nodes."""
+    depth = len(np.unique(trace.counts))
+    monkeypatch.setattr(posterior, "_CHUNK_BYTES", (32 * depth * 36 + 8 * depth * 66) * 8)
     assert _chunk_count(trace, "ctmc", WORKER_GRID) == 2
 
 
@@ -603,7 +605,7 @@ def _mixed_case(model, d, a, b, counts, n_lambda, n_mu):
         e11 = e11 + np.einsum("p,dm->dpm", np.exp(-b), poisson_pmf(mu_c + lam_c, dcol))
     # the engine's cells run emission cell-major
     want = [e.transpose(0, 2, 1).reshape(len(e), -1) for e in (e00, e01, e10, e11)]
-    got = posterior._mix_nodes(ctx.emission_nodes, ctx.weights(a, b))
+    got = posterior._mix_nodes(ctx.emission(slice(None)), ctx.weights(a, b))
     assert all(table.flags.c_contiguous for table in got)
     return got, want, x.size + 2 if model == "ctmc" else x.size
 
@@ -921,6 +923,105 @@ class TestProductPath:
         monkeypatch.setattr(posterior, "_PRODUCT_PAIRS", 1 << 62)
         assert np.array_equal(evaluate_grid(res.trace, "single", grid).log_post, fast)
         assert built
+
+
+@st.composite
+def _emission_cases(draw):
+    """An engine context under any model, with lambda and mu axes from 0
+    to as little as 1e-3, where counts up to 200 give zero and subnormal
+    entries, and a contiguous range of its emission cells."""
+    model = draw(st.sampled_from(["single", "ctmc", "multistep"]))
+    axes = [
+        GridAxis(name, 0.0, draw(st.sampled_from([1e-3, 1.5, 40.0])), draw(st.integers(2, 6)))
+        for name in ("lambda", "mu")
+    ]
+    fixed = dict(zip(posterior._MODELS[model], (0.5, 0.25)))
+    counts = draw(st.lists(st.integers(0, 200), min_size=1, max_size=30))
+    quad = QuadratureSpec() if model == "ctmc" else None
+    d = draw(st.sampled_from([1, 2, 4, 16])) if model == "multistep" else None
+    grid = GridSpec(axes=tuple(axes), fixed=fixed)
+    ctx = posterior._EngineContext(CountTrace(counts), model, grid, None, quad, d)
+    lo = draw(st.integers(0, ctx.n_em - 1))
+    return ctx, slice(lo, draw(st.integers(lo + 1, ctx.n_em)))
+
+
+# mu = 1.5 at counts 189 and 200 gives subnormal entries, and rate 0 zeros
+_TINY_EMISSION = (
+    posterior._EngineContext(
+        CountTrace([189, 0, 200, 3]),
+        "ctmc",
+        GridSpec(axes=(GridAxis("lambda", 0.0, 1e-3, 2), GridAxis("mu", 0.0, 1.5, 2)),
+                 fixed={"r_alpha": 0.5, "r_beta": 0.25}),
+        None, QuadratureSpec(), None,
+    ),
+    slice(1, 4),
+)
+
+
+class TestChunkEmission:
+    """Each chunk builds its own emission cells' entries, within its budget,
+    with the bits of a build over the whole grid."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=_emission_cases())
+    @example(case=_TINY_EMISSION)
+    def test_slices_are_the_whole_grid_build(self, case):
+        ctx, ems = case
+        rate = ctx.mu_flat[:, None] + ctx.lam_flat[:, None] * ctx.nodes
+        whole = poisson_pmf(rate, ctx.distinct[:, None, None])
+        got = ctx.emission(ems)
+        assert got.shape == (len(ctx.distinct), ems.stop - ems.start, ctx.nodes.size)
+        assert np.array_equal(got, whole[:, ems])
+        assert np.array_equal(ctx.emission(slice(None)), whole)
+        if case is _TINY_EMISSION:
+            assert ((got > 0) & (got < np.finfo(float).tiny)).any() and (got == 0).any()
+
+    @pytest.mark.parametrize("model", ["single", "ctmc", "multistep"])
+    @pytest.mark.parametrize("shape", [(1, 1), (5, 1), (16, 16)])
+    def test_tables_and_entries_fit_the_budget(self, model, shape):
+        # 1, 5 or 256 switch pairs at 120 emission cells and 40 distinct
+        # counts: one ctmc pair's tables and entries there take 2.7 MB
+        axes, fixed = [GridAxis("lambda", 1.0, 30.0, 12), GridAxis("mu", 0.5, 4.0, 10)], {}
+        for name, n in zip(posterior._MODELS[model], shape):
+            if n > 1:
+                axes.append(GridAxis(name, 0.1, 0.9, n))
+            else:
+                fixed[name] = 0.5
+        d = 16 if model == "multistep" else None
+        grid = GridSpec(axes=tuple(axes), fixed=fixed)
+        ctx = posterior._grid_context(CountTrace(np.arange(40)), model, grid, None, None, d)
+        assert ctx.a.size == math.prod(shape) and ctx.n_em == 120
+        wide = 0
+        for _, ems, weights in ctx.chunks():
+            emission = ctx.emission(ems)
+            tables = posterior._mix_nodes(emission, weights())
+            used = sum(m.nbytes for m in tables) + emission.nbytes
+            assert used <= posterior._CHUNK_BYTES or ems.stop - ems.start == 1
+            wide += ems.stop - ems.start > 1
+        assert wide
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_no_emission_table_outgrows_the_chunks(self, monkeypatch, workers):
+        # fixed switching at 120 x 120 emission cells: the grid's emission
+        # entries at 66 ctmc nodes would take some 250 MB, and a thread may
+        # hold one chunk's entries and tables, with what makes them, from
+        # the context's construction on
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        trace = sim_ctmc(SwitchRates(2.0, 2.0), EM, 2000, seed=10).trace
+        grid = GridSpec(
+            axes=(GridAxis("lambda", 10.0, 30.0, 120), GridAxis("mu", 0.5, 4.0, 120)),
+            fixed={"r_alpha": 2.0, "r_beta": 2.0},
+        )
+        tracemalloc.start()
+        try:
+            ctx = posterior._grid_context(trace, "ctmc", grid, None, None, None)
+            out = ctx.logliks(workers)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 8 * len(ctx.distinct) * ctx.n_em * 66 > 100 * posterior._CHUNK_BYTES
+        assert peak <= out.nbytes + 8 * workers * posterior._CHUNK_BYTES
+        assert np.isfinite(out).all()
 
 
 class TestMarginalize:
